@@ -64,11 +64,13 @@ bench:
 # Benchmark-regression gate. The gated families are the hot paths with
 # committed baselines in BENCH_baseline.json: telemetry instrumentation,
 # trace dispatch, the sharded ban-score engine, ban-list reads, the pooled
-# wire codec, the banstore WAL append + recovery replay, and the fleet
-# observer's store ingest. Fixed iteration counts keep run-to-run variance
-# down; cmd/benchdiff fails the build past its tolerance, and any
-# allocation on a zero-alloc baseline fails outright.
-BENCH_GATE_PATTERN = 'BenchmarkTelemetry|BenchmarkTraceDispatch|BenchmarkBanScore|BenchmarkBanList|BenchmarkWire|BenchmarkReputation|BenchmarkNetgroup|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkObserver'
+# wire codec, the simnet pipe every workload crosses, the banstore WAL
+# append + recovery replay, and the fleet observer's store ingest. Fixed
+# iteration counts keep run-to-run variance down; cmd/benchdiff fails the
+# build past its tolerance, and any allocation on a zero-alloc baseline
+# fails outright. This is the only copy of the pattern: CI calls
+# `make bench-gate`.
+BENCH_GATE_PATTERN = 'BenchmarkTelemetry|BenchmarkTraceDispatch|BenchmarkBanScore|BenchmarkBanList|BenchmarkWire|BenchmarkPipe|BenchmarkReputation|BenchmarkNetgroup|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkObserver'
 
 # The swarm scenario bench is gated separately: one iteration IS a full
 # 1000-peer Sybil swarm (admission, flood, churn, exact ban count), so it
@@ -80,10 +82,11 @@ SWARM_GATE_PATTERN = 'BenchmarkSwarmScale/peers=1000$$'
 
 # -count=3: benchdiff keeps the per-metric minimum (maximum, for rates)
 # across repeats, which filters scheduler noise far better than one long
-# run on a busy machine.
+# run on a busy machine. The raw event stream is kept in bench-output.json
+# (CI uploads it as an artifact).
 bench-gate:
 	{ $(GO) test -run xxx -bench $(BENCH_GATE_PATTERN) -benchtime 100000x -benchmem -count=3 -json ./... ; \
-	  $(GO) test -run xxx -bench $(SWARM_GATE_PATTERN) -benchtime 1x -count=3 -json ./internal/swarm/ ; } | $(GO) run ./cmd/benchdiff
+	  $(GO) test -run xxx -bench $(SWARM_GATE_PATTERN) -benchtime 1x -count=3 -json ./internal/swarm/ ; } | tee bench-output.json | $(GO) run ./cmd/benchdiff
 
 # Refresh the committed baseline (after an intentional perf change; run on
 # a quiet machine and commit the resulting BENCH_baseline.json).

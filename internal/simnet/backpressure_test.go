@@ -8,7 +8,7 @@ import (
 )
 
 // pipePair returns a connected client/server conn pair.
-func pipePair(t *testing.T) (client, server net.Conn, cleanup func()) {
+func pipePair(t testing.TB) (client, server net.Conn, cleanup func()) {
 	t.Helper()
 	n := NewNetwork()
 	l, err := n.Listen("10.0.0.1:8333")

@@ -246,18 +246,16 @@ func (n *Network) FindConn(local, remote string) (*Conn, error) {
 // Inject delivers data into the receive stream of the connection endpoint
 // at `to` as if it had been sent by `from` — the simulation of spoofed TCP
 // segment injection. The caller must present the stream's current sequence
-// number (learned by sniffing, per Algorithm 1 of the paper); a mismatch is
-// discarded like an out-of-window segment.
+// number (learned by sniffing, per Algorithm 1 of the paper); a mismatch —
+// or a receive buffer already at its cap — is discarded like an
+// out-of-window segment. Inject never blocks.
 func (n *Network) Inject(from, to string, seq uint64, data []byte) error {
 	victim, err := n.FindConn(to, from)
 	if err != nil {
 		return err
 	}
 	// The receive half's seq counts every byte enqueued toward `to`.
-	if got := victim.recv.sequence(); got != seq {
-		return fmt.Errorf("%w: claimed %d, stream at %d", ErrSeqMismatch, seq, got)
-	}
-	if _, err := victim.recv.write(data); err != nil {
+	if err := victim.recv.inject(seq, data); err != nil {
 		return err
 	}
 	n.observe(Addr(from), Addr(to), data)

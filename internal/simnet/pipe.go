@@ -42,19 +42,33 @@ var ErrConnReset = errors.New("simnet: connection reset by peer")
 // control that paces a real flooding attacker to its victim's consumption
 // rate. A single write larger than the cap is still accepted whole once the
 // buffer drains below the cap (bounded overshoot, no deadlock).
+//
+// The cap is also the drain-release rule: a half that drains to empty hands
+// its backing array back to the collector only if the array had grown to the
+// cap, that is, only if it held a backlog writers were being paced by. A
+// drained flood therefore cannot pin its high-water mark, while a working
+// buffer below the cap is kept: a steady writer/reader pair at any frame
+// size under the cap allocates nothing, and a reader that momentarily
+// catches up with a flooder does not make the next frames re-grow the ring.
 const pipeBufferCap = 4 * 1024 * 1024
 
-// pipeHalf is one direction of a stream: a bounded in-memory byte queue.
+// pipeHalf is one direction of a stream: a bounded in-memory byte queue,
+// stored as a ring so that neither a read nor a write moves the backlog.
 type pipeHalf struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// buf is the ring's storage (its length is the ring's capacity); the n
+	// unread bytes start at head and wrap past the end. head is 0 whenever
+	// n is 0.
 	buf      []byte
+	head     int
+	n        int
 	closed   bool
 	closeErr error // non-nil for hard closes (reset); nil means EOF
 	rdl      time.Time
 	wdl      time.Time
 	// seq counts bytes ever enqueued: the simulation's TCP sequence
-	// number. Injection must match it (see Conn.inject).
+	// number. Injection must match it (see pipeHalf.inject).
 	seq uint64
 
 	// onData fires after bytes are enqueued or the half closes; onRoom
@@ -82,36 +96,39 @@ func (h *pipeHalf) writeErr() error {
 	return io.ErrClosedPipe
 }
 
-// write enqueues p, blocking while the buffer is at capacity. It fails
-// after close or when the write deadline expires while blocked.
-func (h *pipeHalf) write(p []byte) (int, error) {
-	h.mu.Lock()
-	for len(h.buf) >= pipeBufferCap {
-		if h.closed {
-			err := h.writeErr()
-			h.mu.Unlock()
-			return 0, err
-		}
-		wdl := h.wdl
-		if !wdl.IsZero() {
-			now := clk.Now()
-			if !now.Before(wdl) {
-				h.mu.Unlock()
-				return 0, ErrDeadlineExceeded
-			}
-			timer := clk.AfterFunc(wdl.Sub(now), h.cond.Broadcast)
-			h.cond.Wait()
-			timer.Stop()
-			continue
-		}
-		h.cond.Wait()
+// grow re-houses the ring in an array of at least need bytes, unwrapping
+// the backlog to the front. Capacity doubles up to pipeBufferCap and is
+// otherwise exactly what was asked for: no power-of-two rounding, so tens
+// of thousands of small Sybil bursts cost what they hold and a whole-write
+// overshoot costs the overshoot.
+func (h *pipeHalf) grow(need int) {
+	c := 2 * len(h.buf)
+	if c > pipeBufferCap {
+		c = pipeBufferCap
 	}
-	if h.closed {
-		err := h.writeErr()
-		h.mu.Unlock()
-		return 0, err
+	if c < need {
+		c = need
 	}
-	h.buf = append(h.buf, p...)
+	buf := make([]byte, c)
+	h.copyOut(buf)
+	h.buf, h.head = buf, 0
+}
+
+// deliver appends p to the ring, advances seq and signals readers. Called
+// with mu held; returns with mu released, the onData edge fired after.
+func (h *pipeHalf) deliver(p []byte) {
+	if need := h.n + len(p); need > len(h.buf) {
+		h.grow(need)
+	}
+	tail := h.head + h.n
+	if tail >= len(h.buf) {
+		tail -= len(h.buf)
+	}
+	// The free space after tail is contiguous up to head (wrapped backlog)
+	// or runs to the end of buf and continues at 0.
+	c := copy(h.buf[tail:], p)
+	copy(h.buf, p[c:])
+	h.n += len(p)
 	h.seq += uint64(len(p))
 	h.cond.Broadcast()
 	cb := h.onData
@@ -119,29 +136,88 @@ func (h *pipeHalf) write(p []byte) (int, error) {
 	if cb != nil {
 		cb()
 	}
+}
+
+// copyOut copies up to len(p) buffered bytes into p, oldest first, without
+// consuming them. Called with mu held.
+func (h *pipeHalf) copyOut(p []byte) int {
+	if len(p) > h.n {
+		p = p[:h.n]
+	}
+	c := copy(p, h.buf[h.head:])
+	copy(p[c:], h.buf)
+	return len(p)
+}
+
+// wait parks on cond until the next broadcast or until dl (zero: none)
+// passes, whichever is first; a dl already past fails without parking.
+// Called with mu held; the caller re-checks its condition on return.
+func (h *pipeHalf) wait(dl time.Time) error {
+	if dl.IsZero() {
+		h.cond.Wait()
+		return nil
+	}
+	now := clk.Now()
+	if !now.Before(dl) {
+		return ErrDeadlineExceeded
+	}
+	timer := clk.AfterFunc(dl.Sub(now), h.cond.Broadcast)
+	h.cond.Wait()
+	timer.Stop()
+	return nil
+}
+
+// write enqueues p, blocking while the buffer is at capacity. It fails
+// after close or when the write deadline expires while blocked.
+//
+//banlint:hotpath per-write substrate path: two-segment copy into the ring, growth out of line
+func (h *pipeHalf) write(p []byte) (int, error) {
+	h.mu.Lock()
+	for h.n >= pipeBufferCap && !h.closed {
+		if err := h.wait(h.wdl); err != nil {
+			h.mu.Unlock()
+			return 0, err
+		}
+	}
+	if h.closed {
+		err := h.writeErr()
+		h.mu.Unlock()
+		return 0, err
+	}
+	h.deliver(p)
 	return len(p), nil
 }
 
+// inject enqueues p only if the stream stands at exactly seq, checking and
+// enqueueing under one lock acquisition so a concurrent write cannot slip
+// between the two. It never blocks: a full buffer is a closed receive
+// window, and a segment arriving at a closed window is as out-of-window as
+// one with a stale sequence number.
+func (h *pipeHalf) inject(seq uint64, p []byte) error {
+	h.mu.Lock()
+	var err error
+	switch {
+	case h.closed:
+		err = h.writeErr()
+	case h.seq != seq:
+		err = fmt.Errorf("%w: claimed %d, stream at %d", ErrSeqMismatch, seq, h.seq)
+	case h.n >= pipeBufferCap:
+		err = fmt.Errorf("%w: receive window closed at %d", ErrSeqMismatch, seq)
+	}
+	if err != nil {
+		h.mu.Unlock()
+		return err
+	}
+	h.deliver(p)
+	return nil
+}
+
 // read dequeues into p, blocking until data, close, or deadline.
+//
+//banlint:hotpath per-read substrate path: two-segment copy out of the ring, no per-call allocation
 func (h *pipeHalf) read(p []byte) (int, error) {
 	h.mu.Lock()
-	for {
-		if len(h.buf) > 0 {
-			n := copy(p, h.buf)
-			h.buf = h.buf[n:]
-			if len(h.buf) == 0 {
-				// Release the backing array so a drained flood
-				// does not pin its high-water mark.
-				h.buf = nil
-			}
-			h.cond.Broadcast() // wake writers waiting for room
-			cb := h.onRoom
-			h.mu.Unlock()
-			if cb != nil {
-				cb()
-			}
-			return n, nil
-		}
+	for h.n == 0 {
 		if h.closed {
 			err := h.closeErr
 			h.mu.Unlock()
@@ -150,21 +226,30 @@ func (h *pipeHalf) read(p []byte) (int, error) {
 			}
 			return 0, io.EOF
 		}
-		rdl := h.rdl
-		if !rdl.IsZero() {
-			now := clk.Now()
-			if !now.Before(rdl) {
-				h.mu.Unlock()
-				return 0, ErrDeadlineExceeded
-			}
-			// Arrange a wake-up at the deadline.
-			timer := clk.AfterFunc(rdl.Sub(now), h.cond.Broadcast)
-			h.cond.Wait()
-			timer.Stop()
-			continue
+		if err := h.wait(h.rdl); err != nil {
+			h.mu.Unlock()
+			return 0, err
 		}
-		h.cond.Wait()
 	}
+	n := h.copyOut(p)
+	h.n -= n
+	h.head += n
+	if h.head >= len(h.buf) {
+		h.head -= len(h.buf)
+	}
+	if h.n == 0 {
+		h.head = 0
+		if len(h.buf) >= pipeBufferCap {
+			h.buf = nil
+		}
+	}
+	h.cond.Broadcast() // wake writers waiting for room
+	cb := h.onRoom
+	h.mu.Unlock()
+	if cb != nil {
+		cb()
+	}
+	return n, nil
 }
 
 func (h *pipeHalf) close() { h.closeWithErr(nil, false) }
@@ -181,7 +266,7 @@ func (h *pipeHalf) closeWithErr(err error, discard bool) {
 	h.closed = true
 	h.closeErr = err
 	if discard {
-		h.buf = nil
+		h.buf, h.head, h.n = nil, 0, 0
 	}
 	h.cond.Broadcast()
 	data, room := h.onData, h.onRoom
@@ -221,14 +306,14 @@ func (h *pipeHalf) sequence() uint64 {
 func (h *pipeHalf) buffered() (int, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.buf), h.closed
+	return h.n, h.closed
 }
 
 // peek copies up to len(p) buffered bytes without consuming them.
 func (h *pipeHalf) peek(p []byte) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return copy(p, h.buf)
+	return h.copyOut(p)
 }
 
 // space reports how many bytes can be written without blocking (zero while
@@ -236,7 +321,7 @@ func (h *pipeHalf) peek(p []byte) int {
 func (h *pipeHalf) space() (int, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := pipeBufferCap - len(h.buf)
+	s := pipeBufferCap - h.n
 	if s < 0 {
 		s = 0
 	}

@@ -322,21 +322,22 @@ func (sh *shard) loop() {
 // frameReady reports whether the next read on the connection cannot
 // block: a complete wire frame is buffered, the direction is closed (reads
 // drain then fail fast), or the claimed payload is oversized (the decoder
-// rejects it from the header alone).
-func frameReady(conn *simnet.Conn, hdr *[wire.MessageHeaderSize]byte) bool {
+// rejects it from the header alone). eof is set when the direction is
+// closed with nothing left to drain.
+func frameReady(conn *simnet.Conn, hdr *[wire.MessageHeaderSize]byte) (ready, eof bool) {
 	avail, closed := conn.ReadBuffered()
 	if closed {
-		return true
+		return true, avail == 0
 	}
 	if avail < wire.MessageHeaderSize {
-		return false
+		return false, false
 	}
 	conn.PeekBuffered(hdr[:])
 	payloadLen := binary.LittleEndian.Uint32(hdr[16:20])
 	if payloadLen > wire.MaxMessagePayload {
-		return true
+		return true, false
 	}
-	return avail >= wire.MessageHeaderSize+int(payloadLen)
+	return avail >= wire.MessageHeaderSize+int(payloadLen), false
 }
 
 // service pumps one ready connection: dispatch buffered inbound frames up
@@ -353,10 +354,11 @@ func (sh *shard) service(idx int32) {
 
 	var hdr [wire.MessageHeaderSize]byte
 	for i := 0; i < sh.e.cfg.ReadBudget; i++ {
-		if !frameReady(conn, &hdr) {
+		ready, eof := frameReady(conn, &hdr)
+		if !ready {
 			break
 		}
-		if avail, closed := conn.ReadBuffered(); closed && avail == 0 {
+		if eof {
 			// Nothing left to drain: surface the EOF/reset without a
 			// decode round trip.
 			p.Disconnect()
@@ -383,7 +385,10 @@ func (sh *shard) service(idx int32) {
 	// Re-arm if this visit left work behind: budget-exhausted reads or
 	// back-pressured writes. Readiness callbacks only fire on edges, and
 	// the edge for this data has already passed.
-	if pending || frameReady(conn, &hdr) {
+	if !pending {
+		pending, _ = frameReady(conn, &hdr)
+	}
+	if pending {
 		sh.wake(idx, gen)
 	}
 }

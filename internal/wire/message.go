@@ -25,6 +25,26 @@ const CommandSize = 12
 // sender's ban score.
 var ErrChecksumMismatch = errors.New("payload checksum mismatch")
 
+// ChecksumError is the ErrChecksumMismatch the decoder returns: one small
+// value per bogus frame, formatted only if someone asks for the text. The
+// flood that provokes it is attacker-paced, so the drop path must not pay
+// for a message nobody reads.
+type ChecksumError struct {
+	Command string
+	// Got is the checksum the header claimed, Want the one the payload
+	// hashes to.
+	Got, Want [4]byte
+}
+
+// Error implements the error interface.
+func (e *ChecksumError) Error() string {
+	return fmt.Sprintf("command %q: %v (got %x, want %x)",
+		e.Command, ErrChecksumMismatch, e.Got, e.Want)
+}
+
+// Unwrap makes errors.Is(err, ErrChecksumMismatch) hold.
+func (e *ChecksumError) Unwrap() error { return ErrChecksumMismatch }
+
 // ErrUnknownCommand is returned by ReadMessage for a syntactically valid
 // header naming a command this implementation does not know. Bitcoin Core
 // ignores unknown commands without scoring, another score-free vector.
@@ -237,8 +257,7 @@ func (c *Codec) DecodeMessage(r io.Reader, pver uint32, bnet BitcoinNet, pick fu
 
 	if checksum := chainhash.Checksum4(buf.Bytes()); checksum != hdr.checksum {
 		buf.Release()
-		return nil, nil, fmt.Errorf("command %q: %w (got %x, want %x)",
-			hdr.command, ErrChecksumMismatch, hdr.checksum, checksum)
+		return nil, nil, &ChecksumError{Command: hdr.command, Got: hdr.checksum, Want: checksum}
 	}
 
 	c.pr.reset(buf.Bytes())

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -81,6 +82,17 @@ func TestReadMessageChecksumMismatch(t *testing.T) {
 	_, _, err := ReadMessage(&buf, ProtocolVersion, SimNet)
 	if !errors.Is(err, ErrChecksumMismatch) {
 		t.Errorf("ReadMessage = %v, want ErrChecksumMismatch", err)
+	}
+	// The error is a typed value that formats lazily; its text is a
+	// contract (logs and the journal carry it).
+	want := fmt.Sprintf("command %q: payload checksum mismatch (got deadbeef, want %x)",
+		CmdPing, chainhash.Checksum4(payload.Bytes()))
+	if got := fmt.Sprint(err); got != want {
+		t.Errorf("ReadMessage error text = %q, want %q", got, want)
+	}
+	var cErr *ChecksumError
+	if !errors.As(err, &cErr) || cErr.Command != CmdPing || cErr.Got != bad {
+		t.Errorf("ReadMessage error = %#v, want *ChecksumError for %q claiming %x", err, CmdPing, bad)
 	}
 }
 
