@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-json lint-sarif alloc-gate alloc-baseline build test race bench bench-telemetry bench-trace bench-gate bench-baseline test-poolpoison chaos chaos-short chaos-crash fleet-short swarm-smoke swarm-full
+.PHONY: check vet lint lint-json lint-sarif alloc-gate alloc-baseline build test race bench bench-telemetry bench-trace bench-gate bench-baseline test-poolpoison fuzz-short chaos chaos-short chaos-crash fleet-short swarm-smoke swarm-full
 
 check: vet lint alloc-gate build race test-poolpoison bench-telemetry bench-trace
 
@@ -50,6 +50,14 @@ race:
 # fails loudly instead of reading recycled bytes.
 test-poolpoison:
 	$(GO) test -tags poolpoison -count=1 ./internal/wire/
+
+# Every native fuzz target in the tree, ten seconds each on top of its
+# committed seed corpus (go test -fuzz takes one target and one package per
+# run). A finding is written under the package's testdata/fuzz and fails
+# the build.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzPipeHalf$$' -fuzztime 10s ./internal/simnet/
+	$(GO) test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 10s ./internal/wal/
 
 bench-telemetry:
 	$(GO) test -run xxx -bench BenchmarkTelemetry -benchtime 1x ./...
@@ -105,10 +113,10 @@ chaos-short:
 	$(GO) test -race -short -count=1 -timeout 300s ./internal/chaos/
 
 # Kill/restart chaos: the crash-storm scenarios (simulated and real
-# SIGKILL) plus the banstore and fleet-observer recovery edge cases, under
-# the race detector.
+# SIGKILL) plus the recovery edge cases of the shared log layer and of the
+# banstore and fleet-observer stores on top of it, under the race detector.
 chaos-crash:
-	$(GO) test -race -count=1 -timeout 300s -run 'Crash|Restart|Recover|SIGKILL' ./internal/banstore/ ./internal/chaos/ ./internal/node/ ./internal/observer/
+	$(GO) test -race -count=1 -timeout 300s -run 'Crash|Restart|Recover|SIGKILL' ./internal/wal/ ./internal/banstore/ ./internal/chaos/ ./internal/node/ ./internal/observer/
 
 # Fleet smoke: launch 3 real btcnode processes on loopback TCP, replay one
 # Defamation identity and one Sybil identity against all of them at once,

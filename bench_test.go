@@ -410,14 +410,14 @@ func BenchmarkAblationBanGranularity(b *testing.B) {
 		tr := core.NewTracker(core.Config{Mode: core.ModeThresholdInfinity})
 		for i := 0; i < b.N; i++ {
 			id := core.PeerIDFromAddr(fmt.Sprintf("10.0.0.2:%d", 49152+i%16384))
-			tr.Misbehaving(id, true, core.VersionDuplicate)
+			tr.MisbehavingCtx(id, true, core.VersionDuplicate, core.MisbehaviorContext{})
 		}
 	})
 	b.Run("per-ip", func(b *testing.B) {
 		tr := core.NewTracker(core.Config{Mode: core.ModeThresholdInfinity})
 		id := core.PeerIDFromAddr("10.0.0.2:0") // one bucket per IP
 		for i := 0; i < b.N; i++ {
-			tr.Misbehaving(id, true, core.VersionDuplicate)
+			tr.MisbehavingCtx(id, true, core.VersionDuplicate, core.MisbehaviorContext{})
 		}
 	})
 }

@@ -25,11 +25,8 @@
 package banstore
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,6 +34,7 @@ import (
 	"banscore/internal/core"
 	"banscore/internal/reputation"
 	"banscore/internal/vclock"
+	"banscore/internal/wal"
 )
 
 // FsyncPolicy selects when the background writer fsyncs the WAL.
@@ -99,13 +97,9 @@ const (
 
 	// DefaultSnapshotKeep is how many snapshot generations are retained.
 	DefaultSnapshotKeep = 2
-
-	// maxRecordBytes bounds a single record frame; anything larger in a
-	// log is corruption, not data.
-	maxRecordBytes = 1 << 24
 )
 
-// File-format magics.
+// File-format magics; the layout they head is internal/wal's.
 var (
 	walMagic  = []byte("BSWAL001")
 	snapMagic = []byte("BSSNAP01")
@@ -235,18 +229,16 @@ func (s *Store) admit() bool {
 // callers hold s.mu and must seal() after encoding the payload.
 func (s *Store) frameStart() int {
 	start := len(s.pending)
-	s.pending = append(s.pending, 0, 0, 0, 0, 0, 0, 0, 0)
+	s.pending = append(s.pending, make([]byte, wal.FrameOverhead)...)
 	return start
 }
 
 // seal completes the frame begun at start: length, CRC, LSN, counters.
 func (s *Store) seal(start int) {
-	payload := s.pending[start+frameOverhead:]
-	binary.LittleEndian.PutUint32(s.pending[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(s.pending[start+4:], crc32.Checksum(payload, castagnoli))
+	size := wal.SealFrame(s.pending, start)
 	s.nextLSN++
 	s.appends.Add(1)
-	s.walBytes.Add(uint64(len(payload) + frameOverhead))
+	s.walBytes.Add(uint64(size))
 	s.cond.Signal()
 }
 
@@ -485,8 +477,8 @@ func (s *Store) AppendBan(peer core.PeerID, until time.Time) {
 	}
 	start := s.frameStart()
 	s.pending = append(s.pending, recBan)
-	s.pending = appendString(s.pending, string(peer))
-	s.pending = appendTime(s.pending, until)
+	s.pending = wal.AppendString(s.pending, string(peer))
+	s.pending = wal.AppendTime(s.pending, until)
 	s.seal(start)
 	s.mu.Unlock()
 }
@@ -500,7 +492,7 @@ func (s *Store) AppendForget(peer core.PeerID) {
 	}
 	start := s.frameStart()
 	s.pending = append(s.pending, recForget)
-	s.pending = appendString(s.pending, string(peer))
+	s.pending = wal.AppendString(s.pending, string(peer))
 	s.seal(start)
 	s.mu.Unlock()
 }
@@ -514,8 +506,8 @@ func (s *Store) AppendGood(peer core.PeerID, total int) {
 	}
 	start := s.frameStart()
 	s.pending = append(s.pending, recGood)
-	s.pending = appendString(s.pending, string(peer))
-	s.pending = appendVarint(s.pending, int64(total))
+	s.pending = wal.AppendString(s.pending, string(peer))
+	s.pending = wal.AppendVarint(s.pending, int64(total))
 	s.seal(start)
 	s.mu.Unlock()
 }
@@ -550,40 +542,24 @@ func (s *Store) RecordCredit(rec reputation.CreditRecord) {
 
 // --- snapshots and segment management ------------------------------------
 
-func segmentName(startLSN uint64) string { return fmt.Sprintf("wal-%016x.log", startLSN) }
-func snapshotName(lsn uint64) string     { return fmt.Sprintf("snap-%016x.snap", lsn) }
-func (s *Store) path(name string) string { return filepath.Join(s.opts.Dir, name) }
-
-// syncDir fsyncs the store directory so renames/creates are durable.
-func (s *Store) syncDir() {
-	if s.opts.Fsync == FsyncNone {
-		return
-	}
-	if d, err := os.Open(s.opts.Dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-}
+// fsync reports whether files and the directory are flushed at lifecycle
+// points (everything but FsyncNone).
+func (s *Store) fsync() bool { return s.opts.Fsync != FsyncNone }
 
 // Snapshot durably writes st (captured by the caller at an LSN read before
 // the capture), rotates the WAL onto a fresh segment, and prunes segments
-// and older snapshots the new snapshot fully covers. The write is atomic:
-// tmp file, fsync, rename, fsync dir — a crash mid-snapshot leaves the
-// previous generation intact.
+// and older snapshots the retained generations fully cover.
 func (s *Store) Snapshot(st State, lsn uint64) error {
 	if err := s.Sync(); err != nil {
 		return err
 	}
-
-	buf := EncodeSnapshotFile(snapMagic, lsn, EncodeState(st))
-	if err := WriteFileAtomic(s.path(snapshotName(lsn)), buf, s.opts.Fsync != FsyncNone); err != nil {
+	if err := wal.WriteSnapshot(s.opts.Dir, snapMagic, lsn, EncodeState(st), s.fsync()); err != nil {
 		return err
 	}
-
 	if err := s.rotateSegment(); err != nil {
 		return err
 	}
-	s.pruneCovered(lsn)
+	wal.Prune(s.opts.Dir, s.opts.SnapshotKeep, s.fsync())
 	s.snapshots.Add(1)
 	if lsn > s.snapLSN.Load() {
 		s.snapLSN.Store(lsn)
@@ -604,71 +580,14 @@ func (s *Store) rotateSegment() error {
 	if s.closed || s.crashed || s.f == nil {
 		return s.err
 	}
-	old := s.f
-	if s.opts.Fsync != FsyncNone {
-		if err := old.Sync(); err != nil {
-			return err
-		}
-	}
-	if err := old.Close(); err != nil {
-		return err
-	}
-	f, start, err := createSegment(s.opts.Dir, s.nextLSN)
+	f, err := wal.RotateSegment(s.f, s.opts.Dir, walMagic, s.nextLSN, s.fsync())
+	s.f = f
 	if err != nil {
-		s.f = nil
 		if s.err == nil {
 			s.err = err
 		}
 		return err
 	}
-	s.f = f
-	s.segStart = start
+	s.segStart = s.nextLSN
 	return nil
-}
-
-// pruneCovered drops snapshot generations beyond the retention count, then
-// removes WAL segments every record of which is at or below the OLDEST
-// retained snapshot's LSN (a segment's last LSN is the next segment's start
-// minus one). Coverage is judged against the oldest generation on purpose:
-// if the newest snapshot turns out corrupt at recovery, the fallback
-// generation still has the complete WAL tail it needs to catch up.
-func (s *Store) pruneCovered(snapLSN uint64) {
-	segs, snaps, _ := scanDir(s.opts.Dir)
-	if keep := s.opts.SnapshotKeep; len(snaps) > keep {
-		for _, sn := range snaps[:len(snaps)-keep] {
-			_ = os.Remove(sn.Path)
-		}
-		snaps = snaps[len(snaps)-keep:]
-	}
-	cover := snapLSN
-	if len(snaps) > 0 && snaps[0].Start < cover {
-		cover = snaps[0].Start
-	}
-	for i := 0; i+1 < len(segs); i++ {
-		if segs[i+1].Start-1 <= cover {
-			_ = os.Remove(segs[i].Path)
-		}
-	}
-	s.syncDir()
-}
-
-// createSegment creates wal-<startLSN> with its header written. When a
-// segment with that start already exists (a previous run opened the store
-// but never appended), it is reused for append — recovery has already
-// truncated it to its last valid record.
-func createSegment(dir string, startLSN uint64) (*os.File, uint64, error) {
-	path := filepath.Join(dir, segmentName(startLSN))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if os.IsExist(err) {
-		f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		return f, startLSN, err
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	if _, err := f.Write(SegmentHeader(walMagic, startLSN)); err != nil {
-		_ = f.Close()
-		return nil, 0, err
-	}
-	return f, startLSN, nil
 }

@@ -3,26 +3,18 @@ package banstore
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"banscore/internal/core"
+	"banscore/internal/wal"
 )
-
-// sealFrame completes the frame begun at start, whose payload runs to the
-// end of b (bench log images are built strictly append-only).
-func sealFrame(b []byte, start int) {
-	payload := b[start+frameOverhead:]
-	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(payload, castagnoli))
-}
 
 // readFrame returns the payload length and payload of the frame at off.
 func readFrame(b []byte, off int) (int, []byte) {
 	plen := int(binary.LittleEndian.Uint32(b[off:]))
-	return plen, b[off+frameOverhead : off+frameOverhead+plen]
+	return plen, b[off+wal.FrameOverhead : off+wal.FrameOverhead+plen]
 }
 
 // BenchmarkWALAppend measures the hot-path cost a scoring call pays for
@@ -75,7 +67,7 @@ func BenchmarkBanScoreParallelPersist(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		id := core.PeerID(fmt.Sprintf("[10.77.0.%d]:8333", worker.Add(1)))
 		for pb.Next() {
-			tr.Misbehaving(id, true, core.VersionDuplicate)
+			tr.MisbehavingCtx(id, true, core.VersionDuplicate, core.MisbehaviorContext{})
 		}
 	})
 }
@@ -99,7 +91,7 @@ func BenchmarkRecovery(b *testing.B) {
 		log = append(log, 0, 0, 0, 0, 0, 0, 0, 0)
 		log = append(log, recMisbehave)
 		log = appendBanRecord(log, &rec)
-		sealFrame(log, start)
+		wal.SealFrame(log, start)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -115,7 +107,7 @@ func BenchmarkRecovery(b *testing.B) {
 			}
 			scores[rec.Misbehavior.Peer] = rec.Misbehavior.Score
 			ledger.Restore(rec.Misbehavior)
-			off += frameOverhead + plen
+			off += wal.FrameOverhead + plen
 		}
 		if len(scores) != 1 || ledger.Total() != records {
 			b.Fatal("replay dropped records")

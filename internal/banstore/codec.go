@@ -1,28 +1,15 @@
 package banstore
 
 import (
-	"encoding/binary"
-	"errors"
-	"hash/crc32"
-	"math"
 	"time"
 
 	"banscore/internal/core"
 	"banscore/internal/reputation"
+	"banscore/internal/wal"
 )
 
-// Wire format. Every WAL record is framed
-//
-//	[u32 LE payload len][u32 LE CRC32C(payload)][payload]
-//
-// and every payload starts with a kind byte. Fields are hand-rolled binary:
-// varints for integers, uvarint-length-prefixed bytes for strings, IEEE bits
-// for floats, and an explicit present/absent flag plus UnixNano varint for
-// times (UnixNano alone cannot represent the zero time, and epoch-0 is a
-// legitimate virtual-clock reading the determinism tests exercise). The
-// encoding is canonical: the same logical value always serializes to the
-// same bytes, which is what lets the recovery property test compare states
-// byte-for-byte.
+// Record schema. Every WAL record is a wal frame whose payload starts with
+// a kind byte; the fields after it use wal's canonical field codec.
 
 // Record kinds.
 const (
@@ -34,205 +21,82 @@ const (
 	recCredit    byte = 6 // reputation.CreditRecord
 )
 
-// frameOverhead is the per-record framing cost: len + CRC.
-const frameOverhead = 8
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-var (
-	errCorrupt  = errors.New("banstore: corrupt record")
-	errBadMagic = errors.New("banstore: bad file magic")
-)
-
-// --- encoding primitives -------------------------------------------------
-
-func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-func appendVarint(b []byte, v int64) []byte   { return binary.AppendVarint(b, v) }
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func appendFloat(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-func appendTime(b []byte, t time.Time) []byte {
-	if t.IsZero() {
-		return append(b, 0)
-	}
-	b = append(b, 1)
-	return binary.AppendVarint(b, t.UnixNano())
-}
-
-// decoder walks one payload. The first decode error sticks; every
-// subsequent read returns zero values, so record decoders can run
-// straight-line and check err once.
-type decoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail() { d.err = errCorrupt }
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail()
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-func (d *decoder) bool() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off >= len(d.b) {
-		d.fail()
-		return false
-	}
-	v := d.b[d.off]
-	d.off++
-	return v != 0
-}
-
-func (d *decoder) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	return v
-}
-
-func (d *decoder) time() time.Time {
-	if !d.bool() {
-		return time.Time{}
-	}
-	return time.Unix(0, d.varint())
-}
-
 // --- record payloads -----------------------------------------------------
 
 func appendBanRecord(b []byte, rec *core.BanRecord) []byte {
-	b = appendUvarint(b, rec.Seq)
-	b = appendTime(b, rec.At)
-	b = appendString(b, string(rec.Peer))
-	b = appendUvarint(b, uint64(rec.RuleID))
-	b = appendString(b, rec.Rule)
-	b = appendVarint(b, int64(rec.Delta))
-	b = appendVarint(b, int64(rec.Score))
-	b = appendBool(b, rec.Banned)
-	b = appendString(b, rec.Command)
-	b = appendUvarint(b, rec.TraceID)
-	b = appendUvarint(b, uint64(rec.PayloadDigest))
-	b = appendVarint(b, int64(rec.PayloadLen))
+	b = wal.AppendUvarint(b, rec.Seq)
+	b = wal.AppendTime(b, rec.At)
+	b = wal.AppendString(b, string(rec.Peer))
+	b = wal.AppendUvarint(b, uint64(rec.RuleID))
+	b = wal.AppendString(b, rec.Rule)
+	b = wal.AppendVarint(b, int64(rec.Delta))
+	b = wal.AppendVarint(b, int64(rec.Score))
+	b = wal.AppendBool(b, rec.Banned)
+	b = wal.AppendString(b, rec.Command)
+	b = wal.AppendUvarint(b, rec.TraceID)
+	b = wal.AppendUvarint(b, uint64(rec.PayloadDigest))
+	b = wal.AppendVarint(b, int64(rec.PayloadLen))
 	return b
 }
 
-func (d *decoder) banRecord() core.BanRecord {
+func decodeBanRecord(d *wal.Decoder) core.BanRecord {
 	return core.BanRecord{
-		Seq:           d.uvarint(),
-		At:            d.time(),
-		Peer:          core.PeerID(d.str()),
-		RuleID:        core.RuleID(d.uvarint()),
-		Rule:          d.str(),
-		Delta:         int(d.varint()),
-		Score:         int(d.varint()),
-		Banned:        d.bool(),
-		Command:       d.str(),
-		TraceID:       d.uvarint(),
-		PayloadDigest: uint32(d.uvarint()),
-		PayloadLen:    int(d.varint()),
+		Seq:           d.Uvarint(),
+		At:            d.Time(),
+		Peer:          core.PeerID(d.Str()),
+		RuleID:        core.RuleID(d.Uvarint()),
+		Rule:          d.Str(),
+		Delta:         int(d.Varint()),
+		Score:         int(d.Varint()),
+		Banned:        d.Bool(),
+		Command:       d.Str(),
+		TraceID:       d.Uvarint(),
+		PayloadDigest: uint32(d.Uvarint()),
+		PayloadLen:    int(d.Varint()),
 	}
 }
 
 func appendPenaltyRecord(b []byte, rec *reputation.PenaltyRecord) []byte {
-	b = appendString(b, string(rec.ID))
-	b = appendUvarint(b, rec.Seq)
-	b = appendTime(b, rec.At)
-	b = appendFloat(b, rec.Mis)
-	b = appendFloat(b, rec.Contributed)
-	b = appendString(b, rec.Group)
-	b = appendFloat(b, rec.Pressure)
-	b = appendTime(b, rec.BannedUntil)
-	b = appendVarint(b, int64(rec.Identities))
-	b = appendUvarint(b, rec.Bans)
+	b = wal.AppendString(b, string(rec.ID))
+	b = wal.AppendUvarint(b, rec.Seq)
+	b = wal.AppendTime(b, rec.At)
+	b = wal.AppendFloat(b, rec.Mis)
+	b = wal.AppendFloat(b, rec.Contributed)
+	b = wal.AppendString(b, rec.Group)
+	b = wal.AppendFloat(b, rec.Pressure)
+	b = wal.AppendTime(b, rec.BannedUntil)
+	b = wal.AppendVarint(b, int64(rec.Identities))
+	b = wal.AppendUvarint(b, rec.Bans)
 	return b
 }
 
-func (d *decoder) penaltyRecord() reputation.PenaltyRecord {
+func decodePenaltyRecord(d *wal.Decoder) reputation.PenaltyRecord {
 	return reputation.PenaltyRecord{
-		ID:          core.PeerID(d.str()),
-		Seq:         d.uvarint(),
-		At:          d.time(),
-		Mis:         d.f64(),
-		Contributed: d.f64(),
-		Group:       d.str(),
-		Pressure:    d.f64(),
-		BannedUntil: d.time(),
-		Identities:  int(d.varint()),
-		Bans:        d.uvarint(),
+		ID:          core.PeerID(d.Str()),
+		Seq:         d.Uvarint(),
+		At:          d.Time(),
+		Mis:         d.Float(),
+		Contributed: d.Float(),
+		Group:       d.Str(),
+		Pressure:    d.Float(),
+		BannedUntil: d.Time(),
+		Identities:  int(d.Varint()),
+		Bans:        d.Uvarint(),
 	}
 }
 
 func appendCreditRecord(b []byte, rec *reputation.CreditRecord) []byte {
-	b = appendString(b, string(rec.ID))
-	b = appendUvarint(b, rec.Seq)
-	b = appendFloat(b, rec.Trust)
+	b = wal.AppendString(b, string(rec.ID))
+	b = wal.AppendUvarint(b, rec.Seq)
+	b = wal.AppendFloat(b, rec.Trust)
 	return b
 }
 
-func (d *decoder) creditRecord() reputation.CreditRecord {
+func decodeCreditRecord(d *wal.Decoder) reputation.CreditRecord {
 	return reputation.CreditRecord{
-		ID:    core.PeerID(d.str()),
-		Seq:   d.uvarint(),
-		Trust: d.f64(),
+		ID:    core.PeerID(d.Str()),
+		Seq:   d.Uvarint(),
+		Trust: d.Float(),
 	}
 }
 
@@ -256,30 +120,30 @@ type Record struct {
 // decodeRecord decodes one framed payload (kind byte + fields).
 func decodeRecord(payload []byte) (Record, error) {
 	if len(payload) == 0 {
-		return Record{}, errCorrupt
+		return Record{}, wal.ErrCorrupt
 	}
-	d := &decoder{b: payload, off: 1}
+	d := wal.NewDecoder(payload[1:])
 	rec := Record{Kind: payload[0]}
 	switch rec.Kind {
 	case recMisbehave:
-		rec.Misbehavior = d.banRecord()
+		rec.Misbehavior = decodeBanRecord(&d)
 	case recBan:
-		rec.Peer = core.PeerID(d.str())
-		rec.Until = d.time()
+		rec.Peer = core.PeerID(d.Str())
+		rec.Until = d.Time()
 	case recForget:
-		rec.Peer = core.PeerID(d.str())
+		rec.Peer = core.PeerID(d.Str())
 	case recGood:
-		rec.Peer = core.PeerID(d.str())
-		rec.Total = int(d.varint())
+		rec.Peer = core.PeerID(d.Str())
+		rec.Total = int(d.Varint())
 	case recPenalty:
-		rec.Penalty = d.penaltyRecord()
+		rec.Penalty = decodePenaltyRecord(&d)
 	case recCredit:
-		rec.Credit = d.creditRecord()
+		rec.Credit = decodeCreditRecord(&d)
 	default:
-		return Record{}, errCorrupt
+		return Record{}, wal.ErrCorrupt
 	}
-	if d.err != nil {
-		return Record{}, d.err
+	if err := d.Err(); err != nil {
+		return Record{}, err
 	}
 	return rec, nil
 }

@@ -1,34 +1,14 @@
 package banstore
 
 import (
-	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
+
+	"banscore/internal/wal"
 )
 
-// Recovery state machine. Open walks the store directory in three steps:
-//
-//  1. Snapshots, newest first: the first one whose magic, CRC, and decode
-//     all check out becomes the base state. Corrupt generations are counted
-//     and skipped — the previous generation is always still on disk because
-//     snapshot writes are tmp+rename atomic.
-//  2. WAL segments, oldest first: records are re-framed and CRC-checked one
-//     by one. The first torn or corrupt record ends the log: the segment is
-//     truncated at that offset, later segments are deleted (their LSNs are
-//     unreachable once the log has a hole), the event is counted — and
-//     recovery continues with what survived. Corruption is data loss to
-//     bound, never a reason to refuse to start.
-//  3. A fresh active segment is created at the recovered LSN frontier, so
-//     implicit record numbering (segment start + index) stays exact even
-//     when the snapshot outruns the log.
-//
-// The caller feeds the returned Recovered into Restore; replay tolerates
-// arbitrary overlap between the snapshot and the retained records.
-
-// Recovered is what Open salvaged from the store directory.
+// Recovered is what Open salvaged from the store directory. The caller
+// feeds it into Restore; replay tolerates arbitrary overlap between the
+// snapshot and the retained records.
 type Recovered struct {
 	// Snapshot is the newest valid snapshot (nil when none survived).
 	Snapshot *State
@@ -49,160 +29,50 @@ type Recovered struct {
 	Truncations uint64
 }
 
-// StoreFile is one WAL segment or snapshot located by ScanStoreDir.
-type StoreFile struct {
-	Path  string
-	Start uint64 // segment startLSN, or snapshot covered LSN
-}
-
-// ScanStoreDir lists a store directory's WAL segments (ascending startLSN)
-// and snapshots (ascending covered LSN). Shared by banstore's own recovery
-// and any store reusing its file layout (internal/observer).
-func ScanStoreDir(dir string) (segs, snaps []StoreFile, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
-			if n, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log"), 16, 64); perr == nil {
-				segs = append(segs, StoreFile{Path: filepath.Join(dir, name), Start: n})
-			}
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"):
-			if n, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".snap"), 16, 64); perr == nil {
-				snaps = append(snaps, StoreFile{Path: filepath.Join(dir, name), Start: n})
-			}
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].Start < segs[j].Start })
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Start < snaps[j].Start })
-	return segs, snaps, nil
-}
-
-// scanDir is the internal alias recovery and pruning call.
-func scanDir(dir string) (segs, snaps []StoreFile, err error) { return ScanStoreDir(dir) }
-
-// loadSnapshot reads and validates one snapshot file.
-func loadSnapshot(path string) (State, uint64, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return State{}, 0, err
-	}
-	payload, lsn, err := DecodeSnapshotFile(snapMagic, b)
-	if err != nil {
-		return State{}, 0, err
-	}
-	st, err := DecodeState(payload)
-	if err != nil {
-		return State{}, 0, err
-	}
-	return st, lsn, nil
-}
-
-// replaySegment decodes every valid record in one segment file. It returns
-// the records, how many bytes of the file were valid (header included), and
-// whether the file ended cleanly (false means a torn or corrupt record was
-// found at offset goodBytes).
-func replaySegment(path string) (records []Record, startLSN uint64, goodBytes int64, clean bool, err error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	startLSN, hdr, err := ParseSegmentHeader(walMagic, b)
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	good, clean := ScanFrames(b[hdr:], func(payload []byte) error {
-		rec, derr := decodeRecord(payload)
-		if derr != nil {
-			return derr
-		}
-		records = append(records, rec)
-		return nil
-	})
-	return records, startLSN, int64(hdr) + good, clean, nil
-}
-
-// Open recovers the store in dir and returns it ready for appends, plus
-// everything it salvaged. Corruption never fails Open — it truncates,
-// counts, and keeps going; only I/O errors (unreadable dir, create failure)
-// are returned.
+// Open recovers the store in dir (wal.Recover: newest valid snapshot, then
+// the log up to its first bad frame) and returns it ready for appends on a
+// fresh segment at the recovered frontier, plus everything it salvaged.
+// Corruption never fails Open — it truncates, counts, and keeps going; only
+// I/O errors (unreadable dir, create failure) are returned.
 func Open(opts Options) (*Store, *Recovered, error) {
 	opts.fillDefaults()
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, nil, err
-	}
-	segs, snaps, err := scanDir(opts.Dir)
+	rec := &Recovered{}
+	res, err := wal.Recover(opts.Dir, walMagic, snapMagic,
+		func(payload []byte) error {
+			st, err := DecodeState(payload)
+			if err != nil {
+				return err
+			}
+			rec.Snapshot = &st
+			return nil
+		},
+		func(payload []byte) error {
+			r, err := decodeRecord(payload)
+			if err != nil {
+				return err
+			}
+			rec.Records = append(rec.Records, r)
+			return nil
+		})
 	if err != nil {
 		return nil, nil, err
 	}
-
-	rec := &Recovered{}
-
-	// Newest valid snapshot wins; corrupt generations are skipped.
-	for i := len(snaps) - 1; i >= 0; i-- {
-		st, lsn, lerr := loadSnapshot(snaps[i].Path)
-		if lerr != nil {
-			rec.Truncations++
-			continue
-		}
-		rec.Snapshot = &st
-		rec.SnapshotLSN = lsn
-		rec.LastLSN = lsn
-		break
-	}
-
-	// Replay segments oldest-first; stop the log at the first corruption.
-	for i, seg := range segs {
-		records, startLSN, goodBytes, clean, rerr := replaySegment(seg.Path)
-		if rerr != nil {
-			// Unreadable header: this segment and everything after it are
-			// unreachable.
-			rec.Truncations++
-			for _, later := range segs[i:] {
-				_ = os.Remove(later.Path)
-			}
-			break
-		}
-		rec.Records = append(rec.Records, records...)
-		if last := startLSN + uint64(len(records)) - 1; len(records) > 0 && last > rec.LastLSN {
-			rec.LastLSN = last
-		}
-		if !clean {
-			rec.Truncations++
-			_ = os.Truncate(seg.Path, goodBytes)
-			for _, later := range segs[i+1:] {
-				rec.Truncations++
-				_ = os.Remove(later.Path)
-			}
-			break
-		}
-	}
+	rec.SnapshotLSN, rec.LastLSN, rec.Truncations = res.SnapshotLSN, res.LastLSN, res.Truncations
 
 	s := &Store{
-		opts:  opts,
-		clock: opts.Clock,
-		done:  make(chan struct{}),
+		opts:     opts,
+		clock:    opts.Clock,
+		done:     make(chan struct{}),
+		nextLSN:  rec.LastLSN + 1,
+		written:  rec.LastLSN,
+		segStart: rec.LastLSN + 1,
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.nextLSN = rec.LastLSN + 1
-	s.written = rec.LastLSN
 	s.truncations.Store(rec.Truncations)
 	s.snapLSN.Store(rec.SnapshotLSN)
-
-	// Always begin a fresh segment at the recovered frontier: implicit
-	// record numbering (segment start + index) must stay exact even when
-	// the snapshot is newer than the log or the old tail was truncated.
-	f, start, err := createSegment(opts.Dir, s.nextLSN)
-	if err != nil {
+	if s.f, err = wal.CreateSegment(opts.Dir, walMagic, s.nextLSN, s.fsync()); err != nil {
 		return nil, nil, err
 	}
-	s.f = f
-	s.segStart = start
-	s.syncDir()
-
 	spawn(s.writerLoop)
 	return s, rec, nil
 }

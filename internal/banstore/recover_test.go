@@ -10,6 +10,7 @@ import (
 	"banscore/internal/core"
 	"banscore/internal/reputation"
 	"banscore/internal/vclock"
+	"banscore/internal/wal"
 )
 
 // virtualClock drives deterministic decay in the property test.
@@ -50,7 +51,7 @@ func (c *virtualClock) After(d time.Duration) <-chan time.Time {
 
 func lastSegment(t *testing.T, dir string) string {
 	t.Helper()
-	segs, _, err := scanDir(dir)
+	segs, _, err := wal.ScanDir(dir)
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments in %s: %v", dir, err)
 	}
@@ -143,7 +144,7 @@ func TestRecoverEmptyWALWithValidSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openTest(t, dir, Options{})
 	tracker := core.NewTracker(core.Config{})
-	tracker.Misbehaving("p", true, core.AddrOversize)
+	tracker.MisbehavingCtx("p", true, core.AddrOversize, core.MisbehaviorContext{})
 	for i := 0; i < 4; i++ {
 		s.AppendGood("p", i)
 	}
@@ -156,7 +157,7 @@ func TestRecoverEmptyWALWithValidSnapshot(t *testing.T) {
 	}
 
 	// Drop every WAL segment: only the snapshot remains.
-	segs, _, _ := scanDir(dir)
+	segs, _, _ := wal.ScanDir(dir)
 	for _, seg := range segs {
 		if err := os.Remove(seg.Path); err != nil {
 			t.Fatal(err)
@@ -216,11 +217,11 @@ func TestRecoverCorruptLatestSnapshotFallsBack(t *testing.T) {
 	tracker := core.NewTracker(core.Config{
 		OnRecord: func(rec core.BanRecord) { s.AppendMisbehavior(rec) },
 	})
-	tracker.Misbehaving("p", true, core.AddrOversize)
+	tracker.MisbehavingCtx("p", true, core.AddrOversize, core.MisbehaviorContext{})
 	if err := s.Snapshot(CaptureState(tracker, nil, nil), s.LSN()); err != nil {
 		t.Fatal(err)
 	}
-	tracker.Misbehaving("p", true, core.AddrOversize)
+	tracker.MisbehavingCtx("p", true, core.AddrOversize, core.MisbehaviorContext{})
 	s.AppendGood("p", 1)
 	if err := s.Snapshot(CaptureState(tracker, nil, nil), s.LSN()); err != nil {
 		t.Fatal(err)
@@ -229,7 +230,7 @@ func TestRecoverCorruptLatestSnapshotFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, snaps, _ := scanDir(dir)
+	_, snaps, _ := wal.ScanDir(dir)
 	if len(snaps) != 2 {
 		t.Fatalf("want 2 snapshot generations, got %d", len(snaps))
 	}

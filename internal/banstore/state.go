@@ -6,6 +6,7 @@ import (
 
 	"banscore/internal/core"
 	"banscore/internal/reputation"
+	"banscore/internal/wal"
 )
 
 // State is a compacted snapshot of everything the node's ban intelligence
@@ -45,74 +46,74 @@ const stateVersion = 1
 func EncodeState(st State) []byte {
 	b := []byte{stateVersion}
 
-	b = appendUvarint(b, uint64(len(st.Scores)))
+	b = wal.AppendUvarint(b, uint64(len(st.Scores)))
 	for _, id := range sortedPeerKeys(st.Scores) {
-		b = appendString(b, string(id))
-		b = appendVarint(b, int64(st.Scores[id]))
+		b = wal.AppendString(b, string(id))
+		b = wal.AppendVarint(b, int64(st.Scores[id]))
 	}
-	b = appendUvarint(b, uint64(len(st.Good)))
+	b = wal.AppendUvarint(b, uint64(len(st.Good)))
 	for _, id := range sortedPeerKeys(st.Good) {
-		b = appendString(b, string(id))
-		b = appendVarint(b, int64(st.Good[id]))
+		b = wal.AppendString(b, string(id))
+		b = wal.AppendVarint(b, int64(st.Good[id]))
 	}
-	b = appendUvarint(b, uint64(len(st.Bans)))
+	b = wal.AppendUvarint(b, uint64(len(st.Bans)))
 	banIDs := make([]core.PeerID, 0, len(st.Bans))
 	for id := range st.Bans {
 		banIDs = append(banIDs, id)
 	}
 	sort.Slice(banIDs, func(i, j int) bool { return banIDs[i] < banIDs[j] })
 	for _, id := range banIDs {
-		b = appendString(b, string(id))
-		b = appendTime(b, st.Bans[id])
+		b = wal.AppendString(b, string(id))
+		b = wal.AppendTime(b, st.Bans[id])
 	}
 
 	// Forensics ledger: chains already carry first-appearance order, which
 	// is itself part of the state (eviction order), so they are encoded
 	// as-is rather than re-sorted.
-	b = appendVarint(b, int64(st.Ledger.MaxPeers))
-	b = appendVarint(b, int64(st.Ledger.MaxPerPeer))
-	b = appendUvarint(b, st.Ledger.Total)
-	b = appendUvarint(b, st.Ledger.Evicted)
-	b = appendUvarint(b, st.Ledger.Trimmed)
-	b = appendUvarint(b, uint64(len(st.Ledger.Chains)))
+	b = wal.AppendVarint(b, int64(st.Ledger.MaxPeers))
+	b = wal.AppendVarint(b, int64(st.Ledger.MaxPerPeer))
+	b = wal.AppendUvarint(b, st.Ledger.Total)
+	b = wal.AppendUvarint(b, st.Ledger.Evicted)
+	b = wal.AppendUvarint(b, st.Ledger.Trimmed)
+	b = wal.AppendUvarint(b, uint64(len(st.Ledger.Chains)))
 	for i := range st.Ledger.Chains {
 		c := &st.Ledger.Chains[i]
-		b = appendString(b, string(c.Peer))
-		b = appendUvarint(b, c.Seq)
-		b = appendUvarint(b, uint64(len(c.Records)))
+		b = wal.AppendString(b, string(c.Peer))
+		b = wal.AppendUvarint(b, c.Seq)
+		b = wal.AppendUvarint(b, uint64(len(c.Records)))
 		for j := range c.Records {
 			b = appendBanRecord(b, &c.Records[j])
 		}
 	}
 
-	b = appendBool(b, st.HasRep)
+	b = wal.AppendBool(b, st.HasRep)
 	if st.HasRep {
-		b = appendUvarint(b, uint64(len(st.Rep.Peers)))
+		b = wal.AppendUvarint(b, uint64(len(st.Rep.Peers)))
 		for i := range st.Rep.Peers {
 			p := &st.Rep.Peers[i]
-			b = appendString(b, string(p.ID))
-			b = appendString(b, p.Group)
-			b = appendFloat(b, p.Trust)
-			b = appendFloat(b, p.Mis)
-			b = appendFloat(b, p.Contributed)
-			b = appendTime(b, p.Last)
-			b = appendUvarint(b, p.Penalties)
-			b = appendUvarint(b, p.Credits)
+			b = wal.AppendString(b, string(p.ID))
+			b = wal.AppendString(b, p.Group)
+			b = wal.AppendFloat(b, p.Trust)
+			b = wal.AppendFloat(b, p.Mis)
+			b = wal.AppendFloat(b, p.Contributed)
+			b = wal.AppendTime(b, p.Last)
+			b = wal.AppendUvarint(b, p.Penalties)
+			b = wal.AppendUvarint(b, p.Credits)
 		}
-		b = appendUvarint(b, uint64(len(st.Rep.Groups)))
+		b = wal.AppendUvarint(b, uint64(len(st.Rep.Groups)))
 		for i := range st.Rep.Groups {
 			g := &st.Rep.Groups[i]
-			b = appendString(b, g.Key)
-			b = appendFloat(b, g.Pressure)
-			b = appendTime(b, g.Last)
-			b = appendTime(b, g.BannedUntil)
-			b = appendVarint(b, int64(g.Identities))
-			b = appendUvarint(b, g.Bans)
+			b = wal.AppendString(b, g.Key)
+			b = wal.AppendFloat(b, g.Pressure)
+			b = wal.AppendTime(b, g.Last)
+			b = wal.AppendTime(b, g.BannedUntil)
+			b = wal.AppendVarint(b, int64(g.Identities))
+			b = wal.AppendUvarint(b, g.Bans)
 		}
-		b = appendUvarint(b, st.Rep.Penalties)
-		b = appendUvarint(b, st.Rep.Credits)
-		b = appendUvarint(b, st.Rep.GroupBans)
-		b = appendUvarint(b, st.Rep.Rejected)
+		b = wal.AppendUvarint(b, st.Rep.Penalties)
+		b = wal.AppendUvarint(b, st.Rep.Credits)
+		b = wal.AppendUvarint(b, st.Rep.GroupBans)
+		b = wal.AppendUvarint(b, st.Rep.Rejected)
 	}
 	return b
 }
@@ -120,70 +121,70 @@ func EncodeState(st State) []byte {
 // DecodeState parses an EncodeState payload.
 func DecodeState(b []byte) (State, error) {
 	if len(b) == 0 || b[0] != stateVersion {
-		return State{}, errCorrupt
+		return State{}, wal.ErrCorrupt
 	}
-	d := &decoder{b: b, off: 1}
+	d := wal.NewDecoder(b[1:])
 	st := State{
 		Scores: map[core.PeerID]int{},
 		Good:   map[core.PeerID]int{},
 		Bans:   map[core.PeerID]time.Time{},
 	}
-	for n := d.uvarint(); n > 0 && d.err == nil; n-- {
-		id := core.PeerID(d.str())
-		st.Scores[id] = int(d.varint())
+	for n := d.Uvarint(); n > 0 && d.Err() == nil; n-- {
+		id := core.PeerID(d.Str())
+		st.Scores[id] = int(d.Varint())
 	}
-	for n := d.uvarint(); n > 0 && d.err == nil; n-- {
-		id := core.PeerID(d.str())
-		st.Good[id] = int(d.varint())
+	for n := d.Uvarint(); n > 0 && d.Err() == nil; n-- {
+		id := core.PeerID(d.Str())
+		st.Good[id] = int(d.Varint())
 	}
-	for n := d.uvarint(); n > 0 && d.err == nil; n-- {
-		id := core.PeerID(d.str())
-		st.Bans[id] = d.time()
+	for n := d.Uvarint(); n > 0 && d.Err() == nil; n-- {
+		id := core.PeerID(d.Str())
+		st.Bans[id] = d.Time()
 	}
 
-	st.Ledger.MaxPeers = int(d.varint())
-	st.Ledger.MaxPerPeer = int(d.varint())
-	st.Ledger.Total = d.uvarint()
-	st.Ledger.Evicted = d.uvarint()
-	st.Ledger.Trimmed = d.uvarint()
-	for n := d.uvarint(); n > 0 && d.err == nil; n-- {
-		c := core.LedgerChain{Peer: core.PeerID(d.str()), Seq: d.uvarint()}
-		for m := d.uvarint(); m > 0 && d.err == nil; m-- {
-			c.Records = append(c.Records, d.banRecord())
+	st.Ledger.MaxPeers = int(d.Varint())
+	st.Ledger.MaxPerPeer = int(d.Varint())
+	st.Ledger.Total = d.Uvarint()
+	st.Ledger.Evicted = d.Uvarint()
+	st.Ledger.Trimmed = d.Uvarint()
+	for n := d.Uvarint(); n > 0 && d.Err() == nil; n-- {
+		c := core.LedgerChain{Peer: core.PeerID(d.Str()), Seq: d.Uvarint()}
+		for m := d.Uvarint(); m > 0 && d.Err() == nil; m-- {
+			c.Records = append(c.Records, decodeBanRecord(&d))
 		}
 		st.Ledger.Chains = append(st.Ledger.Chains, c)
 	}
 
-	if st.HasRep = d.bool(); st.HasRep {
-		for n := d.uvarint(); n > 0 && d.err == nil; n-- {
+	if st.HasRep = d.Bool(); st.HasRep {
+		for n := d.Uvarint(); n > 0 && d.Err() == nil; n-- {
 			st.Rep.Peers = append(st.Rep.Peers, reputation.PeerPersist{
-				ID:          core.PeerID(d.str()),
-				Group:       d.str(),
-				Trust:       d.f64(),
-				Mis:         d.f64(),
-				Contributed: d.f64(),
-				Last:        d.time(),
-				Penalties:   d.uvarint(),
-				Credits:     d.uvarint(),
+				ID:          core.PeerID(d.Str()),
+				Group:       d.Str(),
+				Trust:       d.Float(),
+				Mis:         d.Float(),
+				Contributed: d.Float(),
+				Last:        d.Time(),
+				Penalties:   d.Uvarint(),
+				Credits:     d.Uvarint(),
 			})
 		}
-		for n := d.uvarint(); n > 0 && d.err == nil; n-- {
+		for n := d.Uvarint(); n > 0 && d.Err() == nil; n-- {
 			st.Rep.Groups = append(st.Rep.Groups, reputation.GroupPersist{
-				Key:         d.str(),
-				Pressure:    d.f64(),
-				Last:        d.time(),
-				BannedUntil: d.time(),
-				Identities:  int(d.varint()),
-				Bans:        d.uvarint(),
+				Key:         d.Str(),
+				Pressure:    d.Float(),
+				Last:        d.Time(),
+				BannedUntil: d.Time(),
+				Identities:  int(d.Varint()),
+				Bans:        d.Uvarint(),
 			})
 		}
-		st.Rep.Penalties = d.uvarint()
-		st.Rep.Credits = d.uvarint()
-		st.Rep.GroupBans = d.uvarint()
-		st.Rep.Rejected = d.uvarint()
+		st.Rep.Penalties = d.Uvarint()
+		st.Rep.Credits = d.Uvarint()
+		st.Rep.GroupBans = d.Uvarint()
+		st.Rep.Rejected = d.Uvarint()
 	}
-	if d.err != nil {
-		return State{}, d.err
+	if err := d.Err(); err != nil {
+		return State{}, err
 	}
 	return st, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"banscore/internal/core"
 	"banscore/internal/reputation"
+	"banscore/internal/wal"
 )
 
 func openTest(t *testing.T, dir string, opts Options) (*Store, *Recovered) {
@@ -159,7 +160,7 @@ func TestSnapshotRotatesAndPrunes(t *testing.T) {
 	defer func() { _ = s.Close() }()
 
 	tracker := core.NewTracker(core.Config{})
-	tracker.Misbehaving("p", true, core.AddrOversize)
+	tracker.MisbehavingCtx("p", true, core.AddrOversize, core.MisbehaviorContext{})
 
 	for i := 0; i < 5; i++ {
 		s.AppendGood("p", i)
@@ -176,7 +177,7 @@ func TestSnapshotRotatesAndPrunes(t *testing.T) {
 		t.Fatalf("Snapshot 2: %v", err)
 	}
 
-	segs, snaps, err := scanDir(dir)
+	segs, snaps, err := wal.ScanDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestSnapshotRotatesAndPrunes(t *testing.T) {
 	if err := s.Snapshot(CaptureState(tracker, nil, nil), s.LSN()); err != nil {
 		t.Fatalf("Snapshot 3: %v", err)
 	}
-	_, snaps, _ = scanDir(dir)
+	_, snaps, _ = wal.ScanDir(dir)
 	if len(snaps) != 2 {
 		t.Fatalf("retention kept %d snapshots, want 2", len(snaps))
 	}
@@ -206,7 +207,7 @@ func TestSnapshotSurvivesReopen(t *testing.T) {
 	s, _ := openTest(t, dir, Options{})
 
 	tracker := core.NewTracker(core.Config{})
-	tracker.Misbehaving("scored", true, core.AddrOversize)
+	tracker.MisbehavingCtx("scored", true, core.AddrOversize, core.MisbehaviorContext{})
 	tracker.BanList().Ban("banned", time.Hour)
 	if err := s.Snapshot(CaptureState(tracker, nil, nil), s.LSN()); err != nil {
 		t.Fatalf("Snapshot: %v", err)

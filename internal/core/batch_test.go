@@ -83,28 +83,58 @@ func newEquivTracker() (*Tracker, *Ledger) {
 // MisbehavingCtx path and through Batch staging flushed in uneven chunks,
 // and requires byte-identical canonical exports plus op-for-op identical
 // Results — the acceptance bar for the event loop's batched ban path.
+//
+// Every 37th op is its connection's last: the peer disconnects right after
+// it and the tracker forgets the identifier. On the direct path the hit is
+// already scored by then. On the batched path it is still staged, so the
+// forget runs first and the flush would resurrect the score; the flush
+// callback therefore applies the rule node.scored applies — an un-banned
+// hit whose staging connection is gone is forgotten again. The identifier's
+// next op belongs to a new connection, which the event loop services in a
+// later iteration, i.e. after a flush.
 func TestBatchEquivalence(t *testing.T) {
 	ops := opSequence()
+	lastOfConn := func(i int) bool { return i%37 == 0 }
 
 	directTr, directLedger := newEquivTracker()
 	var directResults []Result
-	for _, op := range ops {
+	for i, op := range ops {
 		directResults = append(directResults, directTr.MisbehavingCtx(op.ID, op.Inbound, op.Rule, op.Ctx))
+		if lastOfConn(i) {
+			directTr.Forget(op.ID)
+		}
 	}
 
 	batchTr, batchLedger := newEquivTracker()
 	b := batchTr.NewBatch()
 	var batchResults []Result
+	gone := map[PeerID]bool{} // identifiers whose staging connection has disconnected
+	flush := func() {
+		b.Flush(func(op BatchOp, res Result) {
+			batchResults = append(batchResults, res)
+			if gone[op.ID] && res.Applied && !res.Banned {
+				batchTr.Forget(op.ID)
+			}
+		})
+		clear(gone)
+	}
 	flushAt := []int{1, 3, 50, 64, 107, 333} // uneven chunking, incl. mid-peer
 	next := 0
 	for i, op := range ops {
+		if gone[op.ID] {
+			flush()
+		}
 		b.Add(op.ID, op.Inbound, op.Rule, op.Ctx)
+		if lastOfConn(i) {
+			batchTr.Forget(op.ID)
+			gone[op.ID] = true
+		}
 		if next < len(flushAt) && i == flushAt[next] {
-			b.Flush(func(_ BatchOp, res Result) { batchResults = append(batchResults, res) })
+			flush()
 			next++
 		}
 	}
-	b.Flush(func(_ BatchOp, res Result) { batchResults = append(batchResults, res) })
+	flush()
 
 	if len(batchResults) != len(directResults) {
 		t.Fatalf("result count: batch %d, direct %d", len(batchResults), len(directResults))

@@ -66,7 +66,7 @@ func BenchmarkBanScoreParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
 			tr := NewTracker(Config{Mode: ModeThresholdInfinity})
 			runScoreBench(b, g, func(id PeerID) {
-				tr.Misbehaving(id, true, VersionDuplicate)
+				misbehave(tr, id, true, VersionDuplicate)
 			})
 		})
 	}

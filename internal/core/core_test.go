@@ -108,6 +108,12 @@ func TestScoredMessageTypesIs12Of26(t *testing.T) {
 	}
 }
 
+// misbehave scores one hit with no forensic context: the tests here pin
+// score arithmetic and ban decisions, not what the ledger records.
+func misbehave(t *Tracker, id PeerID, inbound bool, rule RuleID) Result {
+	return t.MisbehavingCtx(id, inbound, rule, MisbehaviorContext{})
+}
+
 func TestTrackerBansAtThreshold(t *testing.T) {
 	clock := newMockClock()
 	var bannedID PeerID
@@ -119,7 +125,7 @@ func TestTrackerBansAtThreshold(t *testing.T) {
 
 	// VERSION duplicate scores 1: needs 100 messages to ban (Fig. 8).
 	for i := 1; i <= 99; i++ {
-		res := tr.Misbehaving(peer, true, VersionDuplicate)
+		res := misbehave(tr, peer, true, VersionDuplicate)
 		if !res.Applied || res.Banned {
 			t.Fatalf("message %d: res = %+v", i, res)
 		}
@@ -127,7 +133,7 @@ func TestTrackerBansAtThreshold(t *testing.T) {
 			t.Fatalf("score after %d messages = %d", i, res.Score)
 		}
 	}
-	res := tr.Misbehaving(peer, true, VersionDuplicate)
+	res := misbehave(tr, peer, true, VersionDuplicate)
 	if !res.Banned || res.Score != 100 {
 		t.Fatalf("100th message: res = %+v, want ban at 100", res)
 	}
@@ -146,7 +152,7 @@ func TestTrackerBansAtThreshold(t *testing.T) {
 func TestTrackerSingleShotBanRules(t *testing.T) {
 	tr := NewTracker(Config{Clock: newMockClock().Now})
 	peer := PeerIDFromAddr("10.0.0.2:50001")
-	res := tr.Misbehaving(peer, true, BlockMutated)
+	res := misbehave(tr, peer, true, BlockMutated)
 	if !res.Banned {
 		t.Errorf("mutated block (100) should ban instantly: %+v", res)
 	}
@@ -158,15 +164,15 @@ func TestTrackerObjectOfBanRestrictions(t *testing.T) {
 	outbound := PeerIDFromAddr("10.0.0.3:8333")
 
 	// BlockCachedInvalid only applies to outbound peers.
-	if res := tr.Misbehaving(inbound, true, BlockCachedInvalid); res.Applied {
+	if res := misbehave(tr, inbound, true, BlockCachedInvalid); res.Applied {
 		t.Error("outbound-only rule applied to inbound peer")
 	}
-	if res := tr.Misbehaving(outbound, false, BlockCachedInvalid); !res.Applied || !res.Banned {
+	if res := misbehave(tr, outbound, false, BlockCachedInvalid); !res.Applied || !res.Banned {
 		t.Errorf("outbound-only rule on outbound peer = %+v", res)
 	}
 
 	// VERSION rules only apply to inbound peers.
-	if res := tr.Misbehaving(outbound, false, VersionDuplicate); res.Applied {
+	if res := misbehave(tr, outbound, false, VersionDuplicate); res.Applied {
 		t.Error("inbound-only rule applied to outbound peer")
 	}
 }
@@ -174,11 +180,11 @@ func TestTrackerObjectOfBanRestrictions(t *testing.T) {
 func TestTrackerDeprecatedRuleNotApplied(t *testing.T) {
 	tr := NewTracker(Config{Version: V0_22_0, Clock: newMockClock().Now})
 	peer := PeerIDFromAddr("10.0.0.2:50001")
-	if res := tr.Misbehaving(peer, true, VersionDuplicate); res.Applied {
+	if res := misbehave(tr, peer, true, VersionDuplicate); res.Applied {
 		t.Error("VERSION rule applied in 0.22.0 where it is deprecated")
 	}
 	// An always-present rule still applies.
-	if res := tr.Misbehaving(peer, true, BlockMutated); !res.Applied {
+	if res := misbehave(tr, peer, true, BlockMutated); !res.Applied {
 		t.Error("BlockMutated missing in 0.22.0")
 	}
 }
@@ -186,17 +192,17 @@ func TestTrackerDeprecatedRuleNotApplied(t *testing.T) {
 func TestTrackerAccumulatesMixedRules(t *testing.T) {
 	tr := NewTracker(Config{Clock: newMockClock().Now})
 	peer := PeerIDFromAddr("10.0.0.2:50001")
-	tr.Misbehaving(peer, true, AddrOversize)     // +20
-	tr.Misbehaving(peer, true, HeadersOversize)  // +20
-	tr.Misbehaving(peer, true, BlockPrevMissing) // +10
+	misbehave(tr, peer, true, AddrOversize)     // +20
+	misbehave(tr, peer, true, HeadersOversize)  // +20
+	misbehave(tr, peer, true, BlockPrevMissing) // +10
 	if got := tr.Score(peer); got != 50 {
 		t.Errorf("mixed score = %d, want 50", got)
 	}
-	res := tr.Misbehaving(peer, true, InvOversize) // +20 -> 70
+	res := misbehave(tr, peer, true, InvOversize) // +20 -> 70
 	if res.Banned {
 		t.Error("banned below threshold")
 	}
-	res = tr.Misbehaving(peer, true, GetBlockTxnOutOfBounds) // +100 -> 170
+	res = misbehave(tr, peer, true, GetBlockTxnOutOfBounds) // +100 -> 170
 	if !res.Banned || res.Score != 170 {
 		t.Errorf("threshold crossing = %+v", res)
 	}
@@ -206,7 +212,7 @@ func TestModeThresholdInfinityNeverBans(t *testing.T) {
 	tr := NewTracker(Config{Mode: ModeThresholdInfinity, Clock: newMockClock().Now})
 	peer := PeerIDFromAddr("10.0.0.2:50001")
 	for i := 0; i < 10; i++ {
-		res := tr.Misbehaving(peer, true, BlockMutated)
+		res := misbehave(tr, peer, true, BlockMutated)
 		if res.Banned {
 			t.Fatal("threshold-infinity mode banned a peer")
 		}
@@ -225,7 +231,7 @@ func TestModeThresholdInfinityNeverBans(t *testing.T) {
 func TestModeDisabledTracksNothing(t *testing.T) {
 	tr := NewTracker(Config{Mode: ModeDisabled, Clock: newMockClock().Now})
 	peer := PeerIDFromAddr("10.0.0.2:50001")
-	res := tr.Misbehaving(peer, true, BlockMutated)
+	res := misbehave(tr, peer, true, BlockMutated)
 	if res.Applied || res.Banned || res.Score != 0 {
 		t.Errorf("disabled mode result = %+v", res)
 	}
@@ -238,7 +244,7 @@ func TestModeGoodScore(t *testing.T) {
 	tr := NewTracker(Config{Mode: ModeGoodScore, Clock: newMockClock().Now})
 	peer := PeerIDFromAddr("10.0.0.2:50001")
 	// Misbehavior never bans.
-	res := tr.Misbehaving(peer, true, BlockMutated)
+	res := misbehave(tr, peer, true, BlockMutated)
 	if res.Applied || res.Banned {
 		t.Errorf("good-score mode result = %+v", res)
 	}
@@ -260,7 +266,7 @@ func TestBanExpiry(t *testing.T) {
 	clock := newMockClock()
 	tr := NewTracker(Config{Clock: clock.Now})
 	peer := PeerIDFromAddr("10.0.0.2:50001")
-	tr.Misbehaving(peer, true, BlockMutated)
+	misbehave(tr, peer, true, BlockMutated)
 	if !tr.IsBanned(peer) {
 		t.Fatal("not banned")
 	}
@@ -277,7 +283,7 @@ func TestBanExpiry(t *testing.T) {
 func TestForget(t *testing.T) {
 	tr := NewTracker(Config{Clock: newMockClock().Now})
 	peer := PeerIDFromAddr("10.0.0.2:50001")
-	tr.Misbehaving(peer, true, AddrOversize)
+	misbehave(tr, peer, true, AddrOversize)
 	tr.AddGood(peer)
 	tr.Forget(peer)
 	if tr.Score(peer) != 0 || tr.GoodScore(peer) != 0 {
@@ -354,7 +360,7 @@ func TestScoreMonotoneProperty(t *testing.T) {
 			if r.Object != AnyPeer {
 				continue
 			}
-			res := tr.Misbehaving(peer, true, r.ID)
+			res := misbehave(tr, peer, true, r.ID)
 			if s, ok := rules[r.ID]; ok {
 				want += s
 				if !res.Applied {
@@ -398,7 +404,7 @@ func TestModeCKBScoresBothDirections(t *testing.T) {
 	peer := PeerIDFromAddr("10.0.0.2:50001")
 	// Bad behavior accumulates without banning...
 	for i := 0; i < 3; i++ {
-		res := tr.Misbehaving(peer, true, BlockMutated)
+		res := misbehave(tr, peer, true, BlockMutated)
 		if !res.Applied || res.Banned {
 			t.Fatalf("ckb result = %+v", res)
 		}

@@ -135,7 +135,7 @@ func TestTrackerRecordsForensics(t *testing.T) {
 
 	// The bare Misbehaving wrapper records too, with empty context.
 	tr2 := NewTracker(Config{Forensics: ledger})
-	tr2.Misbehaving("x:1", true, InvOversize)
+	misbehave(tr2, "x:1", true, InvOversize)
 	if got := ledger.Records("x:1"); len(got) != 1 || got[0].Command != "" || got[0].TraceID != 0 {
 		t.Errorf("wrapper record: %+v", got)
 	}
@@ -200,7 +200,7 @@ func TestTrackerModesAndForensics(t *testing.T) {
 	// Disabled mode never scores, so nothing is recorded.
 	ledger2 := NewLedger(0, 0)
 	tr2 := NewTracker(Config{Mode: ModeDisabled, Forensics: ledger2})
-	tr2.Misbehaving("off:1", true, AddrOversize)
+	misbehave(tr2, "off:1", true, AddrOversize)
 	if ledger2.Total() != 0 {
 		t.Errorf("disabled mode recorded %d entries", ledger2.Total())
 	}
@@ -274,8 +274,8 @@ func TestLedgerHandlerEscapedPeerAndContentType(t *testing.T) {
 	tr := NewTracker(Config{Forensics: ledger})
 	plain := PeerID("10.0.0.9:4747")
 	v6 := PeerID("[::1]:8333")
-	tr.Misbehaving(plain, true, AddrOversize)
-	tr.Misbehaving(v6, true, AddrOversize)
+	misbehave(tr, plain, true, AddrOversize)
+	misbehave(tr, v6, true, AddrOversize)
 	h := ledger.Handler(tr.IsBanned)
 
 	get := func(path string) (*httptest.ResponseRecorder, []byte) {

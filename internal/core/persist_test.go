@@ -8,9 +8,9 @@ import (
 
 func TestTrackerExportImportScores(t *testing.T) {
 	src := NewTracker(Config{})
-	src.Misbehaving("a", true, BlockMutated)   // 100 → banned, score reset
-	src.Misbehaving("b", true, AddrOversize)  // below threshold
-	src.Misbehaving("c", true, AddrOversize)
+	misbehave(src, "a", true, BlockMutated) // 100 → banned, score reset
+	misbehave(src, "b", true, AddrOversize) // below threshold
+	misbehave(src, "c", true, AddrOversize)
 	src.AddGood("b")
 	src.AddGood("b")
 	src.AddGood("d")
@@ -195,8 +195,8 @@ func TestTrackerOnRecordHook(t *testing.T) {
 		Forensics: led,
 		OnRecord:  func(rec BanRecord) { got = append(got, rec) },
 	})
-	tr.Misbehaving("p", true, AddrOversize)
-	tr.Misbehaving("p", true, AddrOversize)
+	misbehave(tr, "p", true, AddrOversize)
+	misbehave(tr, "p", true, AddrOversize)
 	if len(got) != 2 {
 		t.Fatalf("OnRecord fired %d times, want 2", len(got))
 	}
@@ -210,7 +210,7 @@ func TestTrackerOnRecordHook(t *testing.T) {
 	// Without a ledger the hook still fires, with the 0 sentinel.
 	got = nil
 	tr2 := NewTracker(Config{OnRecord: func(rec BanRecord) { got = append(got, rec) }})
-	tr2.Misbehaving("p", true, AddrOversize)
+	misbehave(tr2, "p", true, AddrOversize)
 	if len(got) != 1 || got[0].Seq != 0 {
 		t.Fatalf("ledger-less OnRecord wrong: %+v", got)
 	}

@@ -67,7 +67,7 @@ func TestSameShardPeersIndependent(t *testing.T) {
 		go func(id PeerID) {
 			defer wg.Done()
 			for i := 0; i < hits; i++ {
-				tr.Misbehaving(id, true, VersionDuplicate)
+				misbehave(tr, id, true, VersionDuplicate)
 			}
 		}(id)
 	}
@@ -93,7 +93,7 @@ func TestForgetRacingMisbehaving(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			tr.Misbehaving(id, true, VersionDuplicate)
+			misbehave(tr, id, true, VersionDuplicate)
 		}
 	}()
 	go func() {

@@ -219,17 +219,11 @@ type MisbehaviorContext struct {
 	PayloadLen int
 }
 
-// Misbehaving applies the Table I rule against the peer, mirroring
+// MisbehavingCtx applies the Table I rule against the peer, mirroring
 // PeerManager::Misbehaving. inbound tells the tracker the peer's role so
-// role-restricted rules (Table I "Object of Ban") apply correctly.
-func (t *Tracker) Misbehaving(id PeerID, inbound bool, rule RuleID) Result {
-	//lint:allow evidenceflow(compatibility entry point: callers predating the forensics chain score without evidence by design; node.misbehave is the evidenced path)
-	return t.MisbehavingCtx(id, inbound, rule, MisbehaviorContext{})
-}
-
-// MisbehavingCtx is Misbehaving with forensic context: when the tracker has
-// a Ledger, every scoring call appends a BanRecord carrying mctx so the ban
-// chain names the triggering command and trace.
+// role-restricted rules (Table I "Object of Ban") apply correctly. When the
+// tracker has a Ledger, every scoring call appends a BanRecord carrying
+// mctx so the ban chain names the triggering command, trace and payload.
 //
 //banlint:hotpath per-hit score path under the shard lock: value structs only, no per-call allocation
 func (t *Tracker) MisbehavingCtx(id PeerID, inbound bool, rule RuleID, mctx MisbehaviorContext) Result {

@@ -198,13 +198,6 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	return tb, nil
 }
 
-// SetFabricFaults replaces the fabric's default fault plan mid-run (nil
-// clears it). Connections established earlier keep the plan they were dialed
-// under; only subsequent dials observe the change.
-func (tb *Testbed) SetFabricFaults(plan *simnet.FaultPlan) {
-	tb.Fabric.SetDefaultFaults(plan)
-}
-
 // AttackerDialer returns the spoofing-capable dialer of the fabric.
 func (tb *Testbed) AttackerDialer() attack.Dialer {
 	return func(from, to string) (net.Conn, error) { return tb.Fabric.Dial(from, to) }

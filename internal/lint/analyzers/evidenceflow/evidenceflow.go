@@ -17,12 +17,10 @@
 // calls to LastEvidence / LastChecksum; it propagates through assignments,
 // composite literals, field selections, and — via per-function summaries
 // computed to fixpoint over the whole repo — through helper functions and
-// wrapper parameters. Three sinks are checked:
+// wrapper parameters. Two kinds of sink are checked:
 //
-//   - Tracker.Misbehaving (core): always reported — the ctx-less entry
-//     point cannot carry evidence. Its one legitimate use (the tracker's
-//     own compatibility delegation) carries a reviewed //lint:allow.
-//   - Tracker.MisbehavingCtx (core): the MisbehaviorContext argument must
+//   - Tracker.MisbehavingCtx and Batch.Add (core), the inline and the
+//     staged score-mutation entry: the MisbehaviorContext argument must
 //     be evidence-tainted on some path, or be a parameter of the calling
 //     function — in which case the obligation transfers to that
 //     function's callers.
@@ -51,10 +49,10 @@ var Analyzer = &analysis.Analyzer{
 	Name: "evidenceflow",
 	Doc: "score mutations must carry wire-derived misbehavior evidence\n\n" +
 		"Interprocedural taint analysis: every call to Tracker.MisbehavingCtx " +
-		"must pass a MisbehaviorContext whose digest originates from " +
-		"wire.Codec.LastChecksum or peer.LastEvidence; every Engine.Penalize " +
-		"weight must derive from an evidence-carrying misbehavior Result; the " +
-		"ctx-less Tracker.Misbehaving is reported unconditionally.",
+		"or Batch.Add must pass a MisbehaviorContext whose digest originates " +
+		"from wire.Codec.LastChecksum or peer.LastEvidence; every " +
+		"Engine.Penalize weight must derive from an evidence-carrying " +
+		"misbehavior Result.",
 	RunRepo: run,
 }
 
@@ -124,17 +122,19 @@ type sinkKind int
 
 const (
 	notSink sinkKind = iota
-	sinkMisbehaving
 	sinkCtx
 	sinkPenalize
 )
 
 // classify reports whether callee is one of the score-mutation sinks.
-func classify(callee *banvet.Func) sinkKind {
+// exact is Callees' confidence in the resolution. Batch.Add is a sink only
+// through a typed receiver: "Add" is every WaitGroup's and counter's method
+// name too, and the name-matched may-set of an untyped receiver would hang
+// the obligation on all of them.
+func classify(callee *banvet.Func, exact bool) sinkKind {
 	switch {
-	case callee.Recv.Name == "Tracker" && callee.Name == "Misbehaving" && callee.Unit.HasPathSegment("core"):
-		return sinkMisbehaving
-	case callee.Recv.Name == "Tracker" && callee.Name == "MisbehavingCtx" && callee.Unit.HasPathSegment("core"):
+	case callee.Recv.Name == "Tracker" && callee.Name == "MisbehavingCtx" && callee.Unit.HasPathSegment("core"),
+		exact && callee.Recv.Name == "Batch" && callee.Name == "Add" && callee.Unit.HasPathSegment("core"):
 		return sinkCtx
 	case callee.Recv.Name == "Engine" && callee.Name == "Penalize" && callee.Unit.HasPathSegment("reputation"):
 		return sinkPenalize
@@ -341,7 +341,7 @@ func (c *checker) addCallOrigins(f *banvet.Func, env map[string]banvet.TypeRef, 
 		// evidence-carrying: it is what Penalize weights must derive from.
 		// (Whether the call's OWN context argument is evidenced is checked
 		// at that call site, not here.)
-		if classify(callee) == sinkCtx {
+		if classify(callee, true) == sinkCtx {
 			out[srcOrigin] = true
 			return
 		}
@@ -364,7 +364,7 @@ func (c *checker) addCallOrigins(f *banvet.Func, env map[string]banvet.TypeRef, 
 	// argument and the receiver, so helper chains outside the index
 	// (hashing, formatting) do not launder taint away.
 	for _, cand := range callees {
-		if c.summaries[cand].srcResult || classify(cand) == sinkCtx {
+		if c.summaries[cand].srcResult || classify(cand, false) == sinkCtx {
 			out[srcOrigin] = true
 		}
 	}
@@ -432,10 +432,10 @@ func (c *checker) updateSummary(f *banvet.Func) bool {
 // sinkObligations returns the argument indices of call that must carry
 // evidence: direct sink requirements plus the callee's own sinkParams.
 func (c *checker) sinkObligations(f *banvet.Func, env map[string]banvet.TypeRef, call *ast.CallExpr) []int {
-	callees, _ := c.ix.Callees(f, env, call)
+	callees, exact := c.ix.Callees(f, env, call)
 	need := map[int]bool{}
 	for _, callee := range callees {
-		if idx, ok := requiredArg(classify(callee), call); ok {
+		if idx, ok := requiredArg(classify(callee, exact), call); ok {
 			need[idx] = true
 		}
 		for p := range c.summaries[callee].sinkParams {
@@ -478,15 +478,9 @@ func (c *checker) report(f *banvet.Func) {
 }
 
 func (c *checker) reportCall(f *banvet.Func, env map[string]banvet.TypeRef, facts banvet.Facts, call *ast.CallExpr) {
-	callees, _ := c.ix.Callees(f, env, call)
+	callees, exact := c.ix.Callees(f, env, call)
 	for _, callee := range callees {
-		kind := classify(callee)
-		if kind == sinkMisbehaving {
-			c.pass.Reportf(f.Unit, call.Pos(),
-				"evidence-free score mutation: %s carries no MisbehaviorContext; call MisbehavingCtx with a digest from wire.Codec.LastChecksum or peer.LastEvidence",
-				callee.QName())
-			continue
-		}
+		kind := classify(callee, exact)
 		checked := map[int]bool{}
 		if idx, ok := requiredArg(kind, call); ok {
 			checked[idx] = true

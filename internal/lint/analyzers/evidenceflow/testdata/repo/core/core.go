@@ -23,12 +23,11 @@ func (t *Tracker) MisbehavingCtx(id PeerID, inbound bool, rule RuleID, mctx Misb
 	return Result{Delta: 10, Applied: true}
 }
 
-// Misbehaving is the ctx-less compatibility path: its delegation seeds an
-// empty context, which is exactly the evidence-free mutation the analyzer
-// exists to flag.
-func (t *Tracker) Misbehaving(id PeerID, inbound bool, rule RuleID) Result {
-	return t.MisbehavingCtx(id, inbound, rule, MisbehaviorContext{}) // want `misbehavior context without wire evidence`
-}
+// Batch mirrors the staged score-mutation entry: Add's context is applied
+// at a later Flush, so it is checked where it is staged.
+type Batch struct{}
+
+func (b *Batch) Add(id PeerID, inbound bool, rule RuleID, mctx MisbehaviorContext) { _ = mctx }
 
 // Reset shows a reviewed waiver silencing the same finding — repo-level
 // diagnostics must flow through the //lint:allow pass like any other.

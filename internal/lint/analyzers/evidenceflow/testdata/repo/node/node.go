@@ -10,6 +10,7 @@ import (
 
 type Node struct {
 	tracker *core.Tracker
+	batch   *core.Batch
 	rep     *reputation.Engine
 }
 
@@ -58,9 +59,21 @@ func (n *Node) fabricated(p *peer.Peer, rule core.RuleID) {
 	})
 }
 
-// legacy calls the ctx-less entry point, which can never carry evidence.
-func (n *Node) legacy(p *peer.Peer, rule core.RuleID) {
-	n.tracker.Misbehaving(core.PeerID(p.ID()), p.Inbound(), rule) // want `evidence-free score mutation`
+// stage is the batched twin of applyCtx: the staged context is a sink
+// argument too, and the obligation transfers to stage's callers.
+func (n *Node) stage(p *peer.Peer, rule core.RuleID, mctx core.MisbehaviorContext) {
+	n.batch.Add(core.PeerID(p.ID()), p.Inbound(), rule, mctx)
+}
+
+func (n *Node) staged(p *peer.Peer, rule core.RuleID) {
+	d, l := p.LastEvidence()
+	n.stage(p, rule, core.MisbehaviorContext{PayloadDigest: d, PayloadLen: l})
+}
+
+// stagedBad stages a hit no wire bytes back: it would be scored at the
+// next flush, far from any call site the inline check covers.
+func (n *Node) stagedBad(p *peer.Peer, rule core.RuleID) {
+	n.batch.Add(core.PeerID(p.ID()), p.Inbound(), rule, core.MisbehaviorContext{}) // want `misbehavior context without wire evidence`
 }
 
 // wrappedBad feeds the obligation-carrying wrapper a fabricated context;

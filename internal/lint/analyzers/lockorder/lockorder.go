@@ -44,8 +44,9 @@ import (
 // DefaultScope lists the import-path segments whose struct-owned mutexes
 // participate in the lock-order graph: the concurrent core, the
 // crash-safe ban store, the fleet observer, and the reputation engine —
-// the packages whose locks nest across calls.
-var DefaultScope = []string{"core", "banstore", "observer", "reputation"}
+// the packages whose locks nest across calls — plus wal, which both stores
+// call with their own mutex held and which must stay lock-free.
+var DefaultScope = []string{"core", "banstore", "observer", "wal", "reputation"}
 
 // Analyzer is the lockorder check.
 var Analyzer = &analysis.Analyzer{

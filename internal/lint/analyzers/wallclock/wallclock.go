@@ -44,8 +44,9 @@ import (
 // waivers). swarm is in scope because the event-loop engine schedules
 // purely off readiness edges and condition variables: a stray timer or
 // ambient clock read there would reintroduce the host-scheduling
-// dependence the engine exists to remove.
-var DefaultScope = []string{"simnet", "experiments", "vclock", "reputation", "banstore", "observer", "fleet", "attack", "swarm"}
+// dependence the engine exists to remove. wal is in scope because recovery
+// must be a function of the directory's bytes alone.
+var DefaultScope = []string{"simnet", "experiments", "vclock", "reputation", "banstore", "observer", "wal", "fleet", "attack", "swarm"}
 
 // bannedTime is the set of time-package functions that read or schedule
 // against the ambient clock. Constructors of values (time.Date, time.Unix,

@@ -21,8 +21,8 @@ func TestNodeBanStatePersistsAcrossRestart(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	n := New(Config{BanStore: s, BanStoreRecovered: rec, SnapshotEvery: -1})
-	n.Tracker().Misbehaving(attacker, true, core.BlockMutated) // 100 points: instant ban
-	n.Tracker().Misbehaving(scored, true, core.AddrOversize)   // 20 points: scored, not banned
+	n.Tracker().MisbehavingCtx(attacker, true, core.BlockMutated, core.MisbehaviorContext{}) // 100 points: instant ban
+	n.Tracker().MisbehavingCtx(scored, true, core.AddrOversize, core.MisbehaviorContext{})   // 20 points: scored, not banned
 	if !n.Tracker().IsBanned(attacker) {
 		t.Fatal("attacker not banned pre-restart")
 	}
@@ -31,7 +31,7 @@ func TestNodeBanStatePersistsAcrossRestart(t *testing.T) {
 	}
 	// More misbehavior after the snapshot: recovery must stitch the
 	// snapshot and the WAL tail together, not pick one.
-	n.Tracker().Misbehaving(scored, true, core.AddrOversize)
+	n.Tracker().MisbehavingCtx(scored, true, core.AddrOversize, core.MisbehaviorContext{})
 	if err := s.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}

@@ -5,11 +5,11 @@ import (
 	"banscore/internal/peer"
 )
 
-// MisbehaviorBatch adapts the tracker's core.Batch to the node's misbehave
-// side effects: staged hits flush through the shared applyLocked body (one
-// tracker shard-lock acquisition per touched shard), and each result then
-// gets the same mirroring the inline path performs — reputation penalty
-// with netgroup teardown, and disconnection of peers the flush banned.
+// MisbehaviorBatch adapts the tracker's core.Batch to the node: staged hits
+// flush through the shared applyLocked body (one tracker shard-lock
+// acquisition per touched shard), and each result is then handed to
+// Node.scored with the connection that staged it — the same call the inline
+// path makes.
 //
 // One MisbehaviorBatch belongs to one event-loop shard: StageMisbehavior
 // runs on the shard's worker via the peer's MisbehaviorSink, and the shard
@@ -38,29 +38,14 @@ func (mb *MisbehaviorBatch) StageMisbehavior(p *peer.Peer, rule core.RuleID, mct
 	mb.staged = append(mb.staged, p)
 }
 
-// Len reports how many hits are staged.
-func (mb *MisbehaviorBatch) Len() int { return mb.b.Len() }
-
-// Flush applies every staged hit and runs the inline path's side effects
-// per result, in staging order.
+// Flush applies every staged hit and runs its consequences, in staging
+// order.
 func (mb *MisbehaviorBatch) Flush() {
-	if mb.b.Len() == 0 {
-		return
-	}
-	n := mb.n
 	i := 0
-	mb.b.Flush(func(op core.BatchOp, res core.Result) {
-		p := mb.staged[i]
+	mb.b.Flush(func(_ core.BatchOp, res core.Result) {
+		//lint:allow evidenceflow(res is the callback Result of core.Batch.Flush, produced by the same evidenced applyLocked body as the inline path; the evidence-carrying MisbehaviorContext entered via StageMisbehavior, where Batch.Add checks it — the analyzer cannot trace taint through the Flush callback parameter)
+		mb.n.scored(mb.staged[i], res)
 		i++
-		if e := n.cfg.Reputation; e != nil && res.Applied {
-			//lint:allow evidenceflow(res is the callback Result of core.Batch.Flush, produced by the same evidenced applyLocked body as the inline path; the evidence-carrying MisbehaviorContext entered via StageMisbehavior — the analyzer cannot trace taint through the Flush callback parameter)
-			if r := e.Penalize(op.ID, res.Delta); r.GroupBanned {
-				n.disconnectNetgroup(e.GroupOf(op.ID))
-			}
-		}
-		if res.Banned {
-			p.Disconnect()
-		}
 	})
 	clear(mb.staged)
 	mb.staged = mb.staged[:0]

@@ -181,13 +181,14 @@ func (n *Node) dispatch(p *peer.Peer, msg wire.Message, rawLen int) {
 	}
 }
 
-// misbehave applies a Table I rule and enforces a triggered ban by
-// disconnecting the peer (it is now in the ban filter and cannot return
-// with the same identifier for the ban duration). cmd is the wire command
-// of the triggering message; it flows into the forensics ledger so a ban
-// chain names what each hit was carried by, and — when the message was
-// sampled — into a misbehave span on its lifecycle trace.
-func (n *Node) misbehave(p *peer.Peer, cmd string, rule core.RuleID) core.Result {
+// misbehave applies a Table I rule. cmd is the wire command of the
+// triggering message; it flows into the forensics ledger so a ban chain
+// names what each hit was carried by, and — when the message was sampled —
+// into a misbehave span on its lifecycle trace. An event-driven peer stages
+// the hit, with the evidence captured now, on its shard's MisbehaviorBatch;
+// scoring then happens at the shard's end-of-iteration flush. Either way
+// the consequences are n.scored's.
+func (n *Node) misbehave(p *peer.Peer, cmd string, rule core.RuleID) {
 	ctx := p.TraceCtx()
 	var start time.Time
 	if ctx != nil {
@@ -200,41 +201,63 @@ func (n *Node) misbehave(p *peer.Peer, cmd string, rule core.RuleID) core.Result
 		PayloadDigest: digest,
 		PayloadLen:    payloadLen,
 	}
+	var res core.Result // stays zero for a staged hit: scored then runs at the flush
 	if sink := p.MisbehaviorSink(); sink != nil {
-		// Event-driven peer: stage for the shard's end-of-iteration
-		// flush instead of applying inline. The evidence is captured in
-		// mctx now — by flush time the dispatch (and its LastEvidence
-		// window) is long over. Scoring, reputation mirroring, and the
-		// ban disconnect all happen at flush.
 		sink.StageMisbehavior(p, rule, mctx)
-		if ctx != nil {
-			ctx.Add(trace.Span{
-				Stage: trace.StageMisbehave, Peer: string(p.ID()), Cmd: cmd,
-				Rule: rule.String(), Start: start, Duration: time.Since(start),
-			})
-		}
-		return core.Result{}
+	} else {
+		res = n.tracker.MisbehavingCtx(p.ID(), p.Inbound(), rule, mctx)
 	}
-	res := n.tracker.MisbehavingCtx(p.ID(), p.Inbound(), rule, mctx)
 	if ctx != nil {
 		ctx.Add(trace.Span{
 			Stage: trace.StageMisbehave, Peer: string(p.ID()), Cmd: cmd,
 			Rule: rule.String(), Start: start, Duration: time.Since(start),
 		})
 	}
-	// Mirror every applied hit into the reputation engine: the same
-	// Table I delta charges the peer's decaying misbehavior and its
-	// netgroup budget. A penalty that exhausts the budget tears down
-	// every connected member of the prefix.
-	if e := n.cfg.Reputation; e != nil && res.Applied {
+	n.scored(p, res)
+}
+
+// scored runs the node-level consequences of one tracker Result for the
+// connection that earned it — the only place they are spelled out, called
+// by the inline path right after MisbehavingCtx and by
+// MisbehaviorBatch.Flush per flushed hit. Every applied hit is mirrored
+// into the reputation engine, where a penalty that exhausts the netgroup
+// budget tears down every connected member of the prefix; a ban
+// disconnects the peer (it is in the ban filter now).
+//
+// A hit can land after its connection's teardown already forgot the
+// identifier: staged, then flushed after an EOF in the same shard
+// iteration, or applied by a handler racing a Disconnect. With nobody
+// connected as the identifier it is forgotten again, so the next session
+// from that [IP:Port] starts at zero, as if the hit had landed first.
+func (n *Node) scored(p *peer.Peer, res core.Result) {
+	if !res.Applied {
+		return
+	}
+	gone := p.Disconnected() // sampled first: a netgroup teardown below may take p with it
+	if e := n.cfg.Reputation; e != nil {
 		if r := e.Penalize(p.ID(), res.Delta); r.GroupBanned {
-			n.disconnectNetgroup(e.GroupOf(p.ID()))
+			n.disconnectNetgroup(e, e.GroupOf(p.ID()))
 		}
 	}
-	if res.Banned {
+	switch {
+	case res.Banned:
 		p.Disconnect()
+	case gone:
+		n.mu.Lock()
+		_, held := n.peers[p.ID()]
+		n.mu.Unlock()
+		if !held {
+			n.forgetScore(p.ID())
+		}
 	}
-	return res
+}
+
+// forgetScore drops the identifier's live score state and logs the drop.
+func (n *Node) forgetScore(id core.PeerID) {
+	n.tracker.Forget(id)
+	if s := n.cfg.BanStore; s != nil {
+		s.AppendForget(id)
+	}
 }
 
 func (n *Node) handleVersion(p *peer.Peer, m *wire.MsgVersion) {

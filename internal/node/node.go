@@ -638,11 +638,7 @@ func (n *Node) RankPeers() []PeerReputation {
 // the collectively banned group. Called from the misbehave path — which
 // runs on a member peer's read loop — so it must only Disconnect (async
 // teardown), never wait for shutdown.
-func (n *Node) disconnectNetgroup(group string) int {
-	e := n.cfg.Reputation
-	if e == nil {
-		return 0
-	}
+func (n *Node) disconnectNetgroup(e *reputation.Engine, group string) {
 	n.mu.Lock()
 	members := make([]*peer.Peer, 0, 4)
 	for id, p := range n.peers {
@@ -657,7 +653,6 @@ func (n *Node) disconnectNetgroup(group string) int {
 	if m := n.metrics; m != nil {
 		m.event(telemetry.EventConnRefused, group, "", 0, "netgroup-ban")
 	}
-	return len(members)
 }
 
 // Connect opens an outbound connection to addr and performs our half of the
@@ -765,7 +760,7 @@ func (n *Node) startPeer(conn net.Conn, inbound bool) *peer.Peer {
 		Tracer:         n.cfg.Tracer,
 		Runner:         n.cfg.PeerRunner,
 		SendQueueDepth: n.cfg.PeerSendQueue,
-		OnMessage:    n.handleMessage,
+		OnMessage:      n.handleMessage,
 		OnMalformed: func(p *peer.Peer, err error) {
 			// Malformed framing: dropped without scoring (the wire
 			// layer rejected it before misbehavior processing).
@@ -888,10 +883,7 @@ func (n *Node) peerDisconnected(p *peer.Peer) {
 		n.outbound--
 	}
 	n.mu.Unlock()
-	n.tracker.Forget(p.ID())
-	if s := n.cfg.BanStore; s != nil {
-		s.AppendForget(p.ID())
-	}
+	n.forgetScore(p.ID())
 	if m := n.metrics; m != nil {
 		m.peerRetired(p.BytesReceived(), p.BytesSent())
 		direction := "outbound"

@@ -1,24 +1,19 @@
 package observer
 
 import (
-	"encoding/binary"
-	"errors"
-	"math"
-	"time"
+	"sort"
+
+	"banscore/internal/wal"
 )
 
-// Record payload encoding, same conventions as internal/banstore: a kind
-// byte, then hand-rolled canonical binary — varints, uvarint-length-prefixed
-// strings, IEEE float bits, present-flag + UnixNano times. The surrounding
-// frame (length + CRC32C) comes from banstore's exported framing helpers.
+// Record schema: a wal frame whose payload starts with a kind byte; the
+// fields after it use wal's canonical field codec.
 
 // Record kinds.
 const (
 	recEvent  byte = 1 // one deduped fleet event
 	recCursor byte = 2 // one node's journal cursor advance
 )
-
-var errCorrupt = errors.New("observer: corrupt record")
 
 // File-format magics. Distinct from banstore's so a mis-pointed directory
 // fails magic validation instead of replaying the wrong schema.
@@ -27,142 +22,45 @@ var (
 	snapMagic = []byte("OBSNAP01")
 )
 
-func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendFloat(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-func appendTime(b []byte, t time.Time) []byte {
-	if t.IsZero() {
-		return append(b, 0)
-	}
-	b = append(b, 1)
-	return binary.AppendVarint(b, t.UnixNano())
-}
-
-// decoder walks one payload with a sticky first error.
-type decoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail() { d.err = errCorrupt }
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail()
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-func (d *decoder) bool() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off >= len(d.b) {
-		d.fail()
-		return false
-	}
-	v := d.b[d.off]
-	d.off++
-	return v != 0
-}
-
-func (d *decoder) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	return v
-}
-
-func (d *decoder) time() time.Time {
-	if !d.bool() {
-		return time.Time{}
-	}
-	return time.Unix(0, d.varint())
-}
-
 // appendEventPayload renders one recEvent payload.
 func appendEventPayload(b []byte, ev *Event) []byte {
-	b = append(b, recEvent)
-	b = appendString(b, ev.Node)
-	b = appendString(b, ev.Stream)
-	b = appendUvarint(b, ev.Seq)
-	b = appendTime(b, ev.At)
-	b = appendString(b, ev.Kind)
-	b = appendString(b, ev.Peer)
-	b = appendString(b, ev.Rule)
-	b = appendFloat(b, ev.Value)
-	return appendString(b, ev.Detail)
+	return appendEvent(append(b, recEvent), ev)
 }
 
-func (d *decoder) event() Event {
+// appendEvent renders ev's fields; decodeEvent is its inverse.
+func appendEvent(b []byte, ev *Event) []byte {
+	b = wal.AppendString(b, ev.Node)
+	b = wal.AppendString(b, ev.Stream)
+	b = wal.AppendUvarint(b, ev.Seq)
+	b = wal.AppendTime(b, ev.At)
+	b = wal.AppendString(b, ev.Kind)
+	b = wal.AppendString(b, ev.Peer)
+	b = wal.AppendString(b, ev.Rule)
+	b = wal.AppendFloat(b, ev.Value)
+	return wal.AppendString(b, ev.Detail)
+}
+
+func decodeEvent(d *wal.Decoder) Event {
 	return Event{
-		Node:   d.str(),
-		Stream: d.str(),
-		Seq:    d.uvarint(),
-		At:     d.time(),
-		Kind:   d.str(),
-		Peer:   d.str(),
-		Rule:   d.str(),
-		Value:  d.f64(),
-		Detail: d.str(),
+		Node:   d.Str(),
+		Stream: d.Str(),
+		Seq:    d.Uvarint(),
+		At:     d.Time(),
+		Kind:   d.Str(),
+		Peer:   d.Str(),
+		Rule:   d.Str(),
+		Value:  d.Float(),
+		Detail: d.Str(),
 	}
 }
 
 // appendCursorPayload renders one recCursor payload.
 func appendCursorPayload(b []byte, node string, cur Cursor) []byte {
 	b = append(b, recCursor)
-	b = appendString(b, node)
-	b = appendUvarint(b, cur.Next)
-	b = appendUvarint(b, cur.Dropped)
-	return appendUvarint(b, cur.Base)
+	b = wal.AppendString(b, node)
+	b = wal.AppendUvarint(b, cur.Next)
+	b = wal.AppendUvarint(b, cur.Dropped)
+	return wal.AppendUvarint(b, cur.Base)
 }
 
 // record is one decoded WAL entry.
@@ -176,23 +74,23 @@ type record struct {
 // decodeRecord decodes one framed payload.
 func decodeRecord(payload []byte) (record, error) {
 	if len(payload) == 0 {
-		return record{}, errCorrupt
+		return record{}, wal.ErrCorrupt
 	}
-	d := &decoder{b: payload, off: 1}
+	d := wal.NewDecoder(payload[1:])
 	rec := record{kind: payload[0]}
 	switch rec.kind {
 	case recEvent:
-		rec.event = d.event()
+		rec.event = decodeEvent(&d)
 	case recCursor:
-		rec.node = d.str()
-		rec.cursor.Next = d.uvarint()
-		rec.cursor.Dropped = d.uvarint()
-		rec.cursor.Base = d.uvarint()
+		rec.node = d.Str()
+		rec.cursor.Next = d.Uvarint()
+		rec.cursor.Dropped = d.Uvarint()
+		rec.cursor.Base = d.Uvarint()
 	default:
-		return record{}, errCorrupt
+		return record{}, wal.ErrCorrupt
 	}
-	if d.err != nil {
-		return record{}, d.err
+	if err := d.Err(); err != nil {
+		return record{}, err
 	}
 	return rec, nil
 }
@@ -202,66 +100,53 @@ func decodeRecord(payload []byte) (record, error) {
 // are rebuilt on recovery.
 func encodeSnapshotPayload(events []Event, cursors map[string]Cursor) []byte {
 	b := make([]byte, 0, 64+len(events)*64)
-	b = appendUvarint(b, uint64(len(cursors)))
+	b = wal.AppendUvarint(b, uint64(len(cursors)))
 	for _, node := range sortedKeys(cursors) {
 		cur := cursors[node]
-		b = appendString(b, node)
-		b = appendUvarint(b, cur.Next)
-		b = appendUvarint(b, cur.Dropped)
-		b = appendUvarint(b, cur.Base)
+		b = wal.AppendString(b, node)
+		b = wal.AppendUvarint(b, cur.Next)
+		b = wal.AppendUvarint(b, cur.Dropped)
+		b = wal.AppendUvarint(b, cur.Base)
 	}
-	b = appendUvarint(b, uint64(len(events)))
+	b = wal.AppendUvarint(b, uint64(len(events)))
 	for i := range events {
-		ev := &events[i]
-		b = appendString(b, ev.Node)
-		b = appendString(b, ev.Stream)
-		b = appendUvarint(b, ev.Seq)
-		b = appendTime(b, ev.At)
-		b = appendString(b, ev.Kind)
-		b = appendString(b, ev.Peer)
-		b = appendString(b, ev.Rule)
-		b = appendFloat(b, ev.Value)
-		b = appendString(b, ev.Detail)
+		b = appendEvent(b, &events[i])
 	}
 	return b
 }
 
 // decodeSnapshotPayload is encodeSnapshotPayload's inverse.
 func decodeSnapshotPayload(payload []byte) (events []Event, cursors map[string]Cursor, err error) {
-	d := &decoder{b: payload}
+	d := wal.NewDecoder(payload)
 	cursors = make(map[string]Cursor)
-	nCursors := d.uvarint()
-	for i := uint64(0); i < nCursors && d.err == nil; i++ {
-		node := d.str()
-		cursors[node] = Cursor{Next: d.uvarint(), Dropped: d.uvarint(), Base: d.uvarint()}
+	nCursors := d.Uvarint()
+	for i := uint64(0); i < nCursors && d.Err() == nil; i++ {
+		node := d.Str()
+		cursors[node] = Cursor{Next: d.Uvarint(), Dropped: d.Uvarint(), Base: d.Uvarint()}
 	}
-	nEvents := d.uvarint()
-	if d.err == nil && nEvents < uint64(len(d.b)) { // sanity: each event costs >=1 byte
+	nEvents := d.Uvarint()
+	if d.Err() == nil && nEvents < uint64(len(payload)) { // sanity: each event costs >=1 byte
 		events = make([]Event, 0, nEvents)
 	}
-	for i := uint64(0); i < nEvents && d.err == nil; i++ {
-		events = append(events, d.event())
+	for i := uint64(0); i < nEvents && d.Err() == nil; i++ {
+		events = append(events, decodeEvent(&d))
 	}
-	if d.err != nil {
-		return nil, nil, d.err
+	if err := d.Err(); err != nil {
+		return nil, nil, err
 	}
-	if d.off != len(d.b) {
-		return nil, nil, errCorrupt
+	if d.Remaining() != 0 {
+		return nil, nil, wal.ErrCorrupt
 	}
 	return events, cursors, nil
 }
 
+// sortedKeys makes the encoding canonical: the same logical state always
+// serializes to the same bytes.
 func sortedKeys(m map[string]Cursor) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	// Canonical encoding: the same logical state always serializes to the
-	// same bytes (insertion-sorted; the maps are small).
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	sort.Strings(keys)
 	return keys
 }

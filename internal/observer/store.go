@@ -2,18 +2,17 @@ package observer
 
 import (
 	"os"
-	"path/filepath"
 	"sync"
 
-	"banscore/internal/banstore"
+	"banscore/internal/wal"
 )
 
 // Store is the fleet's crash-safe ban-intelligence store: typed tables
 // (events with by-peer/by-node indexes, per-node journal cursors) layered
-// over a WAL + snapshot log that reuses banstore's framing and corruption
-// semantics. All appends are synchronous under one mutex into a pending
-// buffer that is written to the active segment at flush points; fsync policy
-// is the caller's choice. The crash-safety contract is ordering, not
+// over internal/wal's segment + snapshot log and corruption semantics. All
+// appends are synchronous under one mutex into a pending buffer that is
+// written to the active segment at flush points; fsync policy is the
+// caller's choice. The crash-safety contract is ordering, not
 // durability of every byte: a cursor record is always appended after the
 // events it acknowledges, and flushes write the pending buffer in append
 // order, so the on-disk log is always a prefix of the append sequence — any
@@ -21,11 +20,10 @@ import (
 type Store struct {
 	opts Options
 
-	mu       sync.Mutex
-	f        *os.File
-	pending  []byte // framed records not yet written to f
-	nextLSN  uint64 // LSN the next appended record will carry
-	segStart uint64
+	mu      sync.Mutex
+	f       *os.File
+	pending []byte // framed records not yet written to f
+	nextLSN uint64 // LSN the next appended record will carry
 
 	// Tables.
 	events  []Event
@@ -91,20 +89,14 @@ type Status struct {
 	SnapshotLSN  uint64 `json:"snapshot_lsn"`
 }
 
-// OpenStore recovers (or creates) the store in opts.Dir. Corruption never
-// fails recovery: the log is truncated at the first bad frame, corrupt
-// snapshot generations are skipped, and the count of such events is
-// available via Status. Only real I/O errors are returned.
+// OpenStore recovers (or creates) the store in opts.Dir (wal.Recover).
+// Corruption never fails recovery: the log is truncated at the first bad
+// frame, corrupt snapshot generations are skipped, and the count of such
+// events is available via Status. Only real I/O errors are returned.
+// Replay is idempotent through the dedup table, so snapshot/WAL overlap is
+// safe.
 func OpenStore(opts Options) (*Store, error) {
 	opts.fillDefaults()
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, err
-	}
-	segs, snaps, err := banstore.ScanStoreDir(opts.Dir)
-	if err != nil {
-		return nil, err
-	}
-
 	s := &Store{
 		opts:    opts,
 		byKey:   make(map[Key]struct{}),
@@ -113,63 +105,24 @@ func OpenStore(opts Options) (*Store, error) {
 		cursors: make(map[string]Cursor),
 		lastSeq: make(map[streamKey]uint64),
 	}
-
-	// Newest valid snapshot wins; corrupt generations are skipped — the
-	// previous generation is still on disk because writes are tmp+rename.
-	var lastLSN uint64
-	for i := len(snaps) - 1; i >= 0; i-- {
-		b, rerr := os.ReadFile(snaps[i].Path)
-		if rerr != nil {
-			s.truncations++
-			continue
-		}
-		payload, lsn, derr := banstore.DecodeSnapshotFile(snapMagic, b)
-		if derr != nil {
-			s.truncations++
-			continue
-		}
-		events, cursors, derr := decodeSnapshotPayload(payload)
-		if derr != nil {
-			s.truncations++
-			continue
-		}
-		for j := range events {
-			s.applyEvent(&events[j])
-		}
-		for node, cur := range cursors {
-			s.applyCursor(node, cur)
-		}
-		s.snapLSN = lsn
-		lastLSN = lsn
-		break
-	}
-
-	// Replay segments oldest-first; the first torn or corrupt frame ends
-	// the log — truncate there, delete unreachable later segments, keep
-	// going with what survived. Replay is idempotent through the dedup
-	// table, so snapshot/WAL overlap is safe.
-	for i, seg := range segs {
-		b, rerr := os.ReadFile(seg.Path)
-		if rerr != nil {
-			s.truncations++
-			for _, later := range segs[i:] {
-				_ = os.Remove(later.Path)
+	res, err := wal.Recover(opts.Dir, walMagic, snapMagic,
+		func(payload []byte) error {
+			events, cursors, err := decodeSnapshotPayload(payload)
+			if err != nil {
+				return err
 			}
-			break
-		}
-		startLSN, hdr, herr := banstore.ParseSegmentHeader(walMagic, b)
-		if herr != nil {
-			s.truncations++
-			for _, later := range segs[i:] {
-				_ = os.Remove(later.Path)
+			for i := range events {
+				s.applyEvent(&events[i])
 			}
-			break
-		}
-		count := uint64(0)
-		good, clean := banstore.ScanFrames(b[hdr:], func(payload []byte) error {
-			rec, derr := decodeRecord(payload)
-			if derr != nil {
-				return derr
+			for node, cur := range cursors {
+				s.applyCursor(node, cur)
+			}
+			return nil
+		},
+		func(payload []byte) error {
+			rec, err := decodeRecord(payload)
+			if err != nil {
+				return err
 			}
 			switch rec.kind {
 			case recEvent:
@@ -177,28 +130,14 @@ func OpenStore(opts Options) (*Store, error) {
 			case recCursor:
 				s.applyCursor(rec.node, rec.cursor)
 			}
-			count++
 			return nil
 		})
-		if last := startLSN + count - 1; count > 0 && last > lastLSN {
-			lastLSN = last
-		}
-		if !clean {
-			s.truncations++
-			_ = os.Truncate(seg.Path, int64(hdr)+good)
-			for _, later := range segs[i+1:] {
-				s.truncations++
-				_ = os.Remove(later.Path)
-			}
-			break
-		}
+	if err != nil {
+		return nil, err
 	}
-
-	// Fresh active segment at the recovered frontier, so implicit record
-	// numbering (segment start + index) stays exact even when the snapshot
-	// outran the log or the tail was truncated.
-	s.nextLSN = lastLSN + 1
-	if err := s.createSegmentLocked(); err != nil {
+	s.snapLSN, s.truncations = res.SnapshotLSN, res.Truncations
+	s.nextLSN = res.LastLSN + 1
+	if s.f, err = wal.CreateSegment(opts.Dir, walMagic, s.nextLSN, opts.Fsync); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -336,7 +275,7 @@ func (s *Store) LatestByStream(node, stream string) map[string]Event {
 // appendRecordLocked frames payload into the pending buffer, assigns it the
 // next LSN, and flushes opportunistically past the threshold.
 func (s *Store) appendRecordLocked(payload []byte) {
-	s.pending = banstore.AppendFrame(s.pending, payload)
+	s.pending = wal.AppendFrame(s.pending, payload)
 	s.nextLSN++
 	s.sinceSnap++
 	if len(s.pending) >= s.opts.FlushBytes {
@@ -390,89 +329,18 @@ func (s *Store) snapshotLocked() error {
 		return err
 	}
 	lsn := s.nextLSN - 1
-	buf := banstore.EncodeSnapshotFile(snapMagic, lsn, encodeSnapshotPayload(s.events, s.cursors))
-	if err := banstore.WriteFileAtomic(filepath.Join(s.opts.Dir, banstore.SnapshotFileName(lsn)), buf, s.opts.Fsync); err != nil {
+	if err := wal.WriteSnapshot(s.opts.Dir, snapMagic, lsn, encodeSnapshotPayload(s.events, s.cursors), s.opts.Fsync); err != nil {
 		return err
 	}
 	s.snapLSN = lsn
 	s.sinceSnap = 0
-	if err := s.rotateSegmentLocked(); err != nil {
-		return err
-	}
-	s.pruneLocked()
-	return nil
-}
-
-// rotateSegmentLocked closes the active segment and begins a fresh one at
-// the current LSN frontier.
-func (s *Store) rotateSegmentLocked() error {
-	if s.f != nil {
-		if s.opts.Fsync {
-			_ = s.f.Sync()
-		}
-		_ = s.f.Close()
-		s.f = nil
-	}
-	return s.createSegmentLocked()
-}
-
-// createSegmentLocked opens a new active segment starting at nextLSN.
-func (s *Store) createSegmentLocked() error {
-	path := filepath.Join(s.opts.Dir, banstore.SegmentFileName(s.nextLSN))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(banstore.SegmentHeader(walMagic, s.nextLSN)); err != nil {
-		_ = f.Close()
-		return err
-	}
+	f, err := wal.RotateSegment(s.f, s.opts.Dir, walMagic, s.nextLSN, s.opts.Fsync)
 	s.f = f
-	s.segStart = s.nextLSN
-	if s.opts.Fsync {
-		if d, derr := os.Open(s.opts.Dir); derr == nil {
-			_ = d.Sync()
-			_ = d.Close()
-		}
-	}
-	return nil
-}
-
-// pruneLocked deletes snapshot generations beyond SnapshotKeep and WAL
-// segments fully covered by the OLDEST retained snapshot (records past it
-// may still be needed to roll the older generations forward — but pruning
-// only needs the newest, so covered means start <= oldest retained LSN and
-// not the active segment).
-func (s *Store) pruneLocked() {
-	segs, snaps, err := banstore.ScanStoreDir(s.opts.Dir)
 	if err != nil {
-		return
+		return err
 	}
-	if len(snaps) > s.opts.SnapshotKeep {
-		for _, old := range snaps[:len(snaps)-s.opts.SnapshotKeep] {
-			_ = os.Remove(old.Path)
-		}
-		snaps = snaps[len(snaps)-s.opts.SnapshotKeep:]
-	}
-	if len(snaps) == 0 {
-		return
-	}
-	oldest := snaps[0].Start
-	for i, seg := range segs {
-		// A segment is disposable when the next segment starts at or
-		// before oldest+1 (every record in this one is <= oldest) and it
-		// is not the active segment.
-		if seg.Start == s.segStart {
-			continue
-		}
-		next := uint64(0)
-		if i+1 < len(segs) {
-			next = segs[i+1].Start
-		}
-		if next != 0 && next <= oldest+1 {
-			_ = os.Remove(seg.Path)
-		}
-	}
+	wal.Prune(s.opts.Dir, s.opts.SnapshotKeep, s.opts.Fsync)
+	return nil
 }
 
 // Status reports the store's current shape.

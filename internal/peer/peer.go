@@ -243,11 +243,6 @@ func (p *Peer) Start() {
 	p.spawn(p.writeLoop)
 }
 
-// EventDriven reports whether this peer is pumped by a Runner rather than
-// its own goroutines (in which case WaitForShutdown has nothing to wait
-// for and Disconnect completes the teardown synchronously).
-func (p *Peer) EventDriven() bool { return p.cfg.Runner != nil }
-
 // spawn runs fn on a goroutine registered with the peer's WaitGroup
 // before it starts, so WaitForShutdown collects it. The banlint gospawn
 // analyzer restricts go statements in this package to this helper.
@@ -420,6 +415,17 @@ func (p *Peer) Disconnect() {
 			p.cfg.OnDisconnect(p)
 		}
 	})
+}
+
+// Disconnected reports whether Disconnect has begun. OnDisconnect may still
+// be running on the goroutine that called it.
+func (p *Peer) Disconnected() bool {
+	select {
+	case <-p.quit:
+		return true
+	default:
+		return false
+	}
 }
 
 // WaitForShutdown blocks until both loops have exited.

@@ -438,23 +438,6 @@ func (n *Network) Heal(name string) {
 	}
 }
 
-// HealAll removes every partition.
-func (n *Network) HealAll() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.partActive.Add(-int32(len(n.partitions)))
-	n.partitions = nil
-}
-
-// Partitioned reports whether traffic between a and b currently crosses an
-// active partition.
-func (n *Network) Partitioned(a, b string) bool {
-	if n.partActive.Load() == 0 {
-		return false
-	}
-	return n.isPartitioned(Addr(a), Addr(b))
-}
-
 func (n *Network) isPartitioned(a, b Addr) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()

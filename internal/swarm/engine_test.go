@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -309,9 +310,12 @@ func TestEngineOversizedFrameRejected(t *testing.T) {
 }
 
 // TestEngineEOFDrain proves buffered frames written before a close are
-// still dispatched: the engine drains the buffer before surfacing EOF.
+// still dispatched: the engine drains the buffer before surfacing EOF. The
+// forensics ledger is the witness — the score itself is forgotten with the
+// connection.
 func TestEngineEOFDrain(t *testing.T) {
-	e := newEnv(t, 1, nil)
+	ledger := core.NewLedger(0, 0)
+	e := newEnv(t, 1, func(cfg *node.Config) { cfg.Forensics = ledger })
 	from := "10.0.0.2:50001"
 	conn := e.dial(t, from)
 	handshake(t, conn, from)
@@ -323,6 +327,69 @@ func TestEngineEOFDrain(t *testing.T) {
 	conn.Close()
 
 	id := core.PeerIDFromAddr(from)
-	waitFor(t, "pre-close frames scored", func() bool { return e.node.Tracker().Score(id) == 25 })
+	waitFor(t, "pre-close frames scored", func() bool { return len(ledger.Records(id)) == 25 })
 	waitFor(t, "peer detached", func() bool { return e.eng.Live() == 0 })
+}
+
+// TestEngineStagedHitsDoNotOutliveTheirConnection pins the order of a
+// disconnect's Forget against the shard's end-of-iteration flush. The
+// worker is parked inside a flush while a second connection writes half a
+// ban's worth of duplicate VERSIONs and closes, so the next iteration finds
+// the frames and the EOF together: it stages 50 hits, tears the connection
+// down (Forget), and only then flushes. The flushed score must not greet
+// the identifier's next session — that session starts at 0 and is banned
+// by its own 100th duplicate, as on the inline path.
+func TestEngineStagedHitsDoNotOutliveTheirConnection(t *testing.T) {
+	ledger := core.NewLedger(0, 0)
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	e := newEnv(t, 1, func(cfg *node.Config) {
+		cfg.Forensics = ledger
+		cfg.TrackerConfig.OnApplied = func(core.PeerID, core.RuleID, int, int) {
+			once.Do(func() {
+				close(parked)
+				<-release
+			})
+		}
+	})
+
+	blocker, churner := "10.0.0.2:50001", "10.0.0.3:50001"
+	bconn := e.dial(t, blocker)
+	defer bconn.Close()
+	handshake(t, bconn, blocker)
+	cconn := e.dial(t, churner)
+	handshake(t, cconn, churner)
+	waitFor(t, "both peers live", func() bool { return e.eng.Live() == 2 })
+
+	send(t, bconn, clientVersion(blocker, 1)) // one hit: its flush parks the worker
+	<-parked
+	dup := clientVersion(churner, 42)
+	for i := 0; i < 50; i++ {
+		send(t, cconn, dup)
+	}
+	cconn.Close()
+	close(release)
+
+	id := core.PeerIDFromAddr(churner)
+	waitFor(t, "first session scored", func() bool { return len(ledger.Records(id)) == 50 })
+	waitFor(t, "first session detached", func() bool { return e.eng.Live() == 1 })
+	if got := e.node.Tracker().Score(id); got != 0 {
+		t.Fatalf("score %d survived the disconnect; the next session must start at 0", got)
+	}
+
+	cconn = e.dial(t, churner)
+	defer cconn.Close()
+	handshake(t, cconn, churner)
+	for i := 0; i < 99; i++ {
+		send(t, cconn, dup)
+	}
+	waitFor(t, "99 hits of the second session scored", func() bool { return len(ledger.Records(id)) == 149 })
+	if e.node.Tracker().IsBanned(id) {
+		t.Fatal("banned before the second session's 100th duplicate")
+	}
+	send(t, cconn, dup)
+	waitFor(t, "ban", func() bool { return e.node.Tracker().IsBanned(id) })
+	if last := ledger.Records(id)[149]; !last.Banned || last.Score != 100 {
+		t.Fatalf("banning record %+v, want a ban on exactly 100", last)
+	}
 }
