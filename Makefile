@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-json lint-sarif alloc-gate alloc-baseline build test race bench bench-telemetry bench-trace bench-gate bench-baseline test-poolpoison fuzz-short chaos chaos-short chaos-crash fleet-short swarm-smoke swarm-full
+.PHONY: check vet lint lint-json lint-sarif loc alloc-gate alloc-baseline build test race bench bench-telemetry bench-trace bench-gate bench-baseline test-poolpoison fuzz-short chaos chaos-short chaos-crash fleet-short swarm-smoke swarm-full
 
 check: vet lint alloc-gate build race test-poolpoison bench-telemetry bench-trace
 
@@ -16,6 +16,15 @@ vet:
 # findings is a merge requirement; waivers need //lint:allow with a reason.
 lint:
 	$(GO) run ./cmd/banlint ./...
+
+# The two numbers the simplification round is judged on: non-test lines of
+# Go under internal/, cmd/ and the facade, and the //lint:allow waivers in
+# force (the linter's own sources only mention the directive).
+LOC_FILES = git ls-files 'internal/*.go' 'cmd/*.go' banscore.go | grep -v -e '_test\.go$$' -e '/testdata/'
+
+loc:
+	@printf 'non-test lines: '; $(LOC_FILES) | xargs cat | wc -l
+	@printf '//lint:allow waivers: '; $(LOC_FILES) | grep -v '^internal/lint/' | xargs cat | grep -c '//lint:allow [a-z]*('
 
 lint-json:
 	$(GO) run ./cmd/banlint -json ./...
@@ -58,6 +67,7 @@ test-poolpoison:
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzPipeHalf$$' -fuzztime 10s ./internal/simnet/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 10s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz '^FuzzRing$$' -fuzztime 10s ./internal/ring/
 
 bench-telemetry:
 	$(GO) test -run xxx -bench BenchmarkTelemetry -benchtime 1x ./...

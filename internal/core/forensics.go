@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"banscore/internal/ring"
 )
 
 // BanRecord is one immutable forensics entry: a single Misbehaving call that
@@ -68,40 +70,18 @@ const (
 type Ledger struct {
 	mu      sync.Mutex
 	chains  map[PeerID]*chain
-	order   []PeerID // peers by first-record time, for whole-peer eviction
+	order   ring.Ring[PeerID] // peers by first-record time; the one a Push overwrites is evicted whole
 	total   uint64
-	evicted uint64 // peers evicted whole
 	trimmed uint64 // records trimmed from overlong chains
 
-	maxPeers   int
 	maxPerPeer int
 }
 
-// chain holds one peer's records as a ring: it fills by appending until
-// maxPerPeer, then overwrites oldest-first in place. The ring matters on
-// the hot path — the misbehavior benchmark caught the previous
-// copy-to-trim scheme recopying the whole chain on every append once a
-// flooding peer's chain was full (~15 KB per scoring call).
+// chain is one peer's retained records and its sequence counter — not the
+// ring's Total: restored records carry their stamps, which may skip WAL sheds.
 type chain struct {
-	records []BanRecord
-	head    int // index of the oldest record once the ring is full
+	records ring.Ring[BanRecord]
 	seq     uint64
-}
-
-// last returns the most recently appended record.
-func (c *chain) last() BanRecord {
-	if c.head == 0 {
-		return c.records[len(c.records)-1]
-	}
-	return c.records[c.head-1]
-}
-
-// snapshot copies the chain out oldest-first.
-func (c *chain) snapshot() []BanRecord {
-	out := make([]BanRecord, 0, len(c.records))
-	out = append(out, c.records[c.head:]...)
-	out = append(out, c.records[:c.head]...)
-	return out
 }
 
 // NewLedger builds a ledger; non-positive bounds select the defaults.
@@ -114,7 +94,7 @@ func NewLedger(maxPeers, maxPerPeer int) *Ledger {
 	}
 	return &Ledger{
 		chains:     make(map[PeerID]*chain),
-		maxPeers:   maxPeers,
+		order:      ring.New[PeerID](maxPeers),
 		maxPerPeer: maxPerPeer,
 	}
 }
@@ -124,6 +104,13 @@ func NewLedger(maxPeers, maxPerPeer int) *Ledger {
 // dedupe against a snapshot that already captured the record. No-op on a
 // nil ledger (returning 0, the "unstamped" sentinel Restore recognizes).
 func (l *Ledger) Append(rec BanRecord) uint64 {
+	rec.Seq = 0
+	return l.add(rec)
+}
+
+// add is the one body under Append and Restore: a zero rec.Seq is stamped
+// with the peer's next number, a non-zero one honored unless already reached.
+func (l *Ledger) add(rec BanRecord) uint64 {
 	if l == nil {
 		return 0
 	}
@@ -131,23 +118,19 @@ func (l *Ledger) Append(rec BanRecord) uint64 {
 	defer l.mu.Unlock()
 	c, ok := l.chains[rec.Peer]
 	if !ok {
-		if len(l.order) >= l.maxPeers {
-			oldest := l.order[0]
-			l.order = l.order[1:]
+		if oldest, evicted := l.order.Push(rec.Peer); evicted {
 			delete(l.chains, oldest)
-			l.evicted++
 		}
-		c = &chain{}
+		c = &chain{records: ring.New[BanRecord](l.maxPerPeer)}
 		l.chains[rec.Peer] = c
-		l.order = append(l.order, rec.Peer)
 	}
-	c.seq++
-	rec.Seq = c.seq
-	if len(c.records) < l.maxPerPeer {
-		c.records = append(c.records, rec)
-	} else {
-		c.records[c.head] = rec
-		c.head = (c.head + 1) % len(c.records)
+	if rec.Seq == 0 {
+		rec.Seq = c.seq + 1
+	} else if rec.Seq <= c.seq {
+		return c.seq
+	}
+	c.seq = rec.Seq
+	if _, trimmed := c.records.Push(rec); trimmed {
 		l.trimmed++
 	}
 	l.total++
@@ -165,7 +148,7 @@ func (l *Ledger) Records(id PeerID) []BanRecord {
 	if !ok {
 		return nil
 	}
-	return c.snapshot()
+	return c.records.Snapshot()
 }
 
 // Peers returns every peer with at least one record, ordered by first
@@ -176,19 +159,23 @@ func (l *Ledger) Peers() []PeerID {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]PeerID, len(l.order))
-	copy(out, l.order)
-	return out
+	return l.order.Snapshot()
 }
 
 // Total returns how many records were ever appended.
-func (l *Ledger) Total() uint64 {
-	if l == nil {
-		return 0
+func (l *Ledger) Total() uint64 { return l.Stats().Total }
+
+// LedgerStats is the records ever appended and the ledger's two loss counters.
+type LedgerStats struct{ Total, EvictedPeers, TrimmedRecords uint64 }
+
+// Stats returns the lifetime counters (zero for a nil ledger).
+func (l *Ledger) Stats() (st LedgerStats) {
+	if l != nil {
+		l.mu.Lock()
+		st = LedgerStats{l.total, l.order.Dropped(), l.trimmed}
+		l.mu.Unlock()
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
+	return st
 }
 
 // ledgerSummary is one peer's row in the /debug/bans index.
@@ -262,16 +249,16 @@ func (l *Ledger) serveIndex(w http.ResponseWriter, isBanned func(PeerID) bool) {
 	l.mu.Lock()
 	resp := indexResponse{
 		Total:   l.total,
-		Evicted: l.evicted,
+		Evicted: l.order.Dropped(),
 		Trimmed: l.trimmed,
-		Peers:   make([]ledgerSummary, 0, len(l.order)),
+		Peers:   make([]ledgerSummary, 0, l.order.Len()),
 	}
-	for _, id := range l.order {
+	for _, id := range l.order.Snapshot() {
 		c := l.chains[id]
-		last := c.last()
+		last, _ := c.records.Last()
 		resp.Peers = append(resp.Peers, ledgerSummary{
 			Peer:     id,
-			Records:  len(c.records),
+			Records:  c.records.Len(),
 			Score:    last.Score,
 			Banned:   last.Banned,
 			LastRule: last.Rule,

@@ -1,6 +1,10 @@
 package core
 
-import "time"
+import (
+	"time"
+
+	"banscore/internal/ring"
+)
 
 // This file is the core layer's durability seam: plain exported snapshots
 // of the Tracker's score maps, the BanList, and the forensics Ledger, plus
@@ -125,43 +129,42 @@ func (l *Ledger) ExportState() LedgerState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := LedgerState{
-		MaxPeers:   l.maxPeers,
+		MaxPeers:   l.order.Limit(),
 		MaxPerPeer: l.maxPerPeer,
-		Chains:     make([]LedgerChain, 0, len(l.order)),
+		Chains:     make([]LedgerChain, 0, l.order.Len()),
 		Total:      l.total,
-		Evicted:    l.evicted,
+		Evicted:    l.order.Dropped(),
 		Trimmed:    l.trimmed,
 	}
-	for _, id := range l.order {
+	for _, id := range l.order.Snapshot() {
 		c := l.chains[id]
-		st.Chains = append(st.Chains, LedgerChain{Peer: id, Seq: c.seq, Records: c.snapshot()})
+		st.Chains = append(st.Chains, LedgerChain{Peer: id, Seq: c.seq, Records: c.records.Snapshot()})
 	}
 	return st
 }
 
 // ImportState replaces the ledger's content with the restored state. The
-// ledger keeps its own configured caps (st's caps describe the exporter);
-// chains longer than this ledger's per-peer cap keep their newest records.
-// No-op on a nil ledger.
+// ledger keeps its own configured caps (st's caps describe the exporter):
+// the newest chains and each chain's newest records that fit are installed,
+// the rest added to the evicted and trimmed counters. No-op on a nil ledger.
 func (l *Ledger) ImportState(st LedgerState) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.chains = make(map[PeerID]*chain, len(st.Chains))
-	l.order = l.order[:0]
-	l.total = st.Total
-	l.evicted = st.Evicted
-	l.trimmed = st.Trimmed
-	for _, ec := range st.Chains {
-		recs := ec.Records
-		if len(recs) > l.maxPerPeer {
-			recs = recs[len(recs)-l.maxPerPeer:]
-		}
-		c := &chain{records: append([]BanRecord(nil), recs...), seq: ec.Seq}
+	peers := make([]PeerID, len(st.Chains))
+	for i, ec := range st.Chains {
+		peers[i] = ec.Peer
+	}
+	l.order.Load(peers, st.Evicted)
+	l.chains = make(map[PeerID]*chain, l.order.Len())
+	l.total, l.trimmed = st.Total, st.Trimmed
+	for _, ec := range st.Chains[len(st.Chains)-l.order.Len():] {
+		c := &chain{records: ring.New[BanRecord](l.maxPerPeer), seq: ec.Seq}
+		c.records.Load(ec.Records, 0)
+		l.trimmed += c.records.Dropped()
 		l.chains[ec.Peer] = c
-		l.order = append(l.order, ec.Peer)
 	}
 }
 
@@ -172,38 +175,4 @@ func (l *Ledger) ImportState(st LedgerState) {
 // which is what makes WAL replay idempotent against the snapshot. A
 // record with Seq zero was produced by a tracker running without a
 // forensics ledger; it is stamped like a live append. No-op on nil.
-func (l *Ledger) Restore(rec BanRecord) {
-	if l == nil {
-		return
-	}
-	if rec.Seq == 0 {
-		l.Append(rec)
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	c, ok := l.chains[rec.Peer]
-	if ok && rec.Seq <= c.seq {
-		return
-	}
-	if !ok {
-		if len(l.order) >= l.maxPeers {
-			oldest := l.order[0]
-			l.order = l.order[1:]
-			delete(l.chains, oldest)
-			l.evicted++
-		}
-		c = &chain{}
-		l.chains[rec.Peer] = c
-		l.order = append(l.order, rec.Peer)
-	}
-	c.seq = rec.Seq
-	if len(c.records) < l.maxPerPeer {
-		c.records = append(c.records, rec)
-	} else {
-		c.records[c.head] = rec
-		c.head = (c.head + 1) % len(c.records)
-		l.trimmed++
-	}
-	l.total++
-}
+func (l *Ledger) Restore(rec BanRecord) { l.add(rec) }

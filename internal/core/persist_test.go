@@ -215,3 +215,32 @@ func TestTrackerOnRecordHook(t *testing.T) {
 		t.Fatalf("ledger-less OnRecord wrong: %+v", got)
 	}
 }
+
+func TestLedgerImportHonoursOwnPeerCap(t *testing.T) {
+	// Regression: ImportState trimmed over-long chains but installed every
+	// chain of the snapshot, leaving a smaller ledger over its peer cap for
+	// good — eviction removes one peer per new peer and never catches up.
+	src := NewLedger(8, 4)
+	for _, p := range []PeerID{"a", "b", "c", "d", "e", "f", "g", "h"} {
+		src.Append(BanRecord{Peer: p})
+	}
+	dst := NewLedger(2, 4)
+	dst.ImportState(src.ExportState())
+	if got := dst.Peers(); !reflect.DeepEqual(got, []PeerID{"g", "h"}) {
+		t.Fatalf("imported peers %v, want the newest two in first-appearance order [g h]", got)
+	}
+	if dst.Records("a") != nil || len(dst.Records("h")) != 1 {
+		t.Fatal("import kept a chain outside the peer cap, or lost one inside it")
+	}
+	if st := dst.ExportState(); st.Evicted != 6 || st.Total != 8 {
+		t.Fatalf("evicted=%d total=%d after import, want 6 peers evicted of 8 records", st.Evicted, st.Total)
+	}
+
+	dst.Append(BanRecord{Peer: "i"})
+	if got := dst.Peers(); !reflect.DeepEqual(got, []PeerID{"h", "i"}) {
+		t.Fatalf("peers %v after one more append, want [h i]", got)
+	}
+	if st := dst.ExportState(); st.Evicted != 7 {
+		t.Fatalf("evicted=%d after one more append, want 7", st.Evicted)
+	}
+}

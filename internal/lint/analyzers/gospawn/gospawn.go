@@ -30,9 +30,9 @@ import (
 // an orphan goroutine there survives Shutdown and flakes the fleet smoke
 // run's exit. swarm is in scope because the event-loop engine's shard
 // workers are exactly the goroutines Stop must reap — an unsupervised
-// worker there leaks a busy loop per shard. wal is in scope because the
-// shared log layer has no spawn helper: any go statement there is a finding.
-var DefaultScope = []string{"node", "peer", "banstore", "observer", "wal", "fleet", "attack", "swarm"}
+// worker there leaks a busy loop per shard. wal and ring are in scope
+// because neither has a spawn helper: any go statement there is a finding.
+var DefaultScope = []string{"node", "peer", "banstore", "observer", "wal", "ring", "fleet", "attack", "swarm"}
 
 // spawnHelpers names the functions allowed to contain go statements: the
 // WaitGroup-registering helpers everything else must route through.

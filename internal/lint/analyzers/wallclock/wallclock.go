@@ -45,8 +45,8 @@ import (
 // purely off readiness edges and condition variables: a stray timer or
 // ambient clock read there would reintroduce the host-scheduling
 // dependence the engine exists to remove. wal is in scope because recovery
-// must be a function of the directory's bytes alone.
-var DefaultScope = []string{"simnet", "experiments", "vclock", "reputation", "banstore", "observer", "wal", "fleet", "attack", "swarm"}
+// must be a function of the directory's bytes alone; ring stamps nothing.
+var DefaultScope = []string{"simnet", "experiments", "vclock", "reputation", "banstore", "observer", "wal", "ring", "fleet", "attack", "swarm"}
 
 // bannedTime is the set of time-package functions that read or schedule
 // against the ambient clock. Constructors of values (time.Date, time.Unix,

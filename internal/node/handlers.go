@@ -225,8 +225,9 @@ func (n *Node) misbehave(p *peer.Peer, cmd string, rule core.RuleID) {
 // disconnects the peer (it is in the ban filter now).
 //
 // A hit can land after its connection's teardown already forgot the
-// identifier: staged, then flushed after an EOF in the same shard
-// iteration, or applied by a handler racing a Disconnect. With nobody
+// identifier: staged, then flushed after a read error (not an EOF: the
+// engine flushes before surfacing one) tore the connection down in the same
+// shard iteration, or applied by a handler racing a Disconnect. With nobody
 // connected as the identifier it is forgotten again, so the next session
 // from that [IP:Port] starts at zero, as if the hit had landed first.
 func (n *Node) scored(p *peer.Peer, res core.Result) {

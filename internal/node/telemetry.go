@@ -153,6 +153,16 @@ func newNodeMetrics(n *Node, reg *telemetry.Registry, journal *telemetry.Journal
 		n.mu.Unlock()
 		return float64(depth)
 	})
+
+	// The ledger's loss shows on /metrics like the journal's and the tracer's.
+	if l := n.cfg.TrackerConfig.Forensics; l != nil {
+		reg.Describe("forensics_records_total", "Ban-forensics records ever appended to the ledger.")
+		reg.CounterFunc("forensics_records_total", func() float64 { return float64(l.Stats().Total) })
+		reg.Describe("forensics_records_trimmed_total", "Forensics records overwritten by newer ones in a full per-peer chain.")
+		reg.CounterFunc("forensics_records_trimmed_total", func() float64 { return float64(l.Stats().TrimmedRecords) })
+		reg.Describe("forensics_peers_evicted_total", "Peers whose whole forensics chain was evicted at the ledger's peer cap.")
+		reg.CounterFunc("forensics_peers_evicted_total", func() float64 { return float64(l.Stats().EvictedPeers) })
+	}
 	return m
 }
 

@@ -360,7 +360,11 @@ func (sh *shard) service(idx int32) {
 		}
 		if eof {
 			// Nothing left to drain: surface the EOF/reset without a
-			// decode round trip.
+			// decode round trip. The teardown forgets the peer's score, so
+			// the hits this visit staged apply first, as on the inline path.
+			if sh.batch != nil {
+				sh.batch.Flush()
+			}
 			p.Disconnect()
 			sh.detach(idx, p, conn)
 			return

@@ -393,3 +393,57 @@ func TestEngineStagedHitsDoNotOutliveTheirConnection(t *testing.T) {
 		t.Fatalf("banning record %+v, want a ban on exactly 100", last)
 	}
 }
+
+// TestEngineBanSpanningTwoIterationsSurvivesEOF is the other half of that
+// ordering: a ban whose hits reach the tracker over two shard iterations
+// must land even when the connection dies in the second. The first 50
+// duplicates are flushed (score 50) while the connection lives; the worker
+// is then parked inside the blocker's flush while 50 more and the close
+// arrive, so the next visit stages the second half and meets the EOF. The
+// staged half must apply on top of the first before the teardown forgets
+// the score: a ban on exactly 100, as on the inline path.
+func TestEngineBanSpanningTwoIterationsSurvivesEOF(t *testing.T) {
+	ledger := core.NewLedger(0, 0)
+	blocker, churner := "10.0.0.2:50001", "10.0.0.3:50001"
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	e := newEnv(t, 1, func(cfg *node.Config) {
+		cfg.Forensics = ledger
+		cfg.TrackerConfig.OnApplied = func(hit core.PeerID, _ core.RuleID, _, _ int) {
+			if hit == core.PeerIDFromAddr(blocker) {
+				once.Do(func() {
+					close(parked)
+					<-release
+				})
+			}
+		}
+	})
+
+	bconn := e.dial(t, blocker)
+	defer bconn.Close()
+	handshake(t, bconn, blocker)
+	cconn := e.dial(t, churner)
+	handshake(t, cconn, churner)
+	waitFor(t, "both peers live", func() bool { return e.eng.Live() == 2 })
+
+	id := core.PeerIDFromAddr(churner)
+	dup := clientVersion(churner, 42)
+	for i := 0; i < 50; i++ {
+		send(t, cconn, dup)
+	}
+	waitFor(t, "first half flushed", func() bool { return e.node.Tracker().Score(id) == 50 })
+
+	send(t, bconn, clientVersion(blocker, 1)) // one hit: its flush parks the worker
+	<-parked
+	for i := 0; i < 50; i++ {
+		send(t, cconn, dup)
+	}
+	cconn.Close()
+	close(release)
+
+	waitFor(t, "ban", func() bool { return e.node.Tracker().IsBanned(id) })
+	recs := ledger.Records(id)
+	if last := recs[len(recs)-1]; len(recs) != 100 || !last.Banned || last.Score != 100 {
+		t.Fatalf("%d records ending in %+v, want 100 ending in a ban on exactly 100", len(recs), last)
+	}
+}

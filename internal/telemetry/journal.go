@@ -3,6 +3,8 @@ package telemetry
 import (
 	"sync"
 	"time"
+
+	"banscore/internal/ring"
 )
 
 // EventType tags a journal entry.
@@ -53,11 +55,8 @@ type Event struct {
 // so readers can tell how much history was dropped. A nil *Journal is a
 // valid no-op sink, which lets call sites record unconditionally.
 type Journal struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int    // ring position of the next write
-	total   uint64 // events ever recorded
-	dropped uint64 // events overwritten before being exported
+	mu   sync.Mutex
+	ring ring.Ring[Event]
 }
 
 // DefaultJournalCapacity bounds a journal built with capacity <= 0.
@@ -69,7 +68,7 @@ func NewJournal(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultJournalCapacity
 	}
-	return &Journal{buf: make([]Event, 0, capacity)}
+	return &Journal{ring: ring.New[Event](capacity)}
 }
 
 // Record appends ev, stamping its sequence number and — if unset — its
@@ -79,42 +78,19 @@ func (j *Journal) Record(ev Event) {
 		return
 	}
 	j.mu.Lock()
-	j.total++
-	ev.Seq = j.total
+	ev.Seq = j.ring.Total() + 1
 	if ev.At.IsZero() {
 		ev.At = time.Now()
 	}
-	if len(j.buf) < cap(j.buf) {
-		j.buf = append(j.buf, ev)
-	} else {
-		// Overwriting the oldest retained event: a forensic gap. Count
-		// it so readers see the loss instead of a silently shorter
-		// history.
-		j.buf[j.next] = ev
-		j.dropped++
-	}
-	j.next++
-	if j.next == cap(j.buf) {
-		j.next = 0
-	}
+	j.ring.Push(ev)
 	j.mu.Unlock()
 }
 
 // Events returns the retained events, oldest first. Nil journals return
 // nil.
 func (j *Journal) Events() []Event {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]Event, 0, len(j.buf))
-	if len(j.buf) < cap(j.buf) {
-		// Not yet wrapped: buf is already oldest-first.
-		return append(out, j.buf...)
-	}
-	out = append(out, j.buf[j.next:]...)
-	return append(out, j.buf[:j.next]...)
+	events, _, _ := j.EventsSince(0)
+	return events
 }
 
 // EventsSince returns the retained events with Seq > cursor, oldest first,
@@ -133,30 +109,8 @@ func (j *Journal) EventsSince(cursor uint64) (events []Event, next uint64, dropp
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	next = j.total
-	n := len(j.buf)
-	if n == 0 || cursor >= j.total {
-		return nil, next, 0
-	}
-	firstRetained := j.total - uint64(n) + 1
-	if cursor+1 < firstRetained {
-		dropped = firstRetained - 1 - cursor
-	}
-	events = make([]Event, 0, n)
-	appendSince := func(evs []Event) {
-		for _, ev := range evs {
-			if ev.Seq > cursor {
-				events = append(events, ev)
-			}
-		}
-	}
-	if n < cap(j.buf) {
-		appendSince(j.buf)
-		return events, next, dropped
-	}
-	appendSince(j.buf[j.next:])
-	appendSince(j.buf[:j.next])
-	return events, next, dropped
+	events, dropped = j.ring.Since(cursor)
+	return events, j.ring.Total(), dropped
 }
 
 // Total returns how many events were ever recorded (including overwritten
@@ -167,7 +121,7 @@ func (j *Journal) Total() uint64 {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.total
+	return j.ring.Total()
 }
 
 // Len returns how many events are currently retained.
@@ -177,7 +131,7 @@ func (j *Journal) Len() int {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.buf)
+	return j.ring.Len()
 }
 
 // Dropped returns how many events the ring has overwritten — the journal's
@@ -188,7 +142,7 @@ func (j *Journal) Dropped() uint64 {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.dropped
+	return j.ring.Dropped()
 }
 
 // Capacity returns the ring size.
@@ -196,7 +150,7 @@ func (j *Journal) Capacity() int {
 	if j == nil {
 		return 0
 	}
-	return cap(j.buf)
+	return j.ring.Limit()
 }
 
 // Instrument registers the journal's own series on reg: totals, the

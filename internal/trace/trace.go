@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"banscore/internal/ring"
 	"banscore/internal/telemetry"
 )
 
@@ -121,12 +122,9 @@ type Tracer struct {
 	ids     atomic.Uint64 // trace IDs handed out
 	sampled atomic.Uint64 // messages promoted to a trace
 
-	mu      sync.Mutex
-	ring    []Span
-	next    int
-	total   uint64 // spans ever recorded
-	dropped uint64 // spans overwritten by the ring
-	hists   map[Stage]*telemetry.Histogram
+	mu    sync.Mutex
+	spans ring.Ring[Span]
+	hists map[Stage]*telemetry.Histogram
 }
 
 // New builds a Tracer. It starts disabled; call Enable.
@@ -144,8 +142,8 @@ func New(cfg Config) *Tracer {
 		capacity = DefaultCapacity
 	}
 	return &Tracer{
-		mask: uint64(pow - 1),
-		ring: make([]Span, 0, capacity),
+		mask:  uint64(pow - 1),
+		spans: ring.New[Span](capacity),
 	}
 }
 
@@ -173,14 +171,6 @@ func (t *Tracer) SampleN() int {
 		return 0
 	}
 	return int(t.mask) + 1
-}
-
-// Capacity returns the span ring size.
-func (t *Tracer) Capacity() int {
-	if t == nil {
-		return 0
-	}
-	return cap(t.ring)
 }
 
 // Sample offers one message to the sampler. It returns a non-nil Ctx for
@@ -243,17 +233,7 @@ func (c *Ctx) Record(stage Stage, peer, cmd string, start time.Time, d time.Dura
 // record appends sp to the ring and feeds the per-stage latency histogram.
 func (t *Tracer) record(sp Span) {
 	t.mu.Lock()
-	t.total++
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, sp)
-	} else {
-		t.ring[t.next] = sp
-		t.dropped++
-	}
-	t.next++
-	if t.next == cap(t.ring) {
-		t.next = 0
-	}
+	t.spans.Push(sp)
 	h := t.hists[sp.Stage]
 	t.mu.Unlock()
 	if h != nil {
@@ -268,12 +248,7 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, 0, len(t.ring))
-	if len(t.ring) < cap(t.ring) {
-		return append(out, t.ring...)
-	}
-	out = append(out, t.ring[t.next:]...)
-	return append(out, t.ring[:t.next]...)
+	return t.spans.Snapshot()
 }
 
 // Stats reports (spans ever recorded, spans overwritten, messages sampled).
@@ -282,7 +257,7 @@ func (t *Tracer) Stats() (total, dropped, sampled uint64) {
 		return 0, 0, 0
 	}
 	t.mu.Lock()
-	total, dropped = t.total, t.dropped
+	total, dropped = t.spans.Total(), t.spans.Dropped()
 	t.mu.Unlock()
 	return total, dropped, t.sampled.Load()
 }
@@ -293,8 +268,7 @@ func (t *Tracer) Reset() {
 		return
 	}
 	t.mu.Lock()
-	t.ring = t.ring[:0]
-	t.next = 0
+	t.spans.Reset()
 	t.mu.Unlock()
 }
 
