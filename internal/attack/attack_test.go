@@ -204,7 +204,17 @@ func TestParallelSybilFlood(t *testing.T) {
 	mgr := NewSybilManager("10.0.0.66", e.target, wire.SimNet, e.dialer())
 	forge := NewForge(blockchain.SimNetParams())
 	err := mgr.RunParallel(5, func(s *Session) {
-		Flood(s, func() wire.Message { return forge.Ping() }, FloodOptions{Count: 100})
+		var last uint64
+		Flood(s, func() wire.Message {
+			ping := forge.Ping()
+			last = ping.Nonce
+			return ping
+		}, FloodOptions{Count: 100})
+		// RunParallel closes the session when this returns, and a close right
+		// after the last write takes the PINGs still buffered down with it.
+		if err := s.AwaitPong(last, 5*time.Second); err != nil {
+			t.Errorf("last PONG: %v", err)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)

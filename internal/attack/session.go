@@ -134,6 +134,22 @@ func (s *Session) Recv(timeout time.Duration) (wire.Message, error) {
 	return msg, nil
 }
 
+// AwaitPong reads until the PONG answering nonce arrives — the in-band proof
+// that the victim has dispatched every frame written before that PING — or
+// the timeout passes (the victim sheds replies once its send queue is full).
+func (s *Session) AwaitPong(nonce uint64, timeout time.Duration) error {
+	deadline := clk.Now().Add(timeout)
+	for {
+		msg, err := s.Recv(clk.Until(deadline))
+		if err != nil {
+			return err
+		}
+		if pong, ok := msg.(*wire.MsgPong); ok && pong.Nonce == nonce {
+			return nil
+		}
+	}
+}
+
 // Sent returns the number of messages written.
 func (s *Session) Sent() uint64 { return s.sent }
 

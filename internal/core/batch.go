@@ -10,114 +10,95 @@ type BatchOp struct {
 }
 
 // Batch stages misbehavior applications so an event-loop shard can apply a
-// whole iteration's worth of scoring hits with one Tracker shard-lock
-// acquisition per touched shard, instead of one per hit. Flush preserves
-// staging order within each tracker shard — and a given peer always maps
-// to one shard — so the per-peer Seq/Score linearization the forensics
-// ledger guarantees is exactly that of the equivalent unbatched call
-// sequence: the batched and unbatched paths produce byte-identical
-// Tracker exports.
+// connection visit's worth of scoring hits with one Tracker shard-lock
+// acquisition instead of one per hit. Flush applies the staged ops strictly
+// in staging order, through the same applyLocked body the direct path runs,
+// so the per-peer Seq/Score linearization the forensics ledger guarantees
+// is exactly that of the equivalent unbatched call sequence wherever the
+// flush boundaries fall: the batched and unbatched paths produce
+// byte-identical Tracker exports.
 //
 // A Batch is owned by a single event-loop shard and is not safe for
 // concurrent use. It holds no locks between calls; only Flush touches the
 // Tracker, one shard lock at a time (never nested).
 type Batch struct {
-	t   *Tracker
-	ops []BatchOp
-
-	// prepared carries the lock-free gate's verdict per staged op from
-	// the staging pass to the locked pass; applied carries the scoring
-	// outcome from the locked pass to the callback pass. Both are
-	// retained across flushes to avoid per-flush allocation.
-	prepared []preparedOp
-	applied  []appliedOp
-
-	// buckets groups staged op indices by tracker shard, preserving
-	// staging order within each shard.
-	buckets [][]int32
+	t      *Tracker
+	staged []stagedOp
 }
 
-type preparedOp struct {
-	score int
-	rule  Rule
-	ok    bool
-}
-
-type appliedOp struct {
+// stagedOp is the one staging record: the op as staged, the lock-free
+// gate's verdict on it (taken at Add) and, once Flush's locked walk has
+// passed it, its scoring outcome.
+type stagedOp struct {
+	op     BatchOp
+	name   string // the rule's Table I name, for the forensics record
+	score  int
 	total  int
+	shard  uint32 // tracker shard of op.ID
+	ok     bool   // passed the mode/rule/role gate
 	banned bool
 }
 
 // NewBatch returns an empty staging buffer against the tracker.
-func (t *Tracker) NewBatch() *Batch {
-	return &Batch{
-		t:       t,
-		buckets: make([][]int32, len(t.shards)),
-	}
-}
+func (t *Tracker) NewBatch() *Batch { return &Batch{t: t} }
 
 // Add stages one misbehavior application. Nothing is scored until Flush.
+//
+//banlint:hotpath per-hit staging path: one record written in place, growth out of line
 func (b *Batch) Add(id PeerID, inbound bool, rule RuleID, mctx MisbehaviorContext) {
-	b.ops = append(b.ops, BatchOp{ID: id, Inbound: inbound, Rule: rule, Ctx: mctx})
+	n := len(b.staged)
+	if n == cap(b.staged) {
+		b.grow()
+	}
+	score, name, ok := b.t.prepare(inbound, rule)
+	b.staged = b.staged[:n+1]
+	b.staged[n] = stagedOp{
+		op:    BatchOp{ID: id, Inbound: inbound, Rule: rule, Ctx: mctx},
+		name:  name,
+		score: score,
+		shard: shardFor(id, b.t.mask),
+		ok:    ok,
+	}
 }
 
+// grow keeps append, the only allocation a Batch makes, out of the hot path:
+// it extends the capacity and leaves the length alone.
+func (b *Batch) grow() { b.staged = append(b.staged, stagedOp{})[:len(b.staged)] }
+
 // Len reports how many applications are staged.
-func (b *Batch) Len() int { return len(b.ops) }
+func (b *Batch) Len() int { return len(b.staged) }
 
-// Flush applies every staged op and resets the buffer. Grouping is by
-// tracker shard: each touched shard's lock is taken exactly once and the
-// shard's ops run under it in staging order, through the same applyLocked
-// body the direct path uses. After all locks are released the post-lock
-// side effects (OnApplied, OnBan, ban-list insertion) run in staging
-// order; fn, if non-nil, is then invoked per op with its Result — ops
-// rejected by the mode/rule/role gate report the zero Result, exactly as
-// the direct call would have returned.
+// Flush applies every staged op and resets the buffer. One walk in staging
+// order takes a tracker shard lock per maximal run of consecutive ops on
+// the same shard — a connection visit stages one peer's hits, so a whole
+// burst is one acquisition — and runs applyLocked under it; locks are
+// strictly sequential, never held together. A second walk, outside every
+// lock, then runs the post-lock side effects (OnApplied, OnBan, ban-list
+// insertion) in staging order and hands fn, if non-nil, each op with its
+// Result — ops rejected by the mode/rule/role gate report the zero Result,
+// exactly as the direct call would have returned.
 func (b *Batch) Flush(fn func(op BatchOp, res Result)) {
-	if len(b.ops) == 0 {
-		return
-	}
-	t := b.t
-
-	// Pass 1 (lock-free): gate each op and bucket the survivors by shard.
-	b.prepared = b.prepared[:0]
-	b.applied = b.applied[:0]
-	for i := range b.ops {
-		score, r, ok := t.prepare(b.ops[i].Inbound, b.ops[i].Rule)
-		b.prepared = append(b.prepared, preparedOp{score: score, rule: r, ok: ok})
-		b.applied = append(b.applied, appliedOp{})
-		if ok {
-			sh := shardFor(b.ops[i].ID, t.mask)
-			b.buckets[sh] = append(b.buckets[sh], int32(i))
-		}
-	}
-
-	// Pass 2: one lock acquisition per touched shard, ops in staging
-	// order under it. Locks are strictly sequential, never held together.
-	for sh := range b.buckets {
-		idxs := b.buckets[sh]
-		if len(idxs) == 0 {
-			continue
-		}
-		s := &t.shards[sh]
+	t, n := b.t, len(b.staged)
+	for i := 0; i < n; {
+		run := b.staged[i].shard
+		s := &t.shards[run]
 		s.mu.Lock()
-		for _, i := range idxs {
-			op, prep := &b.ops[i], &b.prepared[i]
-			total, banned := t.applyLocked(s, op.ID, op.Rule, prep.rule, prep.score, op.Ctx)
-			b.applied[i] = appliedOp{total: total, banned: banned}
+		for ; i < n && b.staged[i].shard == run; i++ {
+			if o := &b.staged[i]; o.ok {
+				o.total, o.banned = t.applyLocked(s, o.op.ID, o.op.Rule, o.name, o.score, o.op.Ctx)
+			}
 		}
 		s.mu.Unlock()
-		b.buckets[sh] = idxs[:0]
 	}
-
-	// Pass 3 (lock-free): side effects and results in staging order.
-	for i := range b.ops {
+	for i := range b.staged {
+		o := &b.staged[i]
 		var res Result
-		if b.prepared[i].ok {
-			res = t.finish(b.ops[i].ID, b.ops[i].Rule, b.prepared[i].score, b.applied[i].total, b.applied[i].banned)
+		if o.ok {
+			res = t.finish(o.op.ID, o.op.Rule, o.score, o.total, o.banned)
 		}
 		if fn != nil {
-			fn(b.ops[i], res)
+			fn(o.op, res)
 		}
 	}
-	b.ops = b.ops[:0]
+	b.staged = b.staged[:0]
 }

@@ -42,28 +42,60 @@ func canonicalExport(t *testing.T, tr *Tracker, ledger *Ledger) []byte {
 	return out
 }
 
-// opSequence builds a churn-heavy mixed op stream: many peers spread over
-// every shard, repeat offenders crossing the ban threshold mid-stream and
-// re-offending after, role-restricted rules against both roles, and rules
-// deprecated in the configured version (which must gate identically).
-func opSequence() []BatchOp {
-	var ops []BatchOp
+// connEnd says whether, and how, an op's connection ends right after it.
+type connEnd int
+
+const (
+	connStays connEnd = iota
+	// connEOF: the peer closes. The event loop applies the hits the visit
+	// staged and only then tears the connection down, so the tracker's
+	// Forget follows a flush.
+	connEOF
+	// connReadError: the peer's read fails inside the visit and it tears
+	// itself down there, before the visit's flush: the Forget overtakes the
+	// hits still staged.
+	connReadError
+)
+
+type seqOp struct {
+	BatchOp
+	end connEnd
+}
+
+// opSequence builds a churn-heavy mixed op stream: 91 peers spread over
+// every shard and interleaved with each other, repeat offenders crossing the
+// ban threshold mid-stream and re-offending after, a role-restricted rule
+// against both roles, a rule that is outbound-only (which must gate
+// identically), and connections ending both ways between an identifier's
+// ops. A read error is only placed on an identifier's first op: once part
+// of a connection's score has been flushed, the inline path scores the
+// visit's remaining hits on top of it while the batched path scores them
+// after the teardown forgot it, and the Results legitimately differ.
+func opSequence() []seqOp {
+	var ops []seqOp
 	for i := 0; i < 400; i++ {
-		id := PeerID(fmt.Sprintf("[10.1.%d.%d]:%d", i%7, i%53, 10000+i%11))
-		ops = append(ops, BatchOp{
+		id := PeerID(fmt.Sprintf("[10.1.%d.%d]:%d", i%7, i%13, 10000+i%7))
+		first := seqOp{BatchOp: BatchOp{
 			ID: id, Inbound: i%3 != 0, Rule: VersionDuplicate,
 			Ctx: MisbehaviorContext{Command: "version", PayloadDigest: uint32(i), PayloadLen: 86},
-		})
+		}}
+		if i < 7*13 && i%11 == 0 {
+			first.end = connReadError
+		}
+		ops = append(ops, first)
 		if i%5 == 0 {
-			ops = append(ops, BatchOp{
+			ops = append(ops, seqOp{BatchOp: BatchOp{
 				ID: id, Inbound: i%3 != 0, Rule: BlockMutated,
 				Ctx: MisbehaviorContext{Command: "block", PayloadDigest: uint32(i * 31), PayloadLen: 1000},
-			})
+			}})
 		}
 		if i%9 == 0 {
 			// Role-restricted: outbound-only rule against an inbound peer
 			// must be a no-op on both paths.
-			ops = append(ops, BatchOp{ID: id, Inbound: true, Rule: BlockCachedInvalid})
+			ops = append(ops, seqOp{BatchOp: BatchOp{ID: id, Inbound: true, Rule: BlockCachedInvalid}})
+		}
+		if i%97 == 3 {
+			ops[len(ops)-1].end = connEOF
 		}
 	}
 	return ops
@@ -79,76 +111,140 @@ func newEquivTracker() (*Tracker, *Ledger) {
 	return tr, ledger
 }
 
-// TestBatchEquivalence drives the same op sequence through the direct
-// MisbehavingCtx path and through Batch staging flushed in uneven chunks,
-// and requires byte-identical canonical exports plus op-for-op identical
-// Results — the acceptance bar for the event loop's batched ban path.
+// scoreExport is the part of canonicalExport the reference model has too:
+// live scores and the set of banned identifiers, as canonical JSON.
+func scoreExport(t *testing.T, scores map[PeerID]int, banned []PeerID) []byte {
+	t.Helper()
+	sort.Slice(banned, func(i, j int) bool { return banned[i] < banned[j] })
+	out, err := json.Marshal(struct {
+		Scores map[PeerID]int
+		Banned []PeerID
+	}{scores, banned})
+	if err != nil {
+		t.Fatalf("marshal score export: %v", err)
+	}
+	return out
+}
+
+func requireSameResults(t *testing.T, what string, got, want []Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: op %d result %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestBatchEquivalence drives the same op sequence through the reference
+// model, through the direct MisbehavingCtx path and through Batch staging
+// under several flush cadences — after every op, every 7, every 64 (the
+// event loop's read budget), in uneven chunks, and with no cut other than
+// the ones connection ends force — and requires op-for-op identical Results
+// everywhere, byte-identical canonical exports between the direct and every
+// batched run, and the model's scores and ban set in both: where the flush
+// boundaries fall must not be observable.
 //
-// Every 37th op is its connection's last: the peer disconnects right after
-// it and the tracker forgets the identifier. On the direct path the hit is
-// already scored by then. On the batched path it is still staged, so the
-// forget runs first and the flush would resurrect the score; the flush
-// callback therefore applies the rule node.scored applies — an un-banned
-// hit whose staging connection is gone is forgotten again. The identifier's
-// next op belongs to a new connection, which the event loop services in a
-// later iteration, i.e. after a flush.
+// On the model and the direct path a connection's end is a Forget right
+// after its last op, whichever way it ends. On the batched path an EOF is a
+// flush and then the Forget; a read error is the Forget first, with the
+// connection's hits still staged, so the flush would resurrect the score and
+// the flush callback applies the rule node.scored applies — an un-banned hit
+// whose staging connection is gone is forgotten again. The identifier's next
+// op belongs to a new connection, which the event loop services in a later
+// visit, i.e. after a flush.
 func TestBatchEquivalence(t *testing.T) {
 	ops := opSequence()
-	lastOfConn := func(i int) bool { return i%37 == 0 }
+
+	model := newModelTracker(V0_20_0, DefaultBanThreshold)
+	var modelResults []Result
+	for _, op := range ops {
+		modelResults = append(modelResults, model.misbehaving(op.ID, op.Inbound, op.Rule))
+		if op.end != connStays {
+			model.forget(op.ID)
+		}
+	}
+	var modelBanned []PeerID
+	for id := range model.banned {
+		modelBanned = append(modelBanned, id)
+	}
+	modelExport := scoreExport(t, model.scores, modelBanned)
+	requireModelState := func(t *testing.T, tr *Tracker) {
+		t.Helper()
+		scores, _ := tr.ExportScores()
+		var banned []PeerID
+		for id := range tr.BanList().Export() {
+			banned = append(banned, id)
+		}
+		if got := scoreExport(t, scores, banned); !bytes.Equal(got, modelExport) {
+			t.Fatalf("scores and bans diverged from the reference model\ngot:   %s\nmodel: %s", got, modelExport)
+		}
+	}
 
 	directTr, directLedger := newEquivTracker()
 	var directResults []Result
-	for i, op := range ops {
+	for _, op := range ops {
 		directResults = append(directResults, directTr.MisbehavingCtx(op.ID, op.Inbound, op.Rule, op.Ctx))
-		if lastOfConn(i) {
+		if op.end != connStays {
 			directTr.Forget(op.ID)
 		}
 	}
+	requireSameResults(t, "direct path against the model", directResults, modelResults)
+	requireModelState(t, directTr)
+	direct := canonicalExport(t, directTr, directLedger)
 
-	batchTr, batchLedger := newEquivTracker()
-	b := batchTr.NewBatch()
-	var batchResults []Result
-	gone := map[PeerID]bool{} // identifiers whose staging connection has disconnected
-	flush := func() {
-		b.Flush(func(op BatchOp, res Result) {
-			batchResults = append(batchResults, res)
-			if gone[op.ID] && res.Applied && !res.Banned {
-				batchTr.Forget(op.ID)
+	uneven := map[int]bool{1: true, 3: true, 50: true, 64: true, 107: true, 333: true} // incl. mid-peer
+	for _, cadence := range []struct {
+		name string
+		cut  func(i int) bool // flush after staging op i
+	}{
+		{"every op", func(int) bool { return true }},
+		{"every 7", func(i int) bool { return i%7 == 6 }},
+		{"every 64", func(i int) bool { return i%64 == 63 }},
+		{"uneven", func(i int) bool { return uneven[i] }},
+		{"only where a connection end forces one", func(int) bool { return false }},
+	} {
+		t.Run(cadence.name, func(t *testing.T) {
+			batchTr, batchLedger := newEquivTracker()
+			b := batchTr.NewBatch()
+			var batchResults []Result
+			gone := map[PeerID]bool{} // identifiers whose staging connection has disconnected
+			flush := func() {
+				b.Flush(func(op BatchOp, res Result) {
+					batchResults = append(batchResults, res)
+					if gone[op.ID] && res.Applied && !res.Banned {
+						batchTr.Forget(op.ID)
+					}
+				})
+				clear(gone)
+			}
+			for i, op := range ops {
+				if gone[op.ID] {
+					flush()
+				}
+				b.Add(op.ID, op.Inbound, op.Rule, op.Ctx)
+				switch op.end {
+				case connEOF:
+					flush()
+					batchTr.Forget(op.ID)
+				case connReadError:
+					batchTr.Forget(op.ID)
+					gone[op.ID] = true
+				}
+				if cadence.cut(i) {
+					flush()
+				}
+			}
+			flush()
+
+			requireSameResults(t, "batched against direct", batchResults, directResults)
+			requireModelState(t, batchTr)
+			if batched := canonicalExport(t, batchTr, batchLedger); !bytes.Equal(direct, batched) {
+				t.Fatalf("exports diverged\ndirect:  %s\nbatched: %s", direct, batched)
 			}
 		})
-		clear(gone)
-	}
-	flushAt := []int{1, 3, 50, 64, 107, 333} // uneven chunking, incl. mid-peer
-	next := 0
-	for i, op := range ops {
-		if gone[op.ID] {
-			flush()
-		}
-		b.Add(op.ID, op.Inbound, op.Rule, op.Ctx)
-		if lastOfConn(i) {
-			batchTr.Forget(op.ID)
-			gone[op.ID] = true
-		}
-		if next < len(flushAt) && i == flushAt[next] {
-			flush()
-			next++
-		}
-	}
-	flush()
-
-	if len(batchResults) != len(directResults) {
-		t.Fatalf("result count: batch %d, direct %d", len(batchResults), len(directResults))
-	}
-	for i := range directResults {
-		if batchResults[i] != directResults[i] {
-			t.Fatalf("op %d result diverged: batch %+v, direct %+v", i, batchResults[i], directResults[i])
-		}
-	}
-
-	direct := canonicalExport(t, directTr, directLedger)
-	batched := canonicalExport(t, batchTr, batchLedger)
-	if !bytes.Equal(direct, batched) {
-		t.Fatalf("exports diverged\ndirect:  %s\nbatched: %s", direct, batched)
 	}
 }
 

@@ -17,22 +17,6 @@ func benchPeerIDs(n int) []PeerID {
 	return ids
 }
 
-// singleMutexTracker reproduces the pre-shard tracker's critical section —
-// one global mutex guarding one score map — as the contention baseline the
-// sharded engine is measured against in the same benchmark run.
-type singleMutexTracker struct {
-	mu     sync.Mutex
-	scores map[PeerID]int
-}
-
-func (t *singleMutexTracker) misbehaving(id PeerID, score int) int {
-	t.mu.Lock()
-	t.scores[id] += score
-	total := t.scores[id]
-	t.mu.Unlock()
-	return total
-}
-
 // runScoreBench fans b.N misbehavior hits across g goroutines, each acting
 // as one distinct peer — the BM-DoS shape: many attackers scoring
 // concurrently against one victim's tracker. Goroutine count is explicit
@@ -59,8 +43,9 @@ func runScoreBench(b *testing.B, g int, hit func(id PeerID)) {
 
 // BenchmarkBanScoreParallel measures the tracker's misbehavior hot path
 // under 1, 8, and 64 concurrent peers, against the single-global-mutex
-// design it replaced. ModeThresholdInfinity keeps scores accumulating
-// without ban-list churn, isolating the score-path lock behavior.
+// reference model (modelTracker) doing the same Table I work.
+// ModeThresholdInfinity keeps scores accumulating without ban-list churn,
+// isolating the score-path lock behavior.
 func BenchmarkBanScoreParallel(b *testing.B) {
 	for _, g := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
@@ -72,9 +57,9 @@ func BenchmarkBanScoreParallel(b *testing.B) {
 	}
 	for _, g := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("baseline=single-mutex/goroutines=%d", g), func(b *testing.B) {
-			tr := &singleMutexTracker{scores: make(map[PeerID]int)}
+			tr := newModelTracker(V0_20_0, 0)
 			runScoreBench(b, g, func(id PeerID) {
-				tr.misbehaving(id, 1)
+				tr.misbehaving(id, true, VersionDuplicate)
 			})
 		})
 	}
@@ -91,6 +76,26 @@ func BenchmarkBanScoreForensics(b *testing.B) {
 	runScoreBench(b, 8, func(id PeerID) {
 		tr.MisbehavingCtx(id, true, VersionDuplicate, MisbehaviorContext{Command: "version"})
 	})
+}
+
+// BenchmarkBanScoreBatch is the batched entry point at the event loop's
+// cadence: a connection visit stages up to 64 hits, all one identity's,
+// and flushes them; ns/op is per hit. Compare goroutines=1 above, the same
+// hits through MisbehavingCtx.
+func BenchmarkBanScoreBatch(b *testing.B) {
+	tr := NewTracker(Config{Mode: ModeThresholdInfinity})
+	batch := tr.NewBatch()
+	ids := benchPeerIDs(256)
+	mctx := MisbehaviorContext{Command: "version"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch.Add(ids[i/64%len(ids)], true, VersionDuplicate, mctx)
+		if i%64 == 63 {
+			batch.Flush(nil)
+		}
+	}
+	batch.Flush(nil)
 }
 
 // BenchmarkBanListContention measures the read-mostly IsBanned path — the

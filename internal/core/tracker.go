@@ -227,7 +227,7 @@ type MisbehaviorContext struct {
 //
 //banlint:hotpath per-hit score path under the shard lock: value structs only, no per-call allocation
 func (t *Tracker) MisbehavingCtx(id PeerID, inbound bool, rule RuleID, mctx MisbehaviorContext) Result {
-	score, r, ok := t.prepare(inbound, rule)
+	score, name, ok := t.prepare(inbound, rule)
 	if !ok {
 		return Result{}
 	}
@@ -238,39 +238,40 @@ func (t *Tracker) MisbehavingCtx(id PeerID, inbound bool, rule RuleID, mctx Misb
 	// race a concurrent hit into resurrecting a stale total.
 	s := t.shard(id)
 	s.mu.Lock()
-	total, banned := t.applyLocked(s, id, rule, r, score, mctx)
+	total, banned := t.applyLocked(s, id, rule, name, score, mctx)
 	s.mu.Unlock()
 	return t.finish(id, rule, score, total, banned)
 }
 
 // prepare runs the lock-free gate of a misbehavior application: mode
-// checks, Table I rule lookup, and the role restriction. ok is false when
-// the call must be a no-op. Shared verbatim by the direct path and the
+// checks, Table I rule lookup, and the role restriction. It returns the
+// rule's score in the configured version and its Table I name; ok is false
+// when the call must be a no-op. Shared verbatim by the direct path and the
 // batched path so both reject exactly the same calls.
-func (t *Tracker) prepare(inbound bool, rule RuleID) (score int, r Rule, ok bool) {
+func (t *Tracker) prepare(inbound bool, rule RuleID) (score int, name string, ok bool) {
 	if t.cfg.Mode == ModeDisabled || t.cfg.Mode == ModeGoodScore {
 		// Checking/tracking omitted entirely (§VIII "Disabling the
 		// checking"), or replaced by good-score reputation.
-		return 0, Rule{}, false
+		return 0, "", false
 	}
 	// ModeCKB and ModeThresholdInfinity both keep scoring below but never
 	// cross into banning.
 	score, active := t.rules[rule]
 	if !active {
-		return 0, Rule{}, false
+		return 0, "", false
 	}
-	r, _ = LookupRule(rule)
+	r, _ := LookupRule(rule)
 	switch r.Object {
 	case InboundPeer:
 		if !inbound {
-			return 0, Rule{}, false
+			return 0, "", false
 		}
 	case OutboundPeer:
 		if inbound {
-			return 0, Rule{}, false
+			return 0, "", false
 		}
 	}
-	return score, r, true
+	return score, r.Name, true
 }
 
 // applyLocked is the scoring core: score accumulation, the ban decision,
@@ -280,18 +281,21 @@ func (t *Tracker) prepare(inbound bool, rule RuleID) (score int, r Rule, ok bool
 // exports byte-identical to the unbatched path's.
 //
 //banlint:hotpath runs under the shard lock for every scoring hit
-func (t *Tracker) applyLocked(s *trackerShard, id PeerID, rule RuleID, r Rule, score int, mctx MisbehaviorContext) (total int, banned bool) {
+func (t *Tracker) applyLocked(s *trackerShard, id PeerID, rule RuleID, ruleName string, score int, mctx MisbehaviorContext) (total int, banned bool) {
 	s.scores[id] += score
 	total = s.scores[id]
 	banned = t.cfg.Mode == ModeStandard && total >= t.cfg.BanThreshold
 	if banned {
 		delete(s.scores, id)
 	}
+	if t.cfg.Forensics == nil && t.cfg.OnRecord == nil {
+		return total, banned // nobody consumes the record: skip the clock read and the fill
+	}
 	rec := BanRecord{
 		At:            t.cfg.Clock(),
 		Peer:          id,
 		RuleID:        rule,
-		Rule:          r.Name,
+		Rule:          ruleName,
 		Delta:         score,
 		Score:         total,
 		Banned:        banned,

@@ -69,6 +69,10 @@ type SwarmResult struct {
 
 	MessagesProcessed uint64 `json:"messages_processed"`
 	EngineShards      int    `json:"engine_shards"`
+
+	// Engine is the event loop's own account of the run (swarm.Stats says
+	// what it leaves out).
+	Engine swarm.Stats `json:"engine"`
 }
 
 // Render formats the result as the experiment suite's tables are
@@ -81,6 +85,8 @@ func (r SwarmResult) Render() string {
 	fmt.Fprintf(&b, "  peak live       %d peers\n", r.PeakLive)
 	fmt.Fprintf(&b, "  admission       %.0f peers/s (%.2fs)\n", r.PeersPerSec, r.AdmitSeconds)
 	fmt.Fprintf(&b, "  absorption      %.0f msgs/s (%.2fs, %d messages)\n", r.MsgsPerSec, r.AbsorbSeconds, r.MessagesProcessed)
+	fmt.Fprintf(&b, "  event loop      %d visits (%d on a spent read budget), %d hits in %d flushes, at most %d staged\n",
+		r.Engine.Visits, r.Engine.BudgetExhausted, r.Engine.HitsFlushed, r.Engine.Flushes, r.Engine.MaxStaged)
 	return b.String()
 }
 
@@ -265,6 +271,7 @@ func Swarm(cfg SwarmConfig) (SwarmResult, error) {
 	res.MessagesProcessed = victim.Stats().MessagesProcessed - baseMsgs
 	res.MsgsPerSec = float64(res.MessagesProcessed) / res.AbsorbSeconds
 	res.Churned = churned
+	res.Engine = eng.Stats()
 
 	for i := range conns {
 		if conns[i] != nil {

@@ -7,13 +7,14 @@ import (
 
 // MisbehaviorBatch adapts the tracker's core.Batch to the node: staged hits
 // flush through the shared applyLocked body (one tracker shard-lock
-// acquisition per touched shard), and each result is then handed to
-// Node.scored with the connection that staged it — the same call the inline
-// path makes.
+// acquisition per run of hits on the same tracker shard), and each result
+// is then handed to Node.scored with the connection that staged it — the
+// same call the inline path makes.
 //
 // One MisbehaviorBatch belongs to one event-loop shard: StageMisbehavior
 // runs on the shard's worker via the peer's MisbehaviorSink, and the shard
-// calls Flush once per loop iteration. It is not safe for concurrent use.
+// calls Flush after each connection visit. It is not safe for concurrent
+// use.
 type MisbehaviorBatch struct {
 	n *Node
 	b *core.Batch
@@ -33,10 +34,21 @@ func (n *Node) NewMisbehaviorBatch() *MisbehaviorBatch {
 }
 
 // StageMisbehavior implements peer.MisbehaviorSink.
+//
+//banlint:hotpath per-hit staging path of an event-driven peer: two slot writes, growth out of line
 func (mb *MisbehaviorBatch) StageMisbehavior(p *peer.Peer, rule core.RuleID, mctx core.MisbehaviorContext) {
 	mb.b.Add(p.ID(), p.Inbound(), rule, mctx)
-	mb.staged = append(mb.staged, p)
+	n := len(mb.staged)
+	if n == cap(mb.staged) {
+		mb.grow()
+	}
+	mb.staged = mb.staged[:n+1]
+	mb.staged[n] = p
 }
+
+// grow keeps append out of the hot path: it extends the capacity and leaves
+// the length alone.
+func (mb *MisbehaviorBatch) grow() { mb.staged = append(mb.staged, nil)[:len(mb.staged)] }
 
 // Flush applies every staged hit and runs its consequences, in staging
 // order.

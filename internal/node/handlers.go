@@ -186,7 +186,7 @@ func (n *Node) dispatch(p *peer.Peer, msg wire.Message, rawLen int) {
 // names what each hit was carried by, and — when the message was sampled —
 // into a misbehave span on its lifecycle trace. An event-driven peer stages
 // the hit, with the evidence captured now, on its shard's MisbehaviorBatch;
-// scoring then happens at the shard's end-of-iteration flush. Either way
+// scoring then happens at the flush that ends the peer's visit. Either way
 // the consequences are n.scored's.
 func (n *Node) misbehave(p *peer.Peer, cmd string, rule core.RuleID) {
 	ctx := p.TraceCtx()
@@ -227,7 +227,7 @@ func (n *Node) misbehave(p *peer.Peer, cmd string, rule core.RuleID) {
 // A hit can land after its connection's teardown already forgot the
 // identifier: staged, then flushed after a read error (not an EOF: the
 // engine flushes before surfacing one) tore the connection down in the same
-// shard iteration, or applied by a handler racing a Disconnect. With nobody
+// visit, or applied by a handler racing a Disconnect. With nobody
 // connected as the identifier it is forgotten again, so the next session
 // from that [IP:Port] starts at zero, as if the hit had landed first.
 func (n *Node) scored(p *peer.Peer, res core.Result) {

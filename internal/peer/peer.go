@@ -47,10 +47,10 @@ type MessageHandler func(p *Peer, msg wire.Message, rawLen int)
 // MisbehaviorSink receives misbehavior reports for deferred, batched
 // application. An event-loop runner installs its shard's staging buffer on
 // every peer it pumps (SetMisbehaviorSink); the node's misbehave path then
-// stages instead of applying inline, and the runner flushes the buffer once
-// per loop iteration. The sink is invoked on the worker goroutine currently
-// dispatching the peer, so implementations need no internal locking beyond
-// the flush itself.
+// stages instead of applying inline, and the runner flushes the buffer at
+// the end of the peer's visit. The sink is invoked on the worker goroutine
+// currently dispatching the peer, so implementations need no internal
+// locking beyond the flush itself.
 type MisbehaviorSink interface {
 	StageMisbehavior(p *Peer, rule core.RuleID, mctx core.MisbehaviorContext)
 }

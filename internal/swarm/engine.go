@@ -6,8 +6,9 @@
 // slab-allocated, index-addressed per-peer slots reused across churn, so
 // 100k peers cost neither 200k goroutines nor 100k scattered heap objects.
 // Misbehavior raised while a shard's worker dispatches is staged into the
-// shard's batch and flushed once per loop iteration — one Tracker
-// shard-lock acquisition per touched shard instead of one per hit —
+// shard's batch and flushed at the end of that connection's visit — one
+// Tracker shard-lock acquisition per visit instead of one per hit, and never
+// more than ReadBudget hits staged, however many connections are open —
 // through the same scoring body as the inline path, preserving per-peer
 // Seq/Score linearization (see core.Batch).
 //
@@ -38,8 +39,8 @@ import (
 )
 
 // Batcher is the per-shard misbehavior staging buffer: the peer-facing
-// sink plus the end-of-iteration flush. node.MisbehaviorBatch implements
-// it; the indirection keeps this package free of a node dependency.
+// sink plus the end-of-visit flush. node.MisbehaviorBatch implements it;
+// the indirection keeps this package free of a node dependency.
 type Batcher interface {
 	peer.MisbehaviorSink
 	Flush()
@@ -65,9 +66,10 @@ type Config struct {
 	Shards int
 
 	// NewBatch builds a shard's misbehavior staging buffer. The engine
-	// calls it lazily from worker context, so it may close over a node
-	// that is constructed after the engine. Nil disables batching:
-	// misbehavior then applies inline, exactly as goroutine-loop peers.
+	// calls it when the shard registers its first connection, so it may
+	// close over a node that is constructed after the engine. Nil disables
+	// batching: misbehavior then applies inline, exactly as goroutine-loop
+	// peers.
 	NewBatch func() Batcher
 
 	// ReadBudget caps messages dispatched per connection per visit; zero
@@ -101,10 +103,41 @@ type shard struct {
 	live    int
 	stopped bool
 
-	// batch is the shard's staging buffer, created lazily on the worker.
-	// Only the worker touches it (stage during dispatch, flush at
-	// iteration end), so it needs no lock.
-	batch Batcher
+	// batch is the shard's staging buffer, created under mu by the first
+	// register and never replaced. Past that only the worker touches it
+	// (stage during dispatch, flush at the end of the visit), so using it
+	// needs no lock. staged counts the hits in it.
+	batch  Batcher
+	staged int
+
+	// work is the worker's own account of its loop, plain counters it alone
+	// writes; stats is the copy it publishes under mu once per pass.
+	work, stats Stats
+}
+
+// Stats is the event loop's account of itself. The counters are sums over
+// the shards; MaxStaged is the largest any one shard reported, since each
+// shard stages into its own batch. A shard publishes its counters when it
+// starts a pass over its run queue, so a reading trails the worker by at
+// most the pass in progress.
+//
+// What it does not see: time a worker spends parked on its run queue's
+// condition variable (an idle shard and a starved one read the same), time
+// spent waiting for a tracker shard lock inside a flush, and anything below
+// the frame gate — bytes buffered in the fabric that no visit has reached.
+type Stats struct {
+	// Visits is how many times a worker serviced a registered connection.
+	Visits uint64 `json:"visits"`
+	// Flushes counts visits that staged misbehavior and so ended in a batch
+	// flush; HitsFlushed is the hits those flushes applied.
+	Flushes     uint64 `json:"flushes"`
+	HitsFlushed uint64 `json:"hits_flushed"`
+	// MaxStaged is the high-water mark of hits staged at once in one
+	// shard's batch: at most what one visit's ReadBudget frames staged.
+	MaxStaged int `json:"max_staged"`
+	// BudgetExhausted counts visits that dispatched a full ReadBudget of
+	// frames and re-queued the connection behind its shard's other work.
+	BudgetExhausted uint64 `json:"read_budget_exhausted"`
 }
 
 // Engine is the sharded event-loop dispatcher. It implements peer.Runner.
@@ -185,6 +218,23 @@ func (e *Engine) Live() int {
 // Shards returns the worker-pool width.
 func (e *Engine) Shards() int { return len(e.shards) }
 
+// Stats returns the engine's account of its event loop (see Stats for what
+// the numbers leave out).
+func (e *Engine) Stats() Stats {
+	var total Stats
+	for _, sh := range e.shards {
+		sh.mu.Lock()
+		st := sh.stats
+		sh.mu.Unlock()
+		total.Visits += st.Visits
+		total.Flushes += st.Flushes
+		total.HitsFlushed += st.HitsFlushed
+		total.MaxStaged = max(total.MaxStaged, st.MaxStaged)
+		total.BudgetExhausted += st.BudgetExhausted
+	}
+	return total
+}
+
 // Stop shuts the worker pool down. Connections are not closed — their
 // owner (the node) tears them down; Stop only stops pumping them.
 func (e *Engine) Stop() {
@@ -245,11 +295,35 @@ func (sh *shard) register(p *peer.Peer, conn *simnet.Conn) {
 		if sh.batch == nil {
 			sh.batch = sh.e.cfg.NewBatch()
 		}
-		batch := sh.batch
 		sh.mu.Unlock()
-		p.SetMisbehaviorSink(batch)
+		p.SetMisbehaviorSink(sh)
 	}
 	wake()
+}
+
+// StageMisbehavior implements peer.MisbehaviorSink: the shard stands in
+// front of its batch so that it knows, without asking, how many hits the
+// batch holds. It runs on the shard's worker, inside a handler.
+func (sh *shard) StageMisbehavior(p *peer.Peer, rule core.RuleID, mctx core.MisbehaviorContext) {
+	sh.staged++
+	sh.batch.StageMisbehavior(p, rule, mctx)
+}
+
+// flush applies the hits the visit just staged. This is the only call of
+// the batch's Flush: it runs after a visit's read loop, so the batch never
+// holds more than one visit's ReadBudget frames staged, and before the
+// visit tears anything down or writes, so a teardown's Forget cannot
+// overtake the hits that precede it. A visit that staged nothing pays one
+// comparison.
+func (sh *shard) flush() {
+	if sh.staged == 0 {
+		return
+	}
+	sh.work.Flushes++
+	sh.work.HitsFlushed += uint64(sh.staged)
+	sh.work.MaxStaged = max(sh.work.MaxStaged, sh.staged)
+	sh.staged = 0
+	sh.batch.Flush()
 }
 
 // wake marks the slot runnable. Stale generations — wakes armed for a
@@ -285,12 +359,13 @@ func (sh *shard) detach(idx int32, p *peer.Peer, conn *simnet.Conn) {
 	sh.mu.Unlock()
 }
 
-// loop is the shard worker: drain the run queue into a working set, pump
-// each ready connection, then flush the iteration's staged misbehavior.
+// loop is the shard worker: drain the run queue into a working set and pump
+// each ready connection.
 func (sh *shard) loop() {
 	var ready []int32
 	for {
 		sh.mu.Lock()
+		sh.stats = sh.work
 		for len(sh.runq) == 0 && !sh.stopped {
 			sh.cond.Wait()
 		}
@@ -309,12 +384,6 @@ func (sh *shard) loop() {
 
 		for _, idx := range ready {
 			sh.service(idx)
-		}
-		// One flush per loop iteration: every misbehavior staged by the
-		// dispatches above applies now, under one tracker shard-lock
-		// acquisition per touched shard.
-		if sh.batch != nil {
-			sh.batch.Flush()
 		}
 	}
 }
@@ -341,8 +410,9 @@ func frameReady(conn *simnet.Conn, hdr *[wire.MessageHeaderSize]byte) (ready, eo
 }
 
 // service pumps one ready connection: dispatch buffered inbound frames up
-// to the read budget, then drain its outbound queue as far as the peer's
-// socket buffer allows, then re-queue if work remains.
+// to the read budget, flush the misbehavior they staged, then drain its
+// outbound queue as far as the peer's socket buffer allows, then re-queue
+// if work remains.
 func (sh *shard) service(idx int32) {
 	sh.mu.Lock()
 	s := sh.slotAt(idx)
@@ -351,28 +421,32 @@ func (sh *shard) service(idx int32) {
 	if p == nil {
 		return
 	}
+	sh.work.Visits++
 
 	var hdr [wire.MessageHeaderSize]byte
-	for i := 0; i < sh.e.cfg.ReadBudget; i++ {
-		ready, eof := frameReady(conn, &hdr)
-		if !ready {
+	frames, eof, failed := 0, false, false
+	for frames < sh.e.cfg.ReadBudget && !failed {
+		var ready bool
+		if ready, eof = frameReady(conn, &hdr); !ready || eof {
 			break
 		}
-		if eof {
-			// Nothing left to drain: surface the EOF/reset without a
-			// decode round trip. The teardown forgets the peer's score, so
-			// the hits this visit staged apply first, as on the inline path.
-			if sh.batch != nil {
-				sh.batch.Flush()
-			}
-			p.Disconnect()
-			sh.detach(idx, p, conn)
-			return
-		}
-		if !p.ReadStep() {
-			sh.detach(idx, p, conn)
-			return
-		}
+		failed = !p.ReadStep()
+		frames++
+	}
+	sh.flush()
+	if eof {
+		// Nothing left to drain: surface the EOF/reset without a decode
+		// round trip. The teardown forgets the peer's score, which is why
+		// the hits this visit staged were applied first, as on the inline
+		// path.
+		p.Disconnect()
+	}
+	if eof || failed {
+		sh.detach(idx, p, conn)
+		return
+	}
+	if frames == sh.e.cfg.ReadBudget {
+		sh.work.BudgetExhausted++
 	}
 
 	pending, ok := p.WriteStep(func() bool {

@@ -150,8 +150,8 @@ func TestEngineHandshakeAndPing(t *testing.T) {
 // TestEngineBanAtExactThreshold drives the batched misbehavior path to a
 // ban: each duplicate VERSION after the handshake scores 1, so the 100th
 // duplicate must cross DefaultBanThreshold, ban the identifier, and
-// disconnect the peer — with the hits applied via per-iteration batch
-// flushes rather than inline.
+// disconnect the peer — with the hits applied via per-visit batch flushes
+// rather than inline.
 func TestEngineBanAtExactThreshold(t *testing.T) {
 	e := newEnv(t, 1, nil)
 	from := "10.0.0.2:50001"
@@ -445,5 +445,83 @@ func TestEngineBanSpanningTwoIterationsSurvivesEOF(t *testing.T) {
 	recs := ledger.Records(id)
 	if last := recs[len(recs)-1]; len(recs) != 100 || !last.Banned || last.Score != 100 {
 		t.Fatalf("%d records ending in %+v, want 100 ending in a ban on exactly 100", len(recs), last)
+	}
+}
+
+// TestEngineStagingBoundedByReadBudget pins what sizes the misbehavior
+// batch: the engine's read budget, not the number of connections an
+// attacker opens. The worker is parked inside the blocker's flush while 256
+// identities connect and buffer their handshake and 101 duplicate VERSIONs
+// each, so the shard's first pass after the release finds every one of them
+// ready with a full budget of frames. Flushing once per pass would stage
+// the whole pass (256 × 62 hits) before applying any; flushing per visit
+// never holds more than one visit's worth. Either way every identity must
+// be banned by exactly its 100th duplicate.
+func TestEngineStagingBoundedByReadBudget(t *testing.T) {
+	const sybils = 256
+	ledger := core.NewLedger(0, 0)
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	e := newEnv(t, 1, func(cfg *node.Config) {
+		cfg.Forensics = ledger
+		cfg.MaxInbound = sybils + 8
+		cfg.TrackerConfig.OnApplied = func(core.PeerID, core.RuleID, int, int) {
+			once.Do(func() {
+				close(parked)
+				<-release
+			})
+		}
+	})
+
+	blocker := "10.0.0.2:50001"
+	bconn := e.dial(t, blocker)
+	defer bconn.Close()
+	handshake(t, bconn, blocker)
+	send(t, bconn, clientVersion(blocker, 1)) // one hit: its flush parks the worker
+	<-parked
+
+	identity := func(i int) string { return fmt.Sprintf("10.7.%d.2:50001", i) }
+	for i := 0; i < sybils; i++ {
+		from := identity(i)
+		var conn net.Conn
+		waitFor(t, "dial past a full accept backlog", func() bool {
+			var err error
+			conn, err = e.fabric.Dial(from, e.addr)
+			return err == nil
+		})
+		defer conn.Close()
+		version := clientVersion(from, 42)
+		send(t, conn, version)
+		send(t, conn, &wire.MsgVerAck{})
+		for k := 0; k < core.DefaultBanThreshold+1; k++ {
+			send(t, conn, version)
+		}
+	}
+	waitFor(t, "every identity registered", func() bool { return e.eng.Admitted() == sybils+1 })
+	close(release)
+
+	const hits = sybils*(core.DefaultBanThreshold+1) + 1 // the blocker's one included
+	waitFor(t, "every staged hit flushed", func() bool { return e.eng.Stats().HitsFlushed == hits })
+	st := e.eng.Stats()
+	if st.MaxStaged > swarm.DefaultReadBudget {
+		t.Errorf("%d hits staged at once; the read budget (%d) must bound the batch, not the %d connections", st.MaxStaged, swarm.DefaultReadBudget, sybils)
+	}
+	if st.MaxStaged < 2 || st.Flushes < 2*sybils || st.BudgetExhausted < sybils || st.Visits < st.Flushes {
+		t.Errorf("implausible engine stats for %d flooding identities: %+v", sybils, st)
+	}
+	for i := 0; i < sybils; i++ {
+		id := core.PeerIDFromAddr(identity(i))
+		if !e.node.Tracker().IsBanned(id) {
+			t.Fatalf("identity %d not banned", i)
+		}
+		recs := ledger.Records(id)
+		if len(recs) != core.DefaultBanThreshold+1 {
+			t.Fatalf("identity %d: %d records, want %d", i, len(recs), core.DefaultBanThreshold+1)
+		}
+		for k, rec := range recs {
+			if want := k == core.DefaultBanThreshold-1; rec.Banned != want || (want && rec.Score != core.DefaultBanThreshold) {
+				t.Fatalf("identity %d record %d: %+v; want one ban, on exactly %d at the %dth hit", i, k, rec, core.DefaultBanThreshold, core.DefaultBanThreshold)
+			}
+		}
 	}
 }
