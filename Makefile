@@ -54,11 +54,13 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# The wire buffer-pool suite again with poisoned releases: freed buffers
-# are overwritten with 0xdb, so any retained alias of a Released payload
-# fails loudly instead of reading recycled bytes.
+# The wire buffer-pool suite, and the peer read loop that releases every
+# payload after dispatch, again with poisoned releases: freed buffers are
+# overwritten with 0xdb, so any retained alias of a Released payload — a
+# decode target that kept a slice of it — fails loudly instead of reading
+# recycled bytes.
 test-poolpoison:
-	$(GO) test -tags poolpoison -count=1 ./internal/wire/
+	$(GO) test -tags poolpoison -count=1 ./internal/wire/ ./internal/peer/
 
 # Every native fuzz target in the tree, ten seconds each on top of its
 # committed seed corpus (go test -fuzz takes one target and one package per
@@ -68,6 +70,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzPipeHalf$$' -fuzztime 10s ./internal/simnet/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzRing$$' -fuzztime 10s ./internal/ring/
+	$(GO) test -run '^$$' -fuzz '^FuzzVersionDecodeReuse$$' -fuzztime 10s ./internal/wire/
 
 bench-telemetry:
 	$(GO) test -run xxx -bench BenchmarkTelemetry -benchtime 1x ./...

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"time"
 
@@ -118,9 +119,10 @@ func (d *PostConnectionDefamer) Run(count int, delay time.Duration) (DefamationR
 				i--
 				continue
 			}
-			if errors.Is(err, simnet.ErrConnNotFound) {
+			if errors.Is(err, simnet.ErrConnNotFound) || errors.Is(err, io.ErrClosedPipe) {
 				// The target banned the innocent peer and tore the
-				// connection down: the attack has succeeded.
+				// connection down — gone from the fabric, or closed and
+				// about to be: the attack has succeeded.
 				res.Elapsed = clk.Since(start)
 				return res, nil
 			}

@@ -250,7 +250,8 @@ type Node struct {
 
 	mu           sync.Mutex
 	peers        map[core.PeerID]*peer.Peer
-	dialing      map[core.PeerID]struct{} // outbound dials in flight, by target ID
+	watchdogs    map[*peer.Peer]*time.Timer // armed handshake deadlines; see armHandshakeWatchdog
+	dialing      map[core.PeerID]struct{}   // outbound dials in flight, by target ID
 	inbound      int
 	outbound     int
 	listeners    []net.Listener
@@ -321,6 +322,7 @@ func New(cfg Config) *Node {
 		mempool:      mempool.New(0),
 		addrmgr:      NewAddrManager(0x5eed),
 		peers:        make(map[core.PeerID]*peer.Peer),
+		watchdogs:    make(map[*peer.Peer]*time.Timer),
 		dialing:      make(map[core.PeerID]struct{}),
 		blockStore:   make(map[chainhash.Hash]*wire.MsgBlock),
 		headerCount:  make(map[core.PeerID]int),
@@ -793,6 +795,7 @@ func (n *Node) startPeer(conn net.Conn, inbound bool) *peer.Peer {
 		old, exists := n.peers[p.ID()]
 		if !exists {
 			n.peers[p.ID()] = p
+			n.armHandshakeWatchdog(p)
 			p.Start()
 			n.mu.Unlock()
 			break
@@ -808,7 +811,6 @@ func (n *Node) startPeer(conn net.Conn, inbound bool) *peer.Peer {
 		}
 		m.event(telemetry.EventPeerConnect, string(p.ID()), "", 0, direction)
 	}
-	n.armHandshakeWatchdog(p)
 
 	// A connection racing node shutdown would otherwise outlive Stop's
 	// peer snapshot; tear it down immediately.
@@ -823,23 +825,26 @@ func (n *Node) startPeer(conn net.Conn, inbound bool) *peer.Peer {
 
 // armHandshakeWatchdog disconnects p if its VERSION/VERACK exchange has not
 // completed within HandshakeTimeout, reclaiming a slot an unresponsive (or
-// deliberately silent) remote would otherwise pin.
+// deliberately silent) remote would otherwise pin. The timer's closure holds
+// the peer — send queue, conn and pipe buffers — so it is kept in watchdogs
+// for peerDisconnected to stop: nothing the node schedules may keep a peer
+// reachable past its teardown, or an attacker's closed connections would
+// size the victim's heap for HandshakeTimeout each. Called with n.mu held,
+// at registration, so the entry exists before the peer can disconnect.
 func (n *Node) armHandshakeWatchdog(p *peer.Peer) {
 	timeout := n.cfg.HandshakeTimeout
 	if timeout <= 0 {
 		return
 	}
-	time.AfterFunc(timeout, func() {
-		if p.HandshakeComplete() {
-			return
-		}
-		// Only count peers we are actually still holding a slot for: a
-		// peer that already disconnected for another reason is not a
-		// handshake timeout.
+	n.watchdogs[p] = time.AfterFunc(timeout, func() {
+		// Still registered means still holding a slot: a peer that
+		// disconnected for another reason had its timer stopped and is not
+		// a handshake timeout.
 		n.mu.Lock()
-		cur, live := n.peers[p.ID()]
+		_, live := n.watchdogs[p]
+		delete(n.watchdogs, p)
 		n.mu.Unlock()
-		if !live || cur != p {
+		if !live || p.HandshakeComplete() {
 			return
 		}
 		n.handshakeTimeouts.Add(1)
@@ -875,6 +880,10 @@ func (n *Node) peerDisconnected(p *peer.Peer) {
 		return
 	}
 	delete(n.peers, p.ID())
+	if t := n.watchdogs[p]; t != nil {
+		t.Stop()
+		delete(n.watchdogs, p)
+	}
 	delete(n.headerCount, p.ID())
 	delete(n.filters, p.ID())
 	if p.Inbound() {

@@ -1,10 +1,14 @@
 package node
 
 import (
+	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"banscore/internal/core"
+	"banscore/internal/peer"
 )
 
 // remoteNode starts a bare node listening at addr on env's fabric and adds
@@ -98,6 +102,51 @@ func TestHandshakeDeadlineSparesCompletedPeers(t *testing.T) {
 	if got := env.node.Stats().HandshakeTimeouts; got != 0 {
 		t.Errorf("HandshakeTimeouts = %d, want 0", got)
 	}
+}
+
+// TestHandshakeWatchdogReleasesClosedPeers: nothing the node schedules may
+// keep a peer reachable past its teardown. The handshake watchdog used to:
+// its never-stopped timer held each closed connection's peer — 1,024-slot
+// send queue, conn, both pipe buffers — until the deadline, so the number of
+// connections an attacker had opened and lost in the last HandshakeTimeout
+// sized the victim's heap. With the deadline an hour away, peers that
+// connect and leave must be collectable at once.
+func TestHandshakeWatchdogReleasesClosedPeers(t *testing.T) {
+	env := newEnv(t, func(cfg *Config) {
+		cfg.HandshakeTimeout = time.Hour
+	})
+	const conns = 200
+	var collected atomic.Int32
+	for i := 0; i < conns; i++ {
+		from := fmt.Sprintf("10.0.%d.2:50001", i)
+		conn := env.dial(t, from)
+		var p *peer.Peer
+		waitFor(t, "inbound peer registered", func() bool {
+			env.node.mu.Lock()
+			defer env.node.mu.Unlock()
+			p = env.node.peers[core.PeerIDFromAddr(from)]
+			return p != nil
+		})
+		// A Peer points at itself (its pick closure), and a finalizer on
+		// an object in a cycle never runs; so the peer is handed a marker
+		// only it can reach, and the finalizer goes on that.
+		marker := new([16]byte)
+		runtime.SetFinalizer(marker, func(*[16]byte) { collected.Add(1) })
+		p.SetQueueWake(func() { _ = marker })
+		p = nil
+		conn.Close()
+		waitFor(t, "closed peer retired", func() bool {
+			in, _ := env.node.PeerCount()
+			return in == 0
+		})
+	}
+	// A finalizer runs on the collection after the one that found its
+	// object unreachable, on its own goroutine.
+	waitFor(t, "closed peers collected", func() bool {
+		runtime.GC()
+		runtime.GC()
+		return collected.Load() >= conns*95/100
+	})
 }
 
 // TestHealthDegradedOnOutboundDeficit: /healthz content follows the keeper

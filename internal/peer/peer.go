@@ -162,8 +162,9 @@ type Peer struct {
 
 	// codec owns the per-connection decode state (header scratch, payload
 	// reader), and pick returns reusable decode targets for commands whose
-	// handlers never retain the message — only ping/pong, the flood shape.
-	// Both are used exclusively from the read loop.
+	// handlers never retain the message — ping, pong and (reuseVersion, below)
+	// a duplicate VERSION, the flood shapes. All are used exclusively from
+	// the read loop.
 	codec     wire.Codec
 	pick      func(cmd string) wire.Message
 	reusePing wire.MsgPing
@@ -182,6 +183,13 @@ type Peer struct {
 	// misbSink, when set, diverts misbehavior application into a staging
 	// buffer (see MisbehaviorSink).
 	misbSink atomic.Pointer[MisbehaviorSink]
+
+	// reuseVersion is pick's decode target for every VERSION after the
+	// first, made on the first duplicate: honest peers never send one, so
+	// they never pay for it. It stays the last field — a pointer added
+	// mid-struct would move the offsets, and with them the cache lines the
+	// read and write loops share, of every field behind it.
+	reuseVersion *wire.MsgVersion
 }
 
 // queued is one send-queue entry: the message plus, when the enqueue was
@@ -218,14 +226,24 @@ func New(conn net.Conn, inbound bool, cfg Config) *Peer {
 		quit:      make(chan struct{}),
 	}
 	// Built once so the read loop does not allocate a method-value closure
-	// per message. Only ping/pong are safe to reuse: every other handler
-	// (VERSION capture, block relay) may retain its message past dispatch.
+	// per message. Only messages no handler retains past dispatch are safe
+	// to reuse: ping, pong, and a VERSION once versionReceived is set — the
+	// first one MarkVersionReceived keeps, so it stays a fresh allocation;
+	// every later one is the "Duplicate VERSION" misbehavior, scored by
+	// command alone. Everything else (block relay, ADDR) may be retained.
 	p.pick = func(cmd string) wire.Message {
 		switch cmd {
 		case wire.CmdPing:
 			return &p.reusePing
 		case wire.CmdPong:
 			return &p.reusePong
+		case wire.CmdVersion:
+			if p.versionReceived.Load() {
+				if p.reuseVersion == nil {
+					p.reuseVersion = &wire.MsgVersion{}
+				}
+				return p.reuseVersion
+			}
 		}
 		return nil
 	}

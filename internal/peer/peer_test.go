@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"sync"
@@ -226,46 +227,82 @@ func TestRemoteCloseDisconnectsPeer(t *testing.T) {
 }
 
 func TestMalformedMessageDisconnects(t *testing.T) {
-	n := simnet.NewNetwork()
-	defer n.Close()
-	l, err := n.Listen("10.0.0.1:8333")
-	if err != nil {
+	// A VERSION payload is cut or rewritten from its user-agent length on:
+	// version 4 + services 8 + timestamp 8 + two 26-byte addresses + nonce 8.
+	const userAgentAt = 80
+	var valid bytes.Buffer
+	if err := testVersion(1).BtcEncode(&valid, wire.ProtocolVersion); err != nil {
 		t.Fatal(err)
 	}
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, _ := l.Accept()
-		accepted <- c
-	}()
-	raw, err := n.Dial("10.0.0.2:50001", "10.0.0.1:8333")
-	if err != nil {
-		t.Fatal(err)
+	version := func(tail ...byte) []byte {
+		return append(append([]byte(nil), valid.Bytes()[:userAgentAt]...), tail...)
 	}
-	serverConn := <-accepted
-	malformed := make(chan error, 1)
-	disconnected := make(chan struct{})
-	server := New(serverConn, true, Config{
-		Net:          wire.SimNet,
-		OnMalformed:  func(p *Peer, err error) { malformed <- err },
-		OnDisconnect: func(p *Peer) { close(disconnected) },
-	})
-	server.Start()
-	defer server.WaitForShutdown()
+	for _, tc := range []struct {
+		name string
+		// handshake sends a well-formed VERSION first, so the malformed
+		// one decodes into the connection's reused target.
+		handshake bool
+		command   string
+		payload   []byte
+	}{
+		// Valid checksums throughout: framing succeeds, decode fails.
+		{"truncated PING", false, wire.CmdPing, make([]byte, 4)},
+		{"truncated VERSION", false, wire.CmdVersion, version(16, '/')},
+		{"truncated duplicate VERSION", true, wire.CmdVersion, version(16, '/')},
+		{"over-long user agent in a duplicate VERSION", true, wire.CmdVersion,
+			append(version(0xfd, 0x01, 0x01), make([]byte, wire.MaxUserAgentLen+1+4+1)...)},
+		{"non-canonical length in a duplicate VERSION", true, wire.CmdVersion, version(0xfd, 1, 0, '/', 0, 0, 0, 0, 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := simnet.NewNetwork()
+			defer n.Close()
+			l, err := n.Listen("10.0.0.1:8333")
+			if err != nil {
+				t.Fatal(err)
+			}
+			accepted := make(chan net.Conn, 1)
+			go func() {
+				c, _ := l.Accept()
+				accepted <- c
+			}()
+			raw, err := n.Dial("10.0.0.2:50001", "10.0.0.1:8333")
+			if err != nil {
+				t.Fatal(err)
+			}
+			serverConn := <-accepted
+			malformed := make(chan error, 1)
+			disconnected := make(chan struct{})
+			server := New(serverConn, true, Config{
+				Net:          wire.SimNet,
+				OnMessage:    versionHandler(func(*wire.MsgVersion) {}),
+				OnMalformed:  func(p *Peer, err error) { malformed <- err },
+				OnDisconnect: func(p *Peer) { close(disconnected) },
+			})
+			server.Start()
+			defer server.WaitForShutdown()
 
-	// A PING frame with a valid checksum but a truncated (4-byte) payload
-	// fails decode after framing succeeds.
-	if _, err := wire.WriteRawMessage(raw, wire.CmdPing, make([]byte, 4), wire.SimNet); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-malformed:
-	case <-time.After(2 * time.Second):
-		t.Fatal("OnMalformed not invoked")
-	}
-	select {
-	case <-disconnected:
-	case <-time.After(2 * time.Second):
-		t.Fatal("malformed message did not disconnect")
+			if tc.handshake {
+				if _, err := wire.WriteMessage(raw, testVersion(0), wire.ProtocolVersion, wire.SimNet); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := wire.WriteRawMessage(raw, tc.command, tc.payload, wire.SimNet); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-malformed:
+			case <-time.After(2 * time.Second):
+				t.Fatal("OnMalformed not invoked")
+			}
+			select {
+			case <-disconnected:
+			case <-time.After(2 * time.Second):
+				t.Fatal("malformed message did not disconnect")
+			}
+			if tc.handshake && !server.VersionReceived() {
+				t.Error("the well-formed VERSION was not dispatched first")
+			}
+		})
 	}
 }
 

@@ -171,15 +171,18 @@ func TestEngineBanAtExactThreshold(t *testing.T) {
 	waitFor(t, "ban", func() bool { return e.node.Tracker().IsBanned(id) })
 	waitFor(t, "disconnect", func() bool { return e.eng.Live() == 0 })
 
-	// A banned identifier must be refused on re-dial: either the dial
-	// itself fails or the connection is dropped before any reply.
+	// A banned identifier must be refused on re-dial: the dial itself
+	// fails, or the connection is already closed when the VERSION is
+	// written, or it is dropped before any reply.
 	if c2, err := e.fabric.Dial(from, e.addr); err == nil {
-		send(t, c2, clientVersion(from, 43))
+		defer c2.Close()
+		if _, err := wire.WriteMessage(c2, clientVersion(from, 43), wire.ProtocolVersion, wire.SimNet); err != nil {
+			return
+		}
 		c2.SetReadDeadline(time.Now().Add(2 * time.Second))
 		if _, _, err := wire.ReadMessage(c2, wire.ProtocolVersion, wire.SimNet); err == nil {
 			t.Fatal("banned peer got a protocol reply")
 		}
-		c2.Close()
 	}
 }
 

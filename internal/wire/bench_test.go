@@ -85,3 +85,42 @@ func BenchmarkWireEncodeInv(b *testing.B) {
 		buf.Release()
 	}
 }
+
+// BenchmarkWireDecodeVersion is the frame both Sybil workloads flood with: a
+// VERSION through the full DecodeMessage path (header, checksum, every field
+// parsed). "fresh" decodes into a new message per frame, as a connection's
+// first VERSION — the one its peer retains — must; "reused" decodes into one
+// target the way the peer's picker does for every later, duplicate VERSION,
+// and the bench gate holds it at 0 allocs/op.
+func BenchmarkWireDecodeVersion(b *testing.B) {
+	var frame bytes.Buffer
+	if _, err := WriteMessage(&frame, testVersion(), ProtocolVersion, MainNet); err != nil {
+		b.Fatal(err)
+	}
+	var reuse MsgVersion
+	for _, bc := range []struct {
+		name string
+		pick func(string) Message
+	}{
+		{"fresh", nil},
+		{"reused", func(string) Message { return &reuse }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var codec Codec
+			var rd bytes.Reader
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(frame.Bytes())
+				msg, pbuf, err := codec.DecodeMessage(&rd, ProtocolVersion, MainNet, bc.pick)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if msg.(*MsgVersion).Nonce != 0xdeadbeefcafe {
+					b.Fatal("nonce mismatch")
+				}
+				pbuf.Release()
+			}
+		})
+	}
+}

@@ -68,6 +68,12 @@ func writeUint16(w io.Writer, v uint16) error {
 }
 
 func readUint16BE(r io.Reader) (uint16, error) {
+	if pr, ok := r.(*payloadReader); ok {
+		if s, ok := pr.take(2); ok {
+			return binary.BigEndian.Uint16(s), nil
+		}
+		return 0, pr.eofErr()
+	}
 	var b [2]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return 0, err
@@ -248,19 +254,36 @@ func VarIntSerializeSize(v uint64) int {
 // ReadVarString reads a variable-length string with a sanity cap so a
 // malicious peer cannot force a huge allocation.
 func ReadVarString(r io.Reader, maxLen uint64) (string, error) {
-	count, err := ReadVarInt(r)
+	b, err := readVarStringBytes(r, maxLen)
 	if err != nil {
 		return "", err
 	}
+	return string(b), nil
+}
+
+// readVarStringBytes is ReadVarString short of the string conversion. From a
+// *payloadReader the result aliases the pooled payload — no scratch slice is
+// allocated — so the caller must copy what it keeps before the next read.
+func readVarStringBytes(r io.Reader, maxLen uint64) ([]byte, error) {
+	count, err := ReadVarInt(r)
+	if err != nil {
+		return nil, err
+	}
 	if count > maxLen {
-		return "", messageError("ReadVarString",
+		return nil, messageError("ReadVarString",
 			fmt.Sprintf("variable length string is too long [count %d, max %d]", count, maxLen))
+	}
+	if pr, ok := r.(*payloadReader); ok {
+		if s, ok := pr.take(int(count)); ok {
+			return s, nil
+		}
+		return nil, pr.eofErr()
 	}
 	buf := make([]byte, count)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
+		return nil, err
 	}
-	return string(buf), nil
+	return buf, nil
 }
 
 // WriteVarString writes a variable-length string.

@@ -68,13 +68,33 @@ func TestVersionOptionalRelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Strip the trailing relay byte: old peers omit it.
-	trimmed := buf.Bytes()[:buf.Len()-1]
+	trimmed := bytes.Clone(buf.Bytes()[:buf.Len()-1])
 	var out MsgVersion
 	if err := out.BtcDecode(bytes.NewReader(trimmed), ProtocolVersion); err != nil {
 		t.Fatalf("decode without relay byte: %v", err)
 	}
 	if out.DisableRelay {
 		t.Error("missing relay byte should leave relay enabled")
+	}
+
+	// The same holds for a reused target: what it decoded last must not
+	// stand in for the byte this payload omits.
+	in.DisableRelay = true
+	buf.Reset()
+	if err := in.BtcEncode(&buf, ProtocolVersion); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.BtcDecode(bytes.NewReader(buf.Bytes()), ProtocolVersion); err != nil {
+		t.Fatal(err)
+	}
+	if !out.DisableRelay {
+		t.Fatal("relay=false payload should disable relay")
+	}
+	if err := out.BtcDecode(bytes.NewReader(trimmed), ProtocolVersion); err != nil {
+		t.Fatalf("decode without relay byte into a reused target: %v", err)
+	}
+	if out.DisableRelay {
+		t.Error("missing relay byte kept the reused target's relay=false")
 	}
 }
 

@@ -66,6 +66,14 @@ func (msg *MsgVersion) HasService(service ServiceFlag) bool {
 
 // BtcDecode decodes the VERSION message. Fields past LastBlock are optional
 // for old peers, matching the tolerant decoding of real nodes.
+//
+// It is reuse-safe: every field is parsed, bounds-checked and overwritten on
+// each call, so a target that has decoded before reads exactly as a fresh one
+// would. What such a target already owns is kept instead of re-allocated —
+// the two addresses' IP storage (overwritten in place, so a target must not
+// share it) and a UserAgent the wire bytes spell again.
+//
+//banlint:hotpath per-message on the duplicate-VERSION flood: a reused target decodes without allocating
 func (msg *MsgVersion) BtcDecode(r io.Reader, _ uint32) error {
 	pv, err := readUint32(r)
 	if err != nil {
@@ -91,26 +99,33 @@ func (msg *MsgVersion) BtcDecode(r io.Reader, _ uint32) error {
 	if msg.Nonce, err = readUint64(r); err != nil {
 		return err
 	}
-	ua, err := ReadVarString(r, MaxUserAgentLen)
+	ua, err := readVarStringBytes(r, MaxUserAgentLen)
 	if err != nil {
 		return err
 	}
-	msg.UserAgent = ua
+	msg.UserAgent = sameOrCopy(msg.UserAgent, ua)
 	lastBlock, err := readUint32(r)
 	if err != nil {
 		return err
 	}
 	msg.LastBlock = int32(lastBlock)
-	// Relay flag is optional trailing data.
+	// Relay flag is optional trailing data. Absent means relay, whatever a
+	// reused target decoded last.
 	relay, err := readBool(r)
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return nil
-	}
-	if err != nil {
+	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 		return err
 	}
-	msg.DisableRelay = !relay
+	msg.DisableRelay = err == nil && !relay
 	return nil
+}
+
+// sameOrCopy returns held when it already spells b, and otherwise the one
+// allocation BtcDecode cannot avoid: a copy of b, which aliases the payload.
+func sameOrCopy(held string, b []byte) string {
+	if held == string(b) {
+		return held
+	}
+	return string(b)
 }
 
 // BtcEncode encodes the VERSION message.

@@ -52,6 +52,12 @@ func NewNetAddress(addr *net.TCPAddr, services ServiceFlag) *NetAddress {
 // maxNetAddressPayload is the wire size of a NetAddress with timestamp.
 const maxNetAddressPayload = 4 + 8 + 16 + 2
 
+// readNetAddress decodes into na. From a *payloadReader the 16 address bytes
+// are copied over the IP storage na already owns, so a reused decode target
+// costs no allocation; they are always copied, never aliased, because the
+// payload is a pooled buffer its owner releases after dispatch.
+//
+//banlint:hotpath twice per VERSION on the duplicate-VERSION flood: a target that owns its address bytes is overwritten in place
 func readNetAddress(r io.Reader, na *NetAddress, withTimestamp bool) error {
 	if withTimestamp {
 		ts, err := readUint32(r)
@@ -65,11 +71,23 @@ func readNetAddress(r io.Reader, na *NetAddress, withTimestamp bool) error {
 		return err
 	}
 	na.Services = ServiceFlag(services)
-	var ip [16]byte
-	if _, err := io.ReadFull(r, ip[:]); err != nil {
-		return err
+	if pr, ok := r.(*payloadReader); ok {
+		b, ok := pr.take(net.IPv6len)
+		if !ok {
+			return pr.eofErr()
+		}
+		if cap(na.IP) >= len(b) {
+			na.IP = append(na.IP[:0], b...)
+		} else {
+			na.IP = ownIP(b)
+		}
+	} else {
+		var ip [net.IPv6len]byte
+		if _, err := io.ReadFull(r, ip[:]); err != nil {
+			return err
+		}
+		na.IP = net.IP(ip[:])
 	}
-	na.IP = net.IP(ip[:])
 	port, err := readUint16BE(r)
 	if err != nil {
 		return err
@@ -77,6 +95,10 @@ func readNetAddress(r io.Reader, na *NetAddress, withTimestamp bool) error {
 	na.Port = port
 	return nil
 }
+
+// ownIP keeps the one allocation of a target with no address storage yet (an
+// ADDR entry, a connection's first VERSION) out of readNetAddress.
+func ownIP(b []byte) net.IP { return append(net.IP(nil), b...) }
 
 func writeNetAddress(w io.Writer, na *NetAddress, withTimestamp bool) error {
 	if withTimestamp {
