@@ -440,20 +440,16 @@ func BenchmarkAblationDetectionWindow(b *testing.B) {
 }
 
 // BenchmarkWireBlockRoundTrip measures serialization throughput of the
-// largest message the attacks lean on.
+// largest message the attacks lean on, decoded the way the node decodes it:
+// from the verified payload.
 func BenchmarkWireBlockRoundTrip(b *testing.B) {
 	forge := attack.NewForge(blockchain.SimNetParams())
-	block := forge.BogusBlock(400)
-	var buf bytes.Buffer
-	if err := block.BtcEncode(&buf, wire.ProtocolVersion); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := attack.EncodeBlock(forge.BogusBlock(400))
 	b.SetBytes(int64(len(raw)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var out wire.MsgBlock
-		if err := out.BtcDecode(bytes.NewReader(raw), wire.ProtocolVersion); err != nil {
+		if err := out.BtcDecode(raw, wire.ProtocolVersion); err != nil {
 			b.Fatal(err)
 		}
 	}

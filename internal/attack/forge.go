@@ -52,9 +52,10 @@ func (f *Forge) BogusBlock(txCount int) *wire.MsgBlock {
 
 // EncodeBlock serializes a block payload for SendRaw/SendBogusChecksum.
 func EncodeBlock(block *wire.MsgBlock) []byte {
-	var buf bytes.Buffer
-	_ = block.BtcEncode(&buf, wire.ProtocolVersion)
-	return buf.Bytes()
+	buf := wire.GetBuf(0)
+	defer buf.Release()
+	_ = block.BtcEncode(buf, wire.ProtocolVersion)
+	return bytes.Clone(buf.Bytes())
 }
 
 // ValidTx builds a structurally valid transaction with a unique input.

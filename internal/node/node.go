@@ -473,7 +473,6 @@ func (n *Node) acceptInbound(conn net.Conn) {
 	if n.tracker.IsBanned(remote) {
 		n.bannedRefused.Add(1)
 		if m := n.metrics; m != nil {
-			m.refusedBanned.Inc()
 			m.event(telemetry.EventConnRefused, string(remote), "", 0, "banned")
 		}
 		conn.Close()
@@ -487,7 +486,6 @@ func (n *Node) acceptInbound(conn net.Conn) {
 	if e := n.cfg.Reputation; e != nil && e.Admission(remote) == reputation.VerdictReject {
 		n.netgroupRefused.Add(1)
 		if m := n.metrics; m != nil {
-			m.refusedNetgroup.Inc()
 			m.event(telemetry.EventConnRefused, string(remote), "", 0, "netgroup")
 		}
 		conn.Close()
@@ -519,7 +517,6 @@ func (n *Node) acceptInbound(conn net.Conn) {
 func (n *Node) refuseForSlots(conn net.Conn, remote core.PeerID) {
 	n.slotRefused.Add(1)
 	if m := n.metrics; m != nil {
-		m.refusedSlots.Inc()
 		m.event(telemetry.EventConnRefused, string(remote), "", 0, "slots")
 	}
 	conn.Close()
@@ -763,15 +760,12 @@ func (n *Node) startPeer(conn net.Conn, inbound bool) *peer.Peer {
 		Runner:         n.cfg.PeerRunner,
 		SendQueueDepth: n.cfg.PeerSendQueue,
 		OnMessage:      n.handleMessage,
-		OnMalformed: func(p *peer.Peer, err error) {
-			// Malformed framing: dropped without scoring (the wire
-			// layer rejected it before misbehavior processing).
-		},
+		// No OnMalformed: a message the wire layer rejects never reaches
+		// misbehavior processing — the peer is dropped without scoring.
 		OnDisconnect: n.peerDisconnected,
 		OnWriteTimeout: func(p *peer.Peer) {
 			n.writeTimeouts.Add(1)
 			if m := n.metrics; m != nil {
-				m.writeTimeouts.Inc()
 				m.event(telemetry.EventPeerDisconnect, string(p.ID()), "", 0, "write-timeout")
 			}
 		},
@@ -849,7 +843,6 @@ func (n *Node) armHandshakeWatchdog(p *peer.Peer) {
 		}
 		n.handshakeTimeouts.Add(1)
 		if m := n.metrics; m != nil {
-			m.handshakeTimeouts.Inc()
 			m.event(telemetry.EventPeerDisconnect, string(p.ID()), "", 0, "handshake-timeout")
 		}
 		p.Disconnect()
@@ -973,7 +966,6 @@ func (n *Node) keepOutboundSlot(lostAddr string) {
 		case err == nil:
 			n.reconnections.Add(1)
 			if m := n.metrics; m != nil {
-				m.reconnects.Inc()
 				m.event(telemetry.EventReconnect, string(core.PeerIDFromAddr(candidate)), "", 0, "")
 			}
 			if n.cfg.Tap != nil {

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -274,6 +275,60 @@ func TestOversizeRulesScore20(t *testing.T) {
 			waitFor(t, "score 20", func() bool {
 				return env.node.Tracker().Score(core.PeerIDFromAddr("10.0.0.2:50001")) == 20
 			})
+		})
+	}
+}
+
+// The counterpart of the oversize rules: a list whose count fits the decode
+// cap but whose payload ends right after it. The checksum is correct, so the
+// frame reaches the decoder — which must find it short from the count alone
+// (internal/wire pins that it allocates nothing for the claim) — and the node
+// drops the connection without scoring it.
+func TestLyingCountDisconnectsUnscored(t *testing.T) {
+	// claim is prefix zero bytes followed by the CompactSize of count.
+	claim := func(prefix int, count uint32) []byte {
+		p := make([]byte, prefix)
+		if count <= 0xffff {
+			return binary.LittleEndian.AppendUint16(append(p, 0xfd), uint16(count))
+		}
+		return binary.LittleEndian.AppendUint32(append(p, 0xfe), count)
+	}
+	for _, tc := range []struct {
+		command string
+		payload []byte
+	}{
+		{wire.CmdAddr, claim(0, 50*wire.MaxAddrPerMsg)},
+		{wire.CmdInv, claim(0, 4*wire.MaxInvPerMsg)},
+		{wire.CmdGetData, claim(0, 4*wire.MaxInvPerMsg)},
+		{wire.CmdHeaders, claim(0, 5*wire.MaxBlockHeadersPerMsg)},
+		{wire.CmdGetHeaders, claim(4, wire.MaxBlockLocatorsPerMsg)},
+		{wire.CmdTx, claim(4, 100000)},
+		{wire.CmdBlock, claim(wire.BlockHeaderLen, 100000)},
+		{wire.CmdMerkleBlock, claim(wire.BlockHeaderLen+4, 100000)},
+		{wire.CmdCmpctBlock, claim(wire.BlockHeaderLen+8, 100000)},
+		{wire.CmdGetBlockTxn, claim(chainhash.HashSize, 100000)},
+		{wire.CmdBlockTxn, claim(chainhash.HashSize, 100000)},
+		{wire.CmdFilterLoad, claim(0, 4*wire.MaxFilterLoadFilterSize)},
+	} {
+		t.Run(tc.command, func(t *testing.T) {
+			// A disconnect forgets the live score, so count rule hits.
+			var hits atomic.Int32
+			env := newEnv(t, func(cfg *Config) {
+				cfg.TrackerConfig.OnApplied = func(core.PeerID, core.RuleID, int, int) { hits.Add(1) }
+			})
+			conn := env.dial(t, "10.0.0.2:50001")
+			defer conn.Close()
+			handshake(t, conn)
+			if _, err := wire.WriteRawMessage(conn, tc.command, tc.payload, wire.SimNet); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "disconnect", func() bool {
+				in, _ := env.node.PeerCount()
+				return in == 0
+			})
+			if n := hits.Load(); n != 0 || env.node.Tracker().IsBanned(core.PeerIDFromAddr("10.0.0.2:50001")) {
+				t.Errorf("%d rule hits, want an unscored, unbanned disconnect", n)
+			}
 		})
 	}
 }
@@ -589,14 +644,12 @@ func TestChecksumBypassNoScore(t *testing.T) {
 
 	params := env.node.Chain().Params()
 	bogus := blockchain.BuildBlock(params, chainhash.DoubleHashH([]byte("junk")), 1, 1, time.Now(), nil)
-	var payload []byte
-	{
-		buf := &byteBuffer{}
-		if err := bogus.BtcEncode(buf, wire.ProtocolVersion); err != nil {
-			t.Fatal(err)
-		}
-		payload = buf.b
+	buf := wire.GetBuf(0)
+	defer buf.Release()
+	if err := bogus.BtcEncode(buf, wire.ProtocolVersion); err != nil {
+		t.Fatal(err)
 	}
+	payload := buf.Bytes()
 	for i := 0; i < 10; i++ {
 		if _, err := wire.WriteRawMessageChecksum(conn, wire.CmdBlock, payload, wire.SimNet, [4]byte{0xde, 0xad, 0xbe, 0xef}); err != nil {
 			t.Fatal(err)
@@ -610,13 +663,6 @@ func TestChecksumBypassNoScore(t *testing.T) {
 	if got := env.node.Tracker().Score(core.PeerIDFromAddr("10.0.0.2:50001")); got != 0 {
 		t.Errorf("score after checksum-bogus blocks = %d, want 0", got)
 	}
-}
-
-type byteBuffer struct{ b []byte }
-
-func (w *byteBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }
 
 func TestInboundSlotLimit(t *testing.T) {

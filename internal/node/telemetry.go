@@ -35,14 +35,7 @@ type nodeMetrics struct {
 	bans       *telemetry.Counter    // core_bans_total
 	goodCredit *telemetry.Counter    // core_good_credits_total
 
-	refusedBanned   *telemetry.Counter // node_conns_refused_total{reason="banned"}
-	refusedSlots    *telemetry.Counter // node_conns_refused_total{reason="slots"}
-	refusedNetgroup *telemetry.Counter // node_conns_refused_total{reason="netgroup"}
-	reconnects      *telemetry.Counter // node_reconnects_total
-
-	reconnectTries    *telemetry.CounterVec // node_reconnect_attempts_total{result}
-	handshakeTimeouts *telemetry.Counter    // node_handshake_timeouts_total
-	writeTimeouts     *telemetry.Counter    // peer_write_timeouts_total
+	reconnectTries *telemetry.CounterVec // node_reconnect_attempts_total{result}
 
 	// Byte totals of already-disconnected peers; the pull-style counters
 	// add these to the live per-peer sums so disconnects never lose
@@ -73,20 +66,25 @@ func newNodeMetrics(n *Node, reg *telemetry.Registry, journal *telemetry.Journal
 	reg.Describe("core_good_credits_total", "Good-score credits granted for valid BLOCK deliveries.")
 	m.goodCredit = reg.Counter("core_good_credits_total")
 
+	// The counters Stats() reports are read from the node at scrape time,
+	// not kept a second time here.
 	reg.Describe("node_conns_refused_total", "Inbound connections refused, by reason.")
-	m.refusedBanned = reg.Counter("node_conns_refused_total", telemetry.L("reason", "banned"))
-	m.refusedSlots = reg.Counter("node_conns_refused_total", telemetry.L("reason", "slots"))
-	m.refusedNetgroup = reg.Counter("node_conns_refused_total", telemetry.L("reason", "netgroup"))
+	reg.CounterFunc("node_conns_refused_total", func() float64 { return float64(n.bannedRefused.Load()) },
+		telemetry.L("reason", "banned"))
+	reg.CounterFunc("node_conns_refused_total", func() float64 { return float64(n.slotRefused.Load()) },
+		telemetry.L("reason", "slots"))
+	reg.CounterFunc("node_conns_refused_total", func() float64 { return float64(n.netgroupRefused.Load()) },
+		telemetry.L("reason", "netgroup"))
 	reg.Describe("node_reconnects_total", "Outbound connections rebuilt after a peer was lost.")
-	m.reconnects = reg.Counter("node_reconnects_total")
+	reg.CounterFunc("node_reconnects_total", func() float64 { return float64(n.reconnections.Load()) })
 
 	// Resilience layer: slot-keeper attempts and connection deadlines.
 	reg.Describe("node_reconnect_attempts_total", "Outbound slot-keeper dial attempts, by result.")
 	m.reconnectTries = reg.CounterVec("node_reconnect_attempts_total", "result")
 	reg.Describe("node_handshake_timeouts_total", "Peers dropped still pre-VERACK at the handshake deadline.")
-	m.handshakeTimeouts = reg.Counter("node_handshake_timeouts_total")
+	reg.CounterFunc("node_handshake_timeouts_total", func() float64 { return float64(n.handshakeTimeouts.Load()) })
 	reg.Describe("peer_write_timeouts_total", "Peers dropped because a message write exceeded its deadline.")
-	m.writeTimeouts = reg.Counter("peer_write_timeouts_total")
+	reg.CounterFunc("peer_write_timeouts_total", func() float64 { return float64(n.writeTimeouts.Load()) })
 	reg.Describe("node_outbound_deficit", "Outbound slots lost and currently being refilled by keepers.")
 	reg.GaugeFunc("node_outbound_deficit", func() float64 {
 		return float64(n.pendingOutbound.Load())

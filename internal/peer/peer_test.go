@@ -1,7 +1,6 @@
 package peer
 
 import (
-	"bytes"
 	"errors"
 	"net"
 	"sync"
@@ -230,8 +229,9 @@ func TestMalformedMessageDisconnects(t *testing.T) {
 	// A VERSION payload is cut or rewritten from its user-agent length on:
 	// version 4 + services 8 + timestamp 8 + two 26-byte addresses + nonce 8.
 	const userAgentAt = 80
-	var valid bytes.Buffer
-	if err := testVersion(1).BtcEncode(&valid, wire.ProtocolVersion); err != nil {
+	valid := wire.GetBuf(0)
+	defer valid.Release()
+	if err := testVersion(1).BtcEncode(valid, wire.ProtocolVersion); err != nil {
 		t.Fatal(err)
 	}
 	version := func(tail ...byte) []byte {

@@ -124,3 +124,28 @@ func BenchmarkWireDecodeVersion(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWireTxHash and BenchmarkWireBlockHash cover the two encoders that
+// run without a frame: a txid per relayed transaction, a header hash per
+// mined nonce. Both serialise into a pooled buffer and hash it; the gate
+// holds them at 0 allocs/op.
+func BenchmarkWireTxHash(b *testing.B) {
+	tx := testTx(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if tx.TxHash() == (chainhash.Hash{}) {
+			b.Fatal("zero hash")
+		}
+	}
+}
+
+func BenchmarkWireBlockHash(b *testing.B) {
+	hdr := testHeader(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		hdr.Nonce = uint32(i)
+		if hdr.BlockHash() == (chainhash.Hash{}) {
+			b.Fatal("zero hash")
+		}
+	}
+}

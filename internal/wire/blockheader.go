@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bytes"
-	"io"
 	"time"
 
 	"banscore/internal/chainhash"
@@ -36,20 +34,11 @@ type BlockHeader struct {
 // BlockHash computes the double-SHA256 hash of the serialized header, which
 // is the block's identity and its proof-of-work value.
 func (h *BlockHeader) BlockHash() chainhash.Hash {
-	buf := bytes.NewBuffer(make([]byte, 0, BlockHeaderLen))
-	// Serialize can only fail on a failing writer; bytes.Buffer never fails.
-	_ = writeBlockHeader(buf, h)
-	return chainhash.DoubleHashH(buf.Bytes())
-}
-
-// Serialize encodes the header to w in wire format.
-func (h *BlockHeader) Serialize(w io.Writer) error {
-	return writeBlockHeader(w, h)
-}
-
-// Deserialize decodes the header from r in wire format.
-func (h *BlockHeader) Deserialize(r io.Reader) error {
-	return readBlockHeader(r, h)
+	buf := GetBuf(0)
+	writeBlockHeader(buf, h)
+	hash := chainhash.DoubleHashH(buf.Bytes())
+	buf.Release()
+	return hash
 }
 
 // NewBlockHeader returns a header with the timestamp truncated to seconds,
@@ -65,45 +54,20 @@ func NewBlockHeader(version int32, prevBlock, merkleRoot *chainhash.Hash, timest
 	}
 }
 
-func readBlockHeader(r io.Reader, h *BlockHeader) error {
-	version, err := readUint32(r)
-	if err != nil {
-		return err
-	}
-	h.Version = int32(version)
-	if err := readHash(r, &h.PrevBlock); err != nil {
-		return err
-	}
-	if err := readHash(r, &h.MerkleRoot); err != nil {
-		return err
-	}
-	ts, err := readUint32(r)
-	if err != nil {
-		return err
-	}
-	h.Timestamp = time.Unix(int64(ts), 0)
-	if h.Bits, err = readUint32(r); err != nil {
-		return err
-	}
-	h.Nonce, err = readUint32(r)
-	return err
+func readBlockHeader(d *decoder, h *BlockHeader) {
+	h.Version = int32(d.uint32())
+	h.PrevBlock = d.hash()
+	h.MerkleRoot = d.hash()
+	h.Timestamp = time.Unix(int64(d.uint32()), 0)
+	h.Bits = d.uint32()
+	h.Nonce = d.uint32()
 }
 
-func writeBlockHeader(w io.Writer, h *BlockHeader) error {
-	if err := writeUint32(w, uint32(h.Version)); err != nil {
-		return err
-	}
-	if err := writeHash(w, &h.PrevBlock); err != nil {
-		return err
-	}
-	if err := writeHash(w, &h.MerkleRoot); err != nil {
-		return err
-	}
-	if err := writeUint32(w, uint32(h.Timestamp.Unix())); err != nil {
-		return err
-	}
-	if err := writeUint32(w, h.Bits); err != nil {
-		return err
-	}
-	return writeUint32(w, h.Nonce)
+func writeBlockHeader(w *Buf, h *BlockHeader) {
+	w.putUint32(uint32(h.Version))
+	w.putHash(&h.PrevBlock)
+	w.putHash(&h.MerkleRoot)
+	w.putUint32(uint32(h.Timestamp.Unix()))
+	w.putUint32(h.Bits)
+	w.putUint32(h.Nonce)
 }

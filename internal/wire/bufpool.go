@@ -66,11 +66,18 @@ func (b *Buf) Len() int {
 // buffer to the next fitting size class through the pools, so encoders
 // that start from a small class stay allocation-free at steady state.
 func (b *Buf) Write(p []byte) (int, error) {
-	if len(b.b)+len(p) > cap(b.b) {
-		b.grow(len(b.b) + len(p))
-	}
-	b.b = append(b.b, p...)
+	b.putBytes(p)
 	return len(p), nil
+}
+
+// room returns the buffer's contents with n bytes of capacity to append
+// into; every append to a Buf goes through it, so growth stays on the
+// size-class ladder.
+func (b *Buf) room(n int) []byte {
+	if len(b.b)+n > cap(b.b) {
+		b.grow(len(b.b) + n)
+	}
+	return b.b
 }
 
 // grow moves the buffer's contents into a backing array of the smallest

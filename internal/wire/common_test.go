@@ -8,6 +8,15 @@ import (
 	"testing/quick"
 )
 
+// put runs one encode helper against a fresh pooled buffer and returns what
+// it appended.
+func put(f func(w *Buf)) []byte {
+	w := GetBuf(0)
+	defer w.Release()
+	f(w)
+	return bytes.Clone(w.Bytes())
+}
+
 func TestVarIntRoundTrip(t *testing.T) {
 	tests := []struct {
 		name string
@@ -25,22 +34,16 @@ func TestVarIntRoundTrip(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := WriteVarInt(&buf, tt.in); err != nil {
-				t.Fatalf("WriteVarInt: %v", err)
-			}
-			if buf.Len() != tt.size {
-				t.Errorf("encoded size = %d, want %d", buf.Len(), tt.size)
+			enc := put(func(w *Buf) { w.putVarInt(tt.in) })
+			if len(enc) != tt.size {
+				t.Errorf("encoded size = %d, want %d", len(enc), tt.size)
 			}
 			if got := VarIntSerializeSize(tt.in); got != tt.size {
 				t.Errorf("VarIntSerializeSize = %d, want %d", got, tt.size)
 			}
-			out, err := ReadVarInt(&buf)
-			if err != nil {
-				t.Fatalf("ReadVarInt: %v", err)
-			}
-			if out != tt.in {
-				t.Errorf("round trip = %d, want %d", out, tt.in)
+			d := decoder{b: enc}
+			if out := d.varInt(); d.err != nil || out != tt.in {
+				t.Errorf("round trip = %d, %v, want %d", out, d.err, tt.in)
 			}
 		})
 	}
@@ -58,34 +61,32 @@ func TestVarIntNonCanonical(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := ReadVarInt(bytes.NewReader(tt.in))
+			d := decoder{b: tt.in}
+			d.varInt()
 			var mErr *MessageError
-			if !errors.As(err, &mErr) {
-				t.Errorf("ReadVarInt(%x) = %v, want MessageError", tt.in, err)
+			if !errors.As(d.err, &mErr) {
+				t.Errorf("varInt(%x) = %v, want MessageError", tt.in, d.err)
 			}
 		})
 	}
 }
 
+// A CompactSize cut short is a short payload, never the non-canonical
+// encoding its zero value would spell: the first error wins.
 func TestVarIntTruncated(t *testing.T) {
 	for _, in := range [][]byte{{}, {0xfd}, {0xfd, 0x01}, {0xfe, 0, 0}, {0xff, 0, 0, 0, 0}} {
-		if _, err := ReadVarInt(bytes.NewReader(in)); err == nil {
-			t.Errorf("ReadVarInt(%x) succeeded on truncated input", in)
+		d := decoder{b: in}
+		if d.varInt(); d.err != io.ErrUnexpectedEOF {
+			t.Errorf("varInt(%x) = %v, want ErrUnexpectedEOF", in, d.err)
 		}
 	}
 }
 
 func TestVarIntRoundTripProperty(t *testing.T) {
 	f := func(v uint64) bool {
-		var buf bytes.Buffer
-		if err := WriteVarInt(&buf, v); err != nil {
-			return false
-		}
-		if buf.Len() != VarIntSerializeSize(v) {
-			return false
-		}
-		out, err := ReadVarInt(&buf)
-		return err == nil && out == v
+		enc := put(func(w *Buf) { w.putVarInt(v) })
+		d := decoder{b: enc}
+		return len(enc) == VarIntSerializeSize(v) && d.varInt() == v && d.err == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -94,91 +95,95 @@ func TestVarIntRoundTripProperty(t *testing.T) {
 
 func TestVarStringRoundTrip(t *testing.T) {
 	for _, s := range []string{"", "a", "/Satoshi:0.20.0/", string(make([]byte, 300))} {
-		var buf bytes.Buffer
-		if err := WriteVarString(&buf, s); err != nil {
-			t.Fatalf("WriteVarString: %v", err)
-		}
-		out, err := ReadVarString(&buf, 1024)
-		if err != nil {
-			t.Fatalf("ReadVarString: %v", err)
-		}
-		if out != s {
-			t.Errorf("round trip = %q, want %q", out, s)
+		d := decoder{b: put(func(w *Buf) { w.putVarString(s) })}
+		if out := d.varString("test", 1024); d.err != nil || out != s {
+			t.Errorf("round trip = %q, %v, want %q", out, d.err, s)
 		}
 	}
 }
 
 func TestVarStringTooLong(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteVarString(&buf, string(make([]byte, 100))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadVarString(&buf, 99); err == nil {
-		t.Error("ReadVarString accepted string above cap")
+	d := decoder{b: put(func(w *Buf) { w.putVarString(string(make([]byte, 100))) })}
+	d.varString("test", 99)
+	var mErr *MessageError
+	if !errors.As(d.err, &mErr) {
+		t.Errorf("varString above cap = %v, want MessageError", d.err)
 	}
 }
 
 func TestVarBytesRoundTrip(t *testing.T) {
 	in := []byte{1, 2, 3, 4, 5}
-	var buf bytes.Buffer
-	if err := WriteVarBytes(&buf, in); err != nil {
-		t.Fatal(err)
+	enc := put(func(w *Buf) { w.putVarBytes(in) })
+	d := decoder{b: enc}
+	out := d.varBytes("test", 16)
+	if d.err != nil || !bytes.Equal(out, in) {
+		t.Errorf("round trip = %x, %v, want %x", out, d.err, in)
 	}
-	out, err := ReadVarBytes(&buf, 16, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, in) {
-		t.Errorf("round trip = %x, want %x", out, in)
+	// The payload is a pooled buffer: what a message keeps is a copy.
+	enc[1] = 0xdb
+	if out[0] != 1 {
+		t.Error("varBytes aliases the payload")
 	}
 }
 
 func TestVarBytesTooLong(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteVarBytes(&buf, make([]byte, 10)); err != nil {
-		t.Fatal(err)
+	d := decoder{b: put(func(w *Buf) { w.putVarBytes(make([]byte, 10)) })}
+	d.varBytes("test", 9)
+	var mErr *MessageError
+	if !errors.As(d.err, &mErr) {
+		t.Errorf("varBytes above cap = %v, want MessageError", d.err)
 	}
-	if _, err := ReadVarBytes(&buf, 9, "test"); err == nil {
-		t.Error("ReadVarBytes accepted bytes above cap")
+}
+
+// TestCountBeforeBytes: a count within the cap that the rest of the payload
+// cannot back is a short payload, and says so before the caller allocates.
+func TestCountBeforeBytes(t *testing.T) {
+	payload := append([]byte{3}, make([]byte, 3*32-1)...)
+	d := decoder{b: payload}
+	if n := d.count("hashes", 500, 32); n != 0 || d.err != io.ErrUnexpectedEOF {
+		t.Errorf("count = %d, %v, want 0, ErrUnexpectedEOF", n, d.err)
+	}
+	d = decoder{b: append(payload, 0)}
+	if n := d.count("hashes", 500, 32); n != 3 || d.err != nil {
+		t.Errorf("count = %d, %v, want 3", n, d.err)
 	}
 }
 
 func TestReadElementsTruncated(t *testing.T) {
-	empty := bytes.NewReader(nil)
-	if _, err := readUint16(empty); err != io.EOF {
-		t.Errorf("readUint16 on empty = %v, want EOF", err)
+	d := decoder{}
+	if d.uint16(); d.err != io.ErrUnexpectedEOF {
+		t.Errorf("uint16 on empty = %v, want ErrUnexpectedEOF", d.err)
 	}
-	if _, err := readUint32(bytes.NewReader([]byte{1, 2})); err == nil {
-		t.Error("readUint32 succeeded on 2 bytes")
+	d = decoder{b: []byte{1, 2}}
+	if d.uint32(); d.err == nil {
+		t.Error("uint32 succeeded on 2 bytes")
 	}
-	if _, err := readUint64(bytes.NewReader([]byte{1, 2, 3})); err == nil {
-		t.Error("readUint64 succeeded on 3 bytes")
+	// The error sticks: bytes that would satisfy a later read are not read.
+	if v := d.uint16(); v != 0 || d.err != io.ErrUnexpectedEOF {
+		t.Errorf("uint16 after a failed read = %d, %v", v, d.err)
+	}
+	d = decoder{b: []byte{1, 2, 3}}
+	if d.uint64(); d.err == nil {
+		t.Error("uint64 succeeded on 3 bytes")
 	}
 }
 
 func TestUint16BERoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeUint16BE(&buf, 8333); err != nil {
-		t.Fatal(err)
+	enc := put(func(w *Buf) { w.putUint16BE(8333) })
+	if enc[0] != 0x20 || enc[1] != 0x8d {
+		t.Errorf("big-endian encoding of 8333 = %x", enc)
 	}
-	if got := buf.Bytes(); got[0] != 0x20 || got[1] != 0x8d {
-		t.Errorf("big-endian encoding of 8333 = %x", got)
-	}
-	v, err := readUint16BE(&buf)
-	if err != nil || v != 8333 {
-		t.Errorf("round trip = %d, %v", v, err)
+	d := decoder{b: enc}
+	if v := d.uint16BE(); d.err != nil || v != 8333 {
+		t.Errorf("round trip = %d, %v", v, d.err)
 	}
 }
 
 func TestBoolRoundTrip(t *testing.T) {
 	for _, v := range []bool{true, false} {
-		var buf bytes.Buffer
-		if err := writeBool(&buf, v); err != nil {
-			t.Fatal(err)
-		}
-		out, err := readBool(&buf)
-		if err != nil || out != v {
-			t.Errorf("bool round trip(%v) = %v, %v", v, out, err)
+		d := decoder{b: put(func(w *Buf) { w.putBool(v) })}
+		if out := d.bool(); d.err != nil || out != v {
+			t.Errorf("bool round trip(%v) = %v, %v", v, out, d.err)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"io"
 
 	"banscore/internal/chainhash"
 )
@@ -59,18 +58,12 @@ func NewInvVect(typ InvType, hash *chainhash.Hash) *InvVect {
 // invVectSerializeSize is the wire size of an inventory vector.
 const invVectSerializeSize = 4 + chainhash.HashSize
 
-func readInvVect(r io.Reader, iv *InvVect) error {
-	typ, err := readUint32(r)
-	if err != nil {
-		return err
-	}
-	iv.Type = InvType(typ)
-	return readHash(r, &iv.Hash)
+func readInvVect(d *decoder, iv *InvVect) {
+	iv.Type = InvType(d.uint32())
+	iv.Hash = d.hash()
 }
 
-func writeInvVect(w io.Writer, iv *InvVect) error {
-	if err := writeUint32(w, uint32(iv.Type)); err != nil {
-		return err
-	}
-	return writeHash(w, &iv.Hash)
+func writeInvVect(w *Buf, iv *InvVect) {
+	w.putUint32(uint32(iv.Type))
+	w.putHash(&iv.Hash)
 }

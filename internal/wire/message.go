@@ -57,10 +57,15 @@ func (e *ErrUnknownCommand) Error() string {
 	return fmt.Sprintf("unknown command %q", e.Command)
 }
 
-// Message is the interface every Bitcoin P2P message implements.
+// Message is the interface every Bitcoin P2P message implements. Below the
+// frame layer there is no io: BtcDecode is handed a complete payload whose
+// length and checksum the frame layer has already verified — usually a pooled
+// buffer, so the decoded message must copy what it keeps and alias nothing —
+// and BtcEncode appends to the pooled buffer the frame is built in, whose
+// writes cannot fail, so its only errors are defects of the message itself.
 type Message interface {
-	BtcDecode(r io.Reader, pver uint32) error
-	BtcEncode(w io.Writer, pver uint32) error
+	BtcDecode(payload []byte, pver uint32) error
+	BtcEncode(w *Buf, pver uint32) error
 	Command() string
 	MaxPayloadLength(pver uint32) uint32
 }
@@ -154,13 +159,11 @@ type messageHeader struct {
 }
 
 // Codec decodes and encodes framed messages for one connection. It owns the
-// header scratch buffer and the payload reader that would otherwise escape
-// to the heap on every message, making the steady-state receive path
-// allocation-free. A Codec is not safe for concurrent use; each peer
-// connection embeds its own.
+// header scratch buffer that would otherwise escape to the heap on every
+// message, making the steady-state receive path allocation-free. A Codec is
+// not safe for concurrent use; each peer connection embeds its own.
 type Codec struct {
 	hdr [MessageHeaderSize]byte
-	pr  payloadReader
 }
 
 // LastChecksum returns the wire checksum of the most recently decoded
@@ -260,8 +263,7 @@ func (c *Codec) DecodeMessage(r io.Reader, pver uint32, bnet BitcoinNet, pick fu
 		return nil, nil, &ChecksumError{Command: hdr.command, Got: hdr.checksum, Want: checksum}
 	}
 
-	c.pr.reset(buf.Bytes())
-	if err := msg.BtcDecode(&c.pr, pver); err != nil {
+	if err := msg.BtcDecode(buf.Bytes(), pver); err != nil {
 		return nil, buf, err
 	}
 	return msg, buf, nil

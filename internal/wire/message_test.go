@@ -70,13 +70,10 @@ func TestReadMessageWrongNetwork(t *testing.T) {
 func TestReadMessageChecksumMismatch(t *testing.T) {
 	// Frame a PING with a deliberately corrupt checksum — the paper's
 	// "forgoing ban score by constructing bogus messages" vector.
-	var payload bytes.Buffer
-	if err := NewMsgPing(7).BtcEncode(&payload, ProtocolVersion); err != nil {
-		t.Fatal(err)
-	}
+	payload := encodePayload(t, NewMsgPing(7))
 	var buf bytes.Buffer
 	bad := [4]byte{0xde, 0xad, 0xbe, 0xef}
-	if _, err := WriteRawMessageChecksum(&buf, CmdPing, payload.Bytes(), SimNet, bad); err != nil {
+	if _, err := WriteRawMessageChecksum(&buf, CmdPing, payload, SimNet, bad); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err := ReadMessage(&buf, ProtocolVersion, SimNet)
@@ -86,7 +83,7 @@ func TestReadMessageChecksumMismatch(t *testing.T) {
 	// The error is a typed value that formats lazily; its text is a
 	// contract (logs and the journal carry it).
 	want := fmt.Sprintf("command %q: payload checksum mismatch (got deadbeef, want %x)",
-		CmdPing, chainhash.Checksum4(payload.Bytes()))
+		CmdPing, chainhash.Checksum4(payload))
 	if got := fmt.Sprint(err); got != want {
 		t.Errorf("ReadMessage error text = %q, want %q", got, want)
 	}
@@ -125,14 +122,15 @@ func TestReadMessageUnknownCommand(t *testing.T) {
 }
 
 func TestReadMessageOversizedHeaderLength(t *testing.T) {
-	var hdr bytes.Buffer
-	_ = writeUint32(&hdr, uint32(SimNet))
 	var cmd [CommandSize]byte
 	copy(cmd[:], CmdPing)
-	hdr.Write(cmd[:])
-	_ = writeUint32(&hdr, MaxMessagePayload+1)
-	hdr.Write([]byte{0, 0, 0, 0})
-	_, _, err := ReadMessage(&hdr, ProtocolVersion, SimNet)
+	hdr := put(func(w *Buf) {
+		w.putUint32(uint32(SimNet))
+		w.putBytes(cmd[:])
+		w.putUint32(MaxMessagePayload + 1)
+		w.putUint32(0)
+	})
+	_, _, err := ReadMessage(bytes.NewReader(hdr), ProtocolVersion, SimNet)
 	var mErr *MessageError
 	if !errors.As(err, &mErr) {
 		t.Errorf("ReadMessage oversize length = %v, want MessageError", err)
@@ -189,10 +187,10 @@ type fakeMessage struct {
 	maxLen  uint32
 }
 
-func (f *fakeMessage) BtcDecode(io.Reader, uint32) error { return nil }
-func (f *fakeMessage) BtcEncode(w io.Writer, _ uint32) error {
-	_, err := w.Write(f.payload)
-	return err
+func (f *fakeMessage) BtcDecode([]byte, uint32) error { return nil }
+func (f *fakeMessage) BtcEncode(w *Buf, _ uint32) error {
+	w.putBytes(f.payload)
+	return nil
 }
 func (f *fakeMessage) Command() string { return f.command }
 func (f *fakeMessage) MaxPayloadLength(uint32) uint32 {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"reflect"
 	"testing"
@@ -11,19 +12,26 @@ import (
 	"banscore/internal/chainhash"
 )
 
+// encodePayload returns msg's payload in memory the caller owns.
+func encodePayload(tb testing.TB, msg Message) []byte {
+	tb.Helper()
+	buf := GetBuf(0)
+	defer buf.Release()
+	if err := msg.BtcEncode(buf, ProtocolVersion); err != nil {
+		tb.Fatalf("BtcEncode(%s): %v", msg.Command(), err)
+	}
+	return bytes.Clone(buf.Bytes())
+}
+
 // roundTrip encodes msg, decodes it into a fresh message of the same
 // command, and returns the decoded message.
 func roundTrip(t *testing.T, msg Message) Message {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := msg.BtcEncode(&buf, ProtocolVersion); err != nil {
-		t.Fatalf("BtcEncode(%s): %v", msg.Command(), err)
-	}
 	out, err := makeEmptyMessage(msg.Command())
 	if err != nil {
 		t.Fatalf("makeEmptyMessage(%s): %v", msg.Command(), err)
 	}
-	if err := out.BtcDecode(&buf, ProtocolVersion); err != nil {
+	if err := out.BtcDecode(encodePayload(t, msg), ProtocolVersion); err != nil {
 		t.Fatalf("BtcDecode(%s): %v", msg.Command(), err)
 	}
 	return out
@@ -63,14 +71,11 @@ func TestVersionRoundTrip(t *testing.T) {
 
 func TestVersionOptionalRelay(t *testing.T) {
 	in := testVersion()
-	var buf bytes.Buffer
-	if err := in.BtcEncode(&buf, ProtocolVersion); err != nil {
-		t.Fatal(err)
-	}
 	// Strip the trailing relay byte: old peers omit it.
-	trimmed := bytes.Clone(buf.Bytes()[:buf.Len()-1])
+	full := encodePayload(t, in)
+	trimmed := full[:len(full)-1]
 	var out MsgVersion
-	if err := out.BtcDecode(bytes.NewReader(trimmed), ProtocolVersion); err != nil {
+	if err := out.BtcDecode(trimmed, ProtocolVersion); err != nil {
 		t.Fatalf("decode without relay byte: %v", err)
 	}
 	if out.DisableRelay {
@@ -80,17 +85,13 @@ func TestVersionOptionalRelay(t *testing.T) {
 	// The same holds for a reused target: what it decoded last must not
 	// stand in for the byte this payload omits.
 	in.DisableRelay = true
-	buf.Reset()
-	if err := in.BtcEncode(&buf, ProtocolVersion); err != nil {
-		t.Fatal(err)
-	}
-	if err := out.BtcDecode(bytes.NewReader(buf.Bytes()), ProtocolVersion); err != nil {
+	if err := out.BtcDecode(encodePayload(t, in), ProtocolVersion); err != nil {
 		t.Fatal(err)
 	}
 	if !out.DisableRelay {
 		t.Fatal("relay=false payload should disable relay")
 	}
-	if err := out.BtcDecode(bytes.NewReader(trimmed), ProtocolVersion); err != nil {
+	if err := out.BtcDecode(trimmed, ProtocolVersion); err != nil {
 		t.Fatalf("decode without relay byte into a reused target: %v", err)
 	}
 	if out.DisableRelay {
@@ -101,7 +102,9 @@ func TestVersionOptionalRelay(t *testing.T) {
 func TestVersionUserAgentTooLongOnEncode(t *testing.T) {
 	in := testVersion()
 	in.UserAgent = string(make([]byte, MaxUserAgentLen+1))
-	if err := in.BtcEncode(bytes.NewBuffer(nil), ProtocolVersion); err == nil {
+	buf := GetBuf(0)
+	defer buf.Release()
+	if err := in.BtcEncode(buf, ProtocolVersion); err == nil {
 		t.Error("encode accepted oversize user agent")
 	}
 }
@@ -260,13 +263,14 @@ func TestHeadersOversizeDecodesForScoring(t *testing.T) {
 }
 
 func TestHeadersRejectNonZeroTxCount(t *testing.T) {
-	var buf bytes.Buffer
-	_ = WriteVarInt(&buf, 1)
-	_ = testHeader(1).Serialize(&buf)
-	_ = WriteVarInt(&buf, 5) // non-zero tx count is malformed
+	in := NewMsgHeaders()
+	in.AddBlockHeader(testHeader(1))
+	payload := encodePayload(t, in)
+	payload[len(payload)-1] = 5 // non-zero tx count is malformed
 	var out MsgHeaders
-	if err := out.BtcDecode(&buf, ProtocolVersion); err == nil {
-		t.Error("headers with non-zero tx count decoded")
+	var mErr *MessageError
+	if err := out.BtcDecode(payload, ProtocolVersion); !errors.As(err, &mErr) {
+		t.Errorf("headers with non-zero tx count: %v, want MessageError", err)
 	}
 }
 
@@ -307,12 +311,8 @@ func TestTxSerializeSizeMatches(t *testing.T) {
 	txs := []*MsgTx{testTx(1), testTx(2)}
 	txs[1].TxIn[0].Witness = TxWitness{[]byte{9, 9}}
 	for i, tx := range txs {
-		var buf bytes.Buffer
-		if err := tx.Serialize(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if buf.Len() != tx.SerializeSize() {
-			t.Errorf("tx %d: SerializeSize = %d, actual %d", i, tx.SerializeSize(), buf.Len())
+		if n := len(encodePayload(t, tx)); n != tx.SerializeSize() {
+			t.Errorf("tx %d: SerializeSize = %d, actual %d", i, tx.SerializeSize(), n)
 		}
 	}
 }
@@ -343,12 +343,8 @@ func TestBlockRoundTrip(t *testing.T) {
 	if got := out.SerializeSize(); got != in.SerializeSize() {
 		t.Errorf("SerializeSize mismatch: %d vs %d", got, in.SerializeSize())
 	}
-	var buf bytes.Buffer
-	if err := in.Serialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != in.SerializeSize() {
-		t.Errorf("SerializeSize = %d, actual %d", in.SerializeSize(), buf.Len())
+	if n := len(encodePayload(t, in)); n != in.SerializeSize() {
+		t.Errorf("SerializeSize = %d, actual %d", in.SerializeSize(), n)
 	}
 }
 
@@ -376,18 +372,16 @@ func TestBlockHeaderRoundTripProperty(t *testing.T) {
 			Bits:       bits,
 			Nonce:      nonce,
 		}
-		var buf bytes.Buffer
-		if err := hdr.Serialize(&buf); err != nil {
-			return false
-		}
+		buf := GetBuf(0)
+		defer buf.Release()
+		writeBlockHeader(buf, &hdr)
 		if buf.Len() != BlockHeaderLen {
 			return false
 		}
 		var out BlockHeader
-		if err := out.Deserialize(&buf); err != nil {
-			return false
-		}
-		return out.BlockHash() == hdr.BlockHash()
+		d := decoder{b: buf.Bytes()}
+		readBlockHeader(&d, &out)
+		return d.err == nil && d.remaining() == 0 && out.BlockHash() == hdr.BlockHash()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -490,10 +484,28 @@ func TestGetBlockTxnDifferentialEncoding(t *testing.T) {
 	}
 }
 
+// A differential index large enough to wrap the running offset must not
+// decode to a descending — unencodable — index list.
+func TestGetBlockTxnIndexOverflow(t *testing.T) {
+	payload := put(func(w *Buf) {
+		w.putBytes(make([]byte, 32))
+		w.putVarInt(2)
+		w.putVarInt(4)
+		w.putVarInt(0xfffffffffffffffd) // 5 + this wraps to 2
+	})
+	var out MsgGetBlockTxn
+	var mErr *MessageError
+	if err := out.BtcDecode(payload, ProtocolVersion); !errors.As(err, &mErr) {
+		t.Errorf("wrapping index decoded: %v, indexes %v", err, out.Indexes)
+	}
+}
+
 func TestGetBlockTxnRejectsDescendingIndexes(t *testing.T) {
 	h := testHash(6)
 	in := NewMsgGetBlockTxn(&h, []uint32{5, 1})
-	if err := in.BtcEncode(bytes.NewBuffer(nil), ProtocolVersion); err == nil {
+	buf := GetBuf(0)
+	defer buf.Release()
+	if err := in.BtcEncode(buf, ProtocolVersion); err == nil {
 		t.Error("descending indexes encoded")
 	}
 }

@@ -1,12 +1,7 @@
 package wire
 
-import (
-	"fmt"
-	"io"
-)
-
-// hardMaxAddrPerMsg is the decode-time allocation cap for ADDR messages. It
-// is deliberately far above the MaxAddrPerMsg policy limit so oversize ADDR
+// hardMaxAddrPerMsg is the decode-time cap for ADDR messages. It is
+// deliberately far above the MaxAddrPerMsg policy limit so oversize ADDR
 // messages reach the node's misbehavior tracking (which scores them 20 per
 // Table I) instead of dying in deserialization.
 const hardMaxAddrPerMsg = 50 * MaxAddrPerMsg
@@ -28,36 +23,24 @@ func (msg *MsgAddr) AddAddress(na *NetAddress) {
 }
 
 // BtcDecode decodes the ADDR message.
-func (msg *MsgAddr) BtcDecode(r io.Reader, _ uint32) error {
-	count, err := ReadVarInt(r)
-	if err != nil {
-		return err
+func (msg *MsgAddr) BtcDecode(payload []byte, _ uint32) error {
+	d := decoder{b: payload}
+	count := d.count("addresses", hardMaxAddrPerMsg, maxNetAddressPayload)
+	msg.AddrList = make([]*NetAddress, 0, count)
+	for ; count > 0 && d.err == nil; count-- {
+		na := &NetAddress{}
+		readNetAddress(&d, na, true)
+		msg.AddrList = append(msg.AddrList, na)
 	}
-	if count > hardMaxAddrPerMsg {
-		return messageError("MsgAddr.BtcDecode",
-			fmt.Sprintf("address count %d exceeds hard cap %d", count, hardMaxAddrPerMsg))
-	}
-	msg.AddrList = make([]*NetAddress, 0, min(count, MaxAddrPerMsg))
-	for i := uint64(0); i < count; i++ {
-		na := NetAddress{}
-		if err := readNetAddress(r, &na, true); err != nil {
-			return err
-		}
-		msg.AddrList = append(msg.AddrList, &na)
-	}
-	return nil
+	return d.err
 }
 
 // BtcEncode encodes the ADDR message. Encoding does not enforce the policy
 // limit: the attacker toolkit must be able to emit oversize messages.
-func (msg *MsgAddr) BtcEncode(w io.Writer, _ uint32) error {
-	if err := WriteVarInt(w, uint64(len(msg.AddrList))); err != nil {
-		return err
-	}
+func (msg *MsgAddr) BtcEncode(w *Buf, _ uint32) error {
+	w.putVarInt(uint64(len(msg.AddrList)))
 	for _, na := range msg.AddrList {
-		if err := writeNetAddress(w, na, true); err != nil {
-			return err
-		}
+		writeNetAddress(w, na, true)
 	}
 	return nil
 }

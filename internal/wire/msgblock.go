@@ -1,11 +1,6 @@
 package wire
 
-import (
-	"fmt"
-	"io"
-
-	"banscore/internal/chainhash"
-)
+import "banscore/internal/chainhash"
 
 // MsgBlock implements the Message interface and represents a Bitcoin BLOCK
 // message: a header followed by its transactions.
@@ -45,50 +40,39 @@ func (msg *MsgBlock) TxHashes() []chainhash.Hash {
 	return hashes
 }
 
-// BtcDecode decodes the block from r.
-func (msg *MsgBlock) BtcDecode(r io.Reader, pver uint32) error {
-	if err := readBlockHeader(r, &msg.Header); err != nil {
-		return err
+// BtcDecode decodes the block.
+func (msg *MsgBlock) BtcDecode(payload []byte, _ uint32) error {
+	d := decoder{b: payload}
+	readBlockHeader(&d, &msg.Header)
+	msg.Transactions = readTxList(&d)
+	return d.err
+}
+
+// readTxList decodes the counted transaction list BLOCK and BLOCKTXN end in.
+func readTxList(d *decoder) []*MsgTx {
+	count := d.count("transactions", maxTxPerMsg, minTxSize)
+	txs := make([]*MsgTx, 0, count)
+	for ; count > 0 && d.err == nil; count-- {
+		tx := &MsgTx{}
+		tx.decode(d)
+		txs = append(txs, tx)
 	}
-	txCount, err := ReadVarInt(r)
-	if err != nil {
-		return err
-	}
-	if txCount > maxTxPerMsg {
-		return messageError("MsgBlock.BtcDecode", fmt.Sprintf("too many transactions [%d]", txCount))
-	}
-	msg.Transactions = make([]*MsgTx, 0, txCount)
-	for i := uint64(0); i < txCount; i++ {
-		tx := MsgTx{}
-		if err := tx.BtcDecode(r, pver); err != nil {
-			return err
-		}
-		msg.Transactions = append(msg.Transactions, &tx)
-	}
+	return txs
+}
+
+// BtcEncode encodes the block.
+func (msg *MsgBlock) BtcEncode(w *Buf, _ uint32) error {
+	writeBlockHeader(w, &msg.Header)
+	writeTxList(w, msg.Transactions)
 	return nil
 }
 
-// BtcEncode encodes the block to w.
-func (msg *MsgBlock) BtcEncode(w io.Writer, pver uint32) error {
-	if err := writeBlockHeader(w, &msg.Header); err != nil {
-		return err
+func writeTxList(w *Buf, txs []*MsgTx) {
+	w.putVarInt(uint64(len(txs)))
+	for _, tx := range txs {
+		tx.encode(w, true)
 	}
-	if err := WriteVarInt(w, uint64(len(msg.Transactions))); err != nil {
-		return err
-	}
-	for _, tx := range msg.Transactions {
-		if err := tx.BtcEncode(w, pver); err != nil {
-			return err
-		}
-	}
-	return nil
 }
-
-// Serialize writes the block in stored form.
-func (msg *MsgBlock) Serialize(w io.Writer) error { return msg.BtcEncode(w, ProtocolVersion) }
-
-// Deserialize reads the block in stored form.
-func (msg *MsgBlock) Deserialize(r io.Reader) error { return msg.BtcDecode(r, ProtocolVersion) }
 
 // SerializeSize returns the serialized size of the block.
 func (msg *MsgBlock) SerializeSize() int {

@@ -1,11 +1,6 @@
 package wire
 
-import (
-	"fmt"
-	"io"
-
-	"banscore/internal/chainhash"
-)
+import "banscore/internal/chainhash"
 
 // MsgSendCmpct implements the Message interface and represents a SENDCMPCT
 // message (BIP152) negotiating compact-block relay.
@@ -25,22 +20,18 @@ func NewMsgSendCmpct(announce bool, version uint64) *MsgSendCmpct {
 }
 
 // BtcDecode decodes the SENDCMPCT message.
-func (msg *MsgSendCmpct) BtcDecode(r io.Reader, _ uint32) error {
-	announce, err := readBool(r)
-	if err != nil {
-		return err
-	}
-	msg.Announce = announce
-	msg.Version, err = readUint64(r)
-	return err
+func (msg *MsgSendCmpct) BtcDecode(payload []byte, _ uint32) error {
+	d := decoder{b: payload}
+	msg.Announce = d.bool()
+	msg.Version = d.uint64()
+	return d.err
 }
 
 // BtcEncode encodes the SENDCMPCT message.
-func (msg *MsgSendCmpct) BtcEncode(w io.Writer, _ uint32) error {
-	if err := writeBool(w, msg.Announce); err != nil {
-		return err
-	}
-	return writeUint64(w, msg.Version)
+func (msg *MsgSendCmpct) BtcEncode(w *Buf, _ uint32) error {
+	w.putBool(msg.Announce)
+	w.putUint64(msg.Version)
+	return nil
 }
 
 // Command returns the protocol command string.
@@ -56,8 +47,12 @@ type PrefilledTx struct {
 	Tx    *MsgTx
 }
 
-// maxShortIDsPerBlock caps the short id list of a compact block.
-const maxShortIDsPerBlock = maxTxPerMsg
+// maxShortIDsPerBlock caps the short id list of a compact block; shortIDSize
+// is the wire size of one.
+const (
+	maxShortIDsPerBlock = maxTxPerMsg
+	shortIDSize         = 6
+)
 
 // MsgCmpctBlock implements the Message interface and represents a CMPCTBLOCK
 // message (BIP152): header, nonce, 6-byte short ids, and prefilled txs.
@@ -76,84 +71,38 @@ func NewMsgCmpctBlock(header *BlockHeader) *MsgCmpctBlock {
 }
 
 // BtcDecode decodes the CMPCTBLOCK message.
-func (msg *MsgCmpctBlock) BtcDecode(r io.Reader, pver uint32) error {
-	if err := readBlockHeader(r, &msg.Header); err != nil {
-		return err
+func (msg *MsgCmpctBlock) BtcDecode(payload []byte, _ uint32) error {
+	d := decoder{b: payload}
+	readBlockHeader(&d, &msg.Header)
+	msg.Nonce = d.uint64()
+	count := d.count("short ids", maxShortIDsPerBlock, shortIDSize)
+	msg.ShortIDs = make([]uint64, 0, count)
+	for ; count > 0 && d.err == nil; count-- {
+		msg.ShortIDs = append(msg.ShortIDs, uint64(d.uint32())|uint64(d.uint16())<<32)
 	}
-	var err error
-	if msg.Nonce, err = readUint64(r); err != nil {
-		return err
-	}
-	count, err := ReadVarInt(r)
-	if err != nil {
-		return err
-	}
-	if count > maxShortIDsPerBlock {
-		return messageError("MsgCmpctBlock.BtcDecode",
-			fmt.Sprintf("too many short ids [%d, max %d]", count, maxShortIDsPerBlock))
-	}
-	msg.ShortIDs = make([]uint64, count)
-	for i := uint64(0); i < count; i++ {
-		var b [6]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return err
-		}
-		msg.ShortIDs[i] = uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 |
-			uint64(b[3])<<24 | uint64(b[4])<<32 | uint64(b[5])<<40
-	}
-	count, err = ReadVarInt(r)
-	if err != nil {
-		return err
-	}
-	if count > maxShortIDsPerBlock {
-		return messageError("MsgCmpctBlock.BtcDecode",
-			fmt.Sprintf("too many prefilled txs [%d, max %d]", count, maxShortIDsPerBlock))
-	}
+	count = d.count("prefilled txs", maxShortIDsPerBlock, 1+minTxSize)
 	msg.PrefilledTxs = make([]*PrefilledTx, 0, count)
-	for i := uint64(0); i < count; i++ {
-		idx, err := ReadVarInt(r)
-		if err != nil {
-			return err
-		}
-		tx := MsgTx{}
-		if err := tx.BtcDecode(r, pver); err != nil {
-			return err
-		}
-		msg.PrefilledTxs = append(msg.PrefilledTxs, &PrefilledTx{Index: uint32(idx), Tx: &tx})
+	for ; count > 0 && d.err == nil; count-- {
+		ptx := &PrefilledTx{Index: uint32(d.varInt()), Tx: &MsgTx{}}
+		ptx.Tx.decode(&d)
+		msg.PrefilledTxs = append(msg.PrefilledTxs, ptx)
 	}
-	return nil
+	return d.err
 }
 
 // BtcEncode encodes the CMPCTBLOCK message.
-func (msg *MsgCmpctBlock) BtcEncode(w io.Writer, pver uint32) error {
-	if err := writeBlockHeader(w, &msg.Header); err != nil {
-		return err
-	}
-	if err := writeUint64(w, msg.Nonce); err != nil {
-		return err
-	}
-	if err := WriteVarInt(w, uint64(len(msg.ShortIDs))); err != nil {
-		return err
-	}
+func (msg *MsgCmpctBlock) BtcEncode(w *Buf, _ uint32) error {
+	writeBlockHeader(w, &msg.Header)
+	w.putUint64(msg.Nonce)
+	w.putVarInt(uint64(len(msg.ShortIDs)))
 	for _, id := range msg.ShortIDs {
-		b := [6]byte{
-			byte(id), byte(id >> 8), byte(id >> 16),
-			byte(id >> 24), byte(id >> 32), byte(id >> 40),
-		}
-		if _, err := w.Write(b[:]); err != nil {
-			return err
-		}
+		w.putUint32(uint32(id))
+		w.putUint16(uint16(id >> 32))
 	}
-	if err := WriteVarInt(w, uint64(len(msg.PrefilledTxs))); err != nil {
-		return err
-	}
+	w.putVarInt(uint64(len(msg.PrefilledTxs)))
 	for _, ptx := range msg.PrefilledTxs {
-		if err := WriteVarInt(w, uint64(ptx.Index)); err != nil {
-			return err
-		}
-		if err := ptx.Tx.BtcEncode(w, pver); err != nil {
-			return err
-		}
+		w.putVarInt(uint64(ptx.Index))
+		ptx.Tx.encode(w, true)
 	}
 	return nil
 }
@@ -184,53 +133,35 @@ func NewMsgGetBlockTxn(blockHash *chainhash.Hash, indexes []uint32) *MsgGetBlock
 
 // BtcDecode decodes the GETBLOCKTXN message, converting differential indexes
 // to absolute ones.
-func (msg *MsgGetBlockTxn) BtcDecode(r io.Reader, _ uint32) error {
-	if err := readHash(r, &msg.BlockHash); err != nil {
-		return err
-	}
-	count, err := ReadVarInt(r)
-	if err != nil {
-		return err
-	}
-	if count > maxShortIDsPerBlock {
-		return messageError("MsgGetBlockTxn.BtcDecode",
-			fmt.Sprintf("too many indexes [%d, max %d]", count, maxShortIDsPerBlock))
-	}
-	msg.Indexes = make([]uint32, count)
+func (msg *MsgGetBlockTxn) BtcDecode(payload []byte, _ uint32) error {
+	d := decoder{b: payload}
+	msg.BlockHash = d.hash()
+	count := d.count("indexes", maxShortIDsPerBlock, 1)
+	msg.Indexes = make([]uint32, 0, count)
 	offset := uint64(0)
-	for i := uint64(0); i < count; i++ {
-		diff, err := ReadVarInt(r)
-		if err != nil {
-			return err
-		}
+	for ; count > 0 && d.err == nil; count-- {
+		diff := d.varInt()
 		offset += diff
-		if offset > 0xffffffff {
-			return messageError("MsgGetBlockTxn.BtcDecode", "index overflow")
+		if diff > 0xffffffff || offset > 0xffffffff {
+			d.malformed("index overflow")
 		}
-		msg.Indexes[i] = uint32(offset)
+		msg.Indexes = append(msg.Indexes, uint32(offset))
 		offset++
 	}
-	return nil
+	return d.err
 }
 
 // BtcEncode encodes the GETBLOCKTXN message using differential indexes.
-func (msg *MsgGetBlockTxn) BtcEncode(w io.Writer, _ uint32) error {
-	if err := writeHash(w, &msg.BlockHash); err != nil {
-		return err
-	}
-	if err := WriteVarInt(w, uint64(len(msg.Indexes))); err != nil {
-		return err
-	}
+func (msg *MsgGetBlockTxn) BtcEncode(w *Buf, _ uint32) error {
+	w.putHash(&msg.BlockHash)
+	w.putVarInt(uint64(len(msg.Indexes)))
 	prev := uint64(0)
 	for i, idx := range msg.Indexes {
 		cur := uint64(idx)
 		if i > 0 && cur < prev {
 			return messageError("MsgGetBlockTxn.BtcEncode", "indexes must be ascending")
 		}
-		diff := cur - prev
-		if err := WriteVarInt(w, diff); err != nil {
-			return err
-		}
+		w.putVarInt(cur - prev)
 		prev = cur + 1
 	}
 	return nil
@@ -259,42 +190,17 @@ func NewMsgBlockTxn(blockHash *chainhash.Hash, txs []*MsgTx) *MsgBlockTxn {
 }
 
 // BtcDecode decodes the BLOCKTXN message.
-func (msg *MsgBlockTxn) BtcDecode(r io.Reader, pver uint32) error {
-	if err := readHash(r, &msg.BlockHash); err != nil {
-		return err
-	}
-	count, err := ReadVarInt(r)
-	if err != nil {
-		return err
-	}
-	if count > maxTxPerMsg {
-		return messageError("MsgBlockTxn.BtcDecode",
-			fmt.Sprintf("too many transactions [%d, max %d]", count, maxTxPerMsg))
-	}
-	msg.Txs = make([]*MsgTx, 0, count)
-	for i := uint64(0); i < count; i++ {
-		tx := MsgTx{}
-		if err := tx.BtcDecode(r, pver); err != nil {
-			return err
-		}
-		msg.Txs = append(msg.Txs, &tx)
-	}
-	return nil
+func (msg *MsgBlockTxn) BtcDecode(payload []byte, _ uint32) error {
+	d := decoder{b: payload}
+	msg.BlockHash = d.hash()
+	msg.Txs = readTxList(&d)
+	return d.err
 }
 
 // BtcEncode encodes the BLOCKTXN message.
-func (msg *MsgBlockTxn) BtcEncode(w io.Writer, pver uint32) error {
-	if err := writeHash(w, &msg.BlockHash); err != nil {
-		return err
-	}
-	if err := WriteVarInt(w, uint64(len(msg.Txs))); err != nil {
-		return err
-	}
-	for _, tx := range msg.Txs {
-		if err := tx.BtcEncode(w, pver); err != nil {
-			return err
-		}
-	}
+func (msg *MsgBlockTxn) BtcEncode(w *Buf, _ uint32) error {
+	w.putHash(&msg.BlockHash)
+	writeTxList(w, msg.Txs)
 	return nil
 }
 

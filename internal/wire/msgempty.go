@@ -1,15 +1,13 @@
 package wire
 
-import "io"
-
 // emptyMessage is the shared implementation of the five payload-less
 // messages. Each concrete type still exists so a type switch on the decoded
 // message is exhaustive and self-documenting.
 type emptyMessage struct{}
 
-func (emptyMessage) BtcDecode(io.Reader, uint32) error { return nil }
-func (emptyMessage) BtcEncode(io.Writer, uint32) error { return nil }
-func (emptyMessage) MaxPayloadLength(uint32) uint32    { return 0 }
+func (emptyMessage) BtcDecode([]byte, uint32) error { return nil }
+func (emptyMessage) BtcEncode(*Buf, uint32) error   { return nil }
+func (emptyMessage) MaxPayloadLength(uint32) uint32 { return 0 }
 
 // MsgVerAck implements the Message interface and represents a VERACK
 // message, the acknowledgement half of the version handshake.

@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Decode-time hard caps above the Table I policy limits so oversize filter
 // messages reach the misbehavior tracking (both score 100 per Table I).
@@ -39,42 +36,26 @@ func NewMsgFilterLoad(filter []byte, hashFuncs, tweak uint32, flags BloomUpdateT
 }
 
 // BtcDecode decodes the FILTERLOAD message.
-func (msg *MsgFilterLoad) BtcDecode(r io.Reader, _ uint32) error {
-	filter, err := ReadVarBytes(r, hardMaxFilterLoadFilterSize, "filterload filter")
-	if err != nil {
-		return err
-	}
-	msg.Filter = filter
-	if msg.HashFuncs, err = readUint32(r); err != nil {
-		return err
-	}
-	if msg.Tweak, err = readUint32(r); err != nil {
-		return err
-	}
-	flags, err := readUint8(r)
-	if err != nil {
-		return err
-	}
-	msg.Flags = BloomUpdateType(flags)
-	return nil
+func (msg *MsgFilterLoad) BtcDecode(payload []byte, _ uint32) error {
+	d := decoder{b: payload}
+	msg.Filter = d.varBytes("filterload filter", hardMaxFilterLoadFilterSize)
+	msg.HashFuncs = d.uint32()
+	msg.Tweak = d.uint32()
+	msg.Flags = BloomUpdateType(d.uint8())
+	return d.err
 }
 
 // BtcEncode encodes the FILTERLOAD message without enforcing the policy size.
-func (msg *MsgFilterLoad) BtcEncode(w io.Writer, _ uint32) error {
+func (msg *MsgFilterLoad) BtcEncode(w *Buf, _ uint32) error {
 	if len(msg.Filter) > hardMaxFilterLoadFilterSize {
 		return messageError("MsgFilterLoad.BtcEncode",
 			fmt.Sprintf("filter size %d exceeds hard cap %d", len(msg.Filter), hardMaxFilterLoadFilterSize))
 	}
-	if err := WriteVarBytes(w, msg.Filter); err != nil {
-		return err
-	}
-	if err := writeUint32(w, msg.HashFuncs); err != nil {
-		return err
-	}
-	if err := writeUint32(w, msg.Tweak); err != nil {
-		return err
-	}
-	return writeUint8(w, uint8(msg.Flags))
+	w.putVarBytes(msg.Filter)
+	w.putUint32(msg.HashFuncs)
+	w.putUint32(msg.Tweak)
+	w.putUint8(uint8(msg.Flags))
+	return nil
 }
 
 // Command returns the protocol command string.
@@ -97,22 +78,20 @@ var _ Message = (*MsgFilterAdd)(nil)
 func NewMsgFilterAdd(data []byte) *MsgFilterAdd { return &MsgFilterAdd{Data: data} }
 
 // BtcDecode decodes the FILTERADD message.
-func (msg *MsgFilterAdd) BtcDecode(r io.Reader, _ uint32) error {
-	data, err := ReadVarBytes(r, hardMaxFilterAddDataSize, "filteradd data")
-	if err != nil {
-		return err
-	}
-	msg.Data = data
-	return nil
+func (msg *MsgFilterAdd) BtcDecode(payload []byte, _ uint32) error {
+	d := decoder{b: payload}
+	msg.Data = d.varBytes("filteradd data", hardMaxFilterAddDataSize)
+	return d.err
 }
 
 // BtcEncode encodes the FILTERADD message without enforcing the policy size.
-func (msg *MsgFilterAdd) BtcEncode(w io.Writer, _ uint32) error {
+func (msg *MsgFilterAdd) BtcEncode(w *Buf, _ uint32) error {
 	if len(msg.Data) > hardMaxFilterAddDataSize {
 		return messageError("MsgFilterAdd.BtcEncode",
 			fmt.Sprintf("data size %d exceeds hard cap %d", len(msg.Data), hardMaxFilterAddDataSize))
 	}
-	return WriteVarBytes(w, msg.Data)
+	w.putVarBytes(msg.Data)
+	return nil
 }
 
 // Command returns the protocol command string.

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"io"
 
 	"banscore/internal/chainhash"
 )
@@ -29,50 +28,43 @@ func (msg *locatorMessage) AddBlockLocatorHash(hash *chainhash.Hash) error {
 }
 
 // BtcDecode decodes the locator message.
-func (msg *locatorMessage) BtcDecode(r io.Reader, _ uint32) error {
-	pv, err := readUint32(r)
-	if err != nil {
-		return err
+func (msg *locatorMessage) BtcDecode(payload []byte, _ uint32) error {
+	d := decoder{b: payload}
+	msg.ProtocolVersion = d.uint32()
+	msg.BlockLocatorHashes = readHashList(&d, "block locator hashes", MaxBlockLocatorsPerMsg)
+	msg.HashStop = d.hash()
+	return d.err
+}
+
+// readHashList decodes a counted list of at most limit hashes.
+func readHashList(d *decoder, what string, limit uint64) []*chainhash.Hash {
+	count := d.count(what, limit, chainhash.HashSize)
+	hashes := make([]*chainhash.Hash, 0, count)
+	for ; count > 0 && d.err == nil; count-- {
+		h := d.hash()
+		hashes = append(hashes, &h)
 	}
-	msg.ProtocolVersion = pv
-	count, err := ReadVarInt(r)
-	if err != nil {
-		return err
-	}
-	if count > MaxBlockLocatorsPerMsg {
-		return messageError("locatorMessage.BtcDecode",
-			fmt.Sprintf("too many block locator hashes [%d, max %d]", count, MaxBlockLocatorsPerMsg))
-	}
-	msg.BlockLocatorHashes = make([]*chainhash.Hash, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var h chainhash.Hash
-		if err := readHash(r, &h); err != nil {
-			return err
-		}
-		msg.BlockLocatorHashes = append(msg.BlockLocatorHashes, &h)
-	}
-	return readHash(r, &msg.HashStop)
+	return hashes
 }
 
 // BtcEncode encodes the locator message.
-func (msg *locatorMessage) BtcEncode(w io.Writer, _ uint32) error {
+func (msg *locatorMessage) BtcEncode(w *Buf, _ uint32) error {
 	if len(msg.BlockLocatorHashes) > MaxBlockLocatorsPerMsg {
 		return messageError("locatorMessage.BtcEncode",
 			fmt.Sprintf("too many block locator hashes [%d, max %d]",
 				len(msg.BlockLocatorHashes), MaxBlockLocatorsPerMsg))
 	}
-	if err := writeUint32(w, msg.ProtocolVersion); err != nil {
-		return err
+	w.putUint32(msg.ProtocolVersion)
+	writeHashList(w, msg.BlockLocatorHashes)
+	w.putHash(&msg.HashStop)
+	return nil
+}
+
+func writeHashList(w *Buf, hashes []*chainhash.Hash) {
+	w.putVarInt(uint64(len(hashes)))
+	for _, h := range hashes {
+		w.putHash(h)
 	}
-	if err := WriteVarInt(w, uint64(len(msg.BlockLocatorHashes))); err != nil {
-		return err
-	}
-	for _, h := range msg.BlockLocatorHashes {
-		if err := writeHash(w, h); err != nil {
-			return err
-		}
-	}
-	return writeHash(w, &msg.HashStop)
 }
 
 // MaxPayloadLength returns the maximum payload for locator messages.

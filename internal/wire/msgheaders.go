@@ -1,13 +1,8 @@
 package wire
 
-import (
-	"fmt"
-	"io"
-)
-
-// hardMaxBlockHeadersPerMsg is the decode-time allocation cap for HEADERS,
-// above the MaxBlockHeadersPerMsg policy limit so oversize HEADERS reach the
-// ban-score rules (+20 per Table I).
+// hardMaxBlockHeadersPerMsg is the decode-time cap for HEADERS, above the
+// MaxBlockHeadersPerMsg policy limit so oversize HEADERS reach the ban-score
+// rules (+20 per Table I).
 const hardMaxBlockHeadersPerMsg = 5 * MaxBlockHeadersPerMsg
 
 // MsgHeaders implements the Message interface and represents a HEADERS
@@ -28,46 +23,27 @@ func (msg *MsgHeaders) AddBlockHeader(bh *BlockHeader) {
 
 // BtcDecode decodes the HEADERS message. Each entry is a header followed by
 // a transaction count which must be zero.
-func (msg *MsgHeaders) BtcDecode(r io.Reader, _ uint32) error {
-	count, err := ReadVarInt(r)
-	if err != nil {
-		return err
-	}
-	if count > hardMaxBlockHeadersPerMsg {
-		return messageError("MsgHeaders.BtcDecode",
-			fmt.Sprintf("header count %d exceeds hard cap %d", count, hardMaxBlockHeadersPerMsg))
-	}
-	msg.Headers = make([]*BlockHeader, 0, min(count, MaxBlockHeadersPerMsg))
-	for i := uint64(0); i < count; i++ {
-		bh := BlockHeader{}
-		if err := readBlockHeader(r, &bh); err != nil {
-			return err
+func (msg *MsgHeaders) BtcDecode(payload []byte, _ uint32) error {
+	d := decoder{b: payload}
+	count := d.count("headers", hardMaxBlockHeadersPerMsg, BlockHeaderLen+1)
+	msg.Headers = make([]*BlockHeader, 0, count)
+	for ; count > 0 && d.err == nil; count-- {
+		bh := &BlockHeader{}
+		readBlockHeader(&d, bh)
+		if txCount := d.varInt(); txCount > 0 {
+			d.malformed("block headers may not contain transactions [count %d]", txCount)
 		}
-		txCount, err := ReadVarInt(r)
-		if err != nil {
-			return err
-		}
-		if txCount > 0 {
-			return messageError("MsgHeaders.BtcDecode",
-				fmt.Sprintf("block headers may not contain transactions [count %d]", txCount))
-		}
-		msg.Headers = append(msg.Headers, &bh)
+		msg.Headers = append(msg.Headers, bh)
 	}
-	return nil
+	return d.err
 }
 
 // BtcEncode encodes the HEADERS message without enforcing the policy limit.
-func (msg *MsgHeaders) BtcEncode(w io.Writer, _ uint32) error {
-	if err := WriteVarInt(w, uint64(len(msg.Headers))); err != nil {
-		return err
-	}
+func (msg *MsgHeaders) BtcEncode(w *Buf, _ uint32) error {
+	w.putVarInt(uint64(len(msg.Headers)))
 	for _, bh := range msg.Headers {
-		if err := writeBlockHeader(w, bh); err != nil {
-			return err
-		}
-		if err := WriteVarInt(w, 0); err != nil {
-			return err
-		}
+		writeBlockHeader(w, bh)
+		w.putVarInt(0)
 	}
 	return nil
 }

@@ -1,13 +1,8 @@
 package wire
 
-import (
-	"fmt"
-	"io"
-)
-
-// hardMaxInvPerMsg is the decode-time allocation cap for inventory-carrying
-// messages; like hardMaxAddrPerMsg it sits above the MaxInvPerMsg policy
-// limit so oversize INV/GETDATA reach the ban-score rules (+20 per Table I).
+// hardMaxInvPerMsg is the decode-time cap for inventory-carrying messages;
+// like hardMaxAddrPerMsg it sits above the MaxInvPerMsg policy limit so
+// oversize INV/GETDATA reach the ban-score rules (+20 per Table I).
 const hardMaxInvPerMsg = 4 * MaxInvPerMsg
 
 // invListMessage is the shared body of INV, GETDATA and NOTFOUND.
@@ -21,36 +16,24 @@ func (msg *invListMessage) AddInvVect(iv *InvVect) {
 }
 
 // BtcDecode decodes the inventory list.
-func (msg *invListMessage) BtcDecode(r io.Reader, _ uint32) error {
-	count, err := ReadVarInt(r)
-	if err != nil {
-		return err
+func (msg *invListMessage) BtcDecode(payload []byte, _ uint32) error {
+	d := decoder{b: payload}
+	count := d.count("inventory vectors", hardMaxInvPerMsg, invVectSerializeSize)
+	msg.InvList = make([]*InvVect, 0, count)
+	for ; count > 0 && d.err == nil; count-- {
+		iv := &InvVect{}
+		readInvVect(&d, iv)
+		msg.InvList = append(msg.InvList, iv)
 	}
-	if count > hardMaxInvPerMsg {
-		return messageError("invListMessage.BtcDecode",
-			fmt.Sprintf("inv count %d exceeds hard cap %d", count, hardMaxInvPerMsg))
-	}
-	msg.InvList = make([]*InvVect, 0, min(count, MaxInvPerMsg))
-	for i := uint64(0); i < count; i++ {
-		iv := InvVect{}
-		if err := readInvVect(r, &iv); err != nil {
-			return err
-		}
-		msg.InvList = append(msg.InvList, &iv)
-	}
-	return nil
+	return d.err
 }
 
 // BtcEncode encodes the inventory list without enforcing the policy limit,
 // so the attacker toolkit can emit oversize messages.
-func (msg *invListMessage) BtcEncode(w io.Writer, _ uint32) error {
-	if err := WriteVarInt(w, uint64(len(msg.InvList))); err != nil {
-		return err
-	}
+func (msg *invListMessage) BtcEncode(w *Buf, _ uint32) error {
+	w.putVarInt(uint64(len(msg.InvList)))
 	for _, iv := range msg.InvList {
-		if err := writeInvVect(w, iv); err != nil {
-			return err
-		}
+		writeInvVect(w, iv)
 	}
 	return nil
 }

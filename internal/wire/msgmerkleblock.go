@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"io"
 
 	"banscore/internal/chainhash"
 )
@@ -38,36 +37,17 @@ func (msg *MsgMerkleBlock) AddTxHash(hash *chainhash.Hash) error {
 }
 
 // BtcDecode decodes the MERKLEBLOCK message.
-func (msg *MsgMerkleBlock) BtcDecode(r io.Reader, _ uint32) error {
-	if err := readBlockHeader(r, &msg.Header); err != nil {
-		return err
-	}
-	var err error
-	if msg.Transactions, err = readUint32(r); err != nil {
-		return err
-	}
-	count, err := ReadVarInt(r)
-	if err != nil {
-		return err
-	}
-	if count > maxTxPerMsg {
-		return messageError("MsgMerkleBlock.BtcDecode",
-			fmt.Sprintf("too many tx hashes [%d, max %d]", count, maxTxPerMsg))
-	}
-	msg.Hashes = make([]*chainhash.Hash, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var h chainhash.Hash
-		if err := readHash(r, &h); err != nil {
-			return err
-		}
-		msg.Hashes = append(msg.Hashes, &h)
-	}
-	msg.Flags, err = ReadVarBytes(r, maxFlagsPerMerkleBlock, "merkle block flags")
-	return err
+func (msg *MsgMerkleBlock) BtcDecode(payload []byte, _ uint32) error {
+	d := decoder{b: payload}
+	readBlockHeader(&d, &msg.Header)
+	msg.Transactions = d.uint32()
+	msg.Hashes = readHashList(&d, "tx hashes", maxTxPerMsg)
+	msg.Flags = d.varBytes("merkle block flags", maxFlagsPerMerkleBlock)
+	return d.err
 }
 
 // BtcEncode encodes the MERKLEBLOCK message.
-func (msg *MsgMerkleBlock) BtcEncode(w io.Writer, _ uint32) error {
+func (msg *MsgMerkleBlock) BtcEncode(w *Buf, _ uint32) error {
 	if len(msg.Hashes) > maxTxPerMsg {
 		return messageError("MsgMerkleBlock.BtcEncode",
 			fmt.Sprintf("too many tx hashes [%d, max %d]", len(msg.Hashes), maxTxPerMsg))
@@ -76,21 +56,11 @@ func (msg *MsgMerkleBlock) BtcEncode(w io.Writer, _ uint32) error {
 		return messageError("MsgMerkleBlock.BtcEncode",
 			fmt.Sprintf("too many flag bytes [%d, max %d]", len(msg.Flags), maxFlagsPerMerkleBlock))
 	}
-	if err := writeBlockHeader(w, &msg.Header); err != nil {
-		return err
-	}
-	if err := writeUint32(w, msg.Transactions); err != nil {
-		return err
-	}
-	if err := WriteVarInt(w, uint64(len(msg.Hashes))); err != nil {
-		return err
-	}
-	for _, h := range msg.Hashes {
-		if err := writeHash(w, h); err != nil {
-			return err
-		}
-	}
-	return WriteVarBytes(w, msg.Flags)
+	writeBlockHeader(w, &msg.Header)
+	w.putUint32(msg.Transactions)
+	writeHashList(w, msg.Hashes)
+	w.putVarBytes(msg.Flags)
+	return nil
 }
 
 // Command returns the protocol command string.

@@ -1,7 +1,5 @@
 package wire
 
-import "io"
-
 // MsgPing implements the Message interface and represents a PING message.
 // PING carries no ban-score rule in any studied Bitcoin Core version, which
 // is exactly why the paper's BM-DoS vector 1 floods with it.
@@ -16,15 +14,16 @@ var _ Message = (*MsgPing)(nil)
 func NewMsgPing(nonce uint64) *MsgPing { return &MsgPing{Nonce: nonce} }
 
 // BtcDecode decodes the PING message.
-func (msg *MsgPing) BtcDecode(r io.Reader, _ uint32) error {
-	var err error
-	msg.Nonce, err = readUint64(r)
-	return err
+func (msg *MsgPing) BtcDecode(payload []byte, _ uint32) error {
+	d := decoder{b: payload}
+	msg.Nonce = d.uint64()
+	return d.err
 }
 
 // BtcEncode encodes the PING message.
-func (msg *MsgPing) BtcEncode(w io.Writer, _ uint32) error {
-	return writeUint64(w, msg.Nonce)
+func (msg *MsgPing) BtcEncode(w *Buf, _ uint32) error {
+	w.putUint64(msg.Nonce)
+	return nil
 }
 
 // Command returns the protocol command string.
@@ -45,15 +44,16 @@ var _ Message = (*MsgPong)(nil)
 func NewMsgPong(nonce uint64) *MsgPong { return &MsgPong{Nonce: nonce} }
 
 // BtcDecode decodes the PONG message.
-func (msg *MsgPong) BtcDecode(r io.Reader, _ uint32) error {
-	var err error
-	msg.Nonce, err = readUint64(r)
-	return err
+func (msg *MsgPong) BtcDecode(payload []byte, _ uint32) error {
+	d := decoder{b: payload}
+	msg.Nonce = d.uint64()
+	return d.err
 }
 
 // BtcEncode encodes the PONG message.
-func (msg *MsgPong) BtcEncode(w io.Writer, _ uint32) error {
-	return writeUint64(w, msg.Nonce)
+func (msg *MsgPong) BtcEncode(w *Buf, _ uint32) error {
+	w.putUint64(msg.Nonce)
+	return nil
 }
 
 // Command returns the protocol command string.

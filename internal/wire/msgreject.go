@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"io"
 
 	"banscore/internal/chainhash"
 )
@@ -72,41 +71,24 @@ func NewMsgReject(command string, code RejectCode, reason string) *MsgReject {
 }
 
 // BtcDecode decodes the REJECT message.
-func (msg *MsgReject) BtcDecode(r io.Reader, _ uint32) error {
-	command, err := ReadVarString(r, CommandSize)
-	if err != nil {
-		return err
-	}
-	msg.Cmd = command
-	code, err := readUint8(r)
-	if err != nil {
-		return err
-	}
-	msg.Code = RejectCode(code)
-	if msg.Reason, err = ReadVarString(r, maxRejectReasonLen); err != nil {
-		return err
-	}
+func (msg *MsgReject) BtcDecode(payload []byte, _ uint32) error {
+	d := decoder{b: payload}
+	msg.Cmd = d.varString("rejected command", CommandSize)
+	msg.Code = RejectCode(d.uint8())
+	msg.Reason = d.varString("reject reason", maxRejectReasonLen)
 	if msg.Cmd == CmdBlock || msg.Cmd == CmdTx {
-		if err := readHash(r, &msg.Hash); err != nil {
-			return err
-		}
+		msg.Hash = d.hash()
 	}
-	return nil
+	return d.err
 }
 
 // BtcEncode encodes the REJECT message.
-func (msg *MsgReject) BtcEncode(w io.Writer, _ uint32) error {
-	if err := WriteVarString(w, msg.Cmd); err != nil {
-		return err
-	}
-	if err := writeUint8(w, uint8(msg.Code)); err != nil {
-		return err
-	}
-	if err := WriteVarString(w, msg.Reason); err != nil {
-		return err
-	}
+func (msg *MsgReject) BtcEncode(w *Buf, _ uint32) error {
+	w.putVarString(msg.Cmd)
+	w.putUint8(uint8(msg.Code))
+	w.putVarString(msg.Reason)
 	if msg.Cmd == CmdBlock || msg.Cmd == CmdTx {
-		return writeHash(w, &msg.Hash)
+		w.putHash(&msg.Hash)
 	}
 	return nil
 }
@@ -132,18 +114,16 @@ var _ Message = (*MsgFeeFilter)(nil)
 func NewMsgFeeFilter(minFee int64) *MsgFeeFilter { return &MsgFeeFilter{MinFee: minFee} }
 
 // BtcDecode decodes the FEEFILTER message.
-func (msg *MsgFeeFilter) BtcDecode(r io.Reader, _ uint32) error {
-	v, err := readUint64(r)
-	if err != nil {
-		return err
-	}
-	msg.MinFee = int64(v)
-	return nil
+func (msg *MsgFeeFilter) BtcDecode(payload []byte, _ uint32) error {
+	d := decoder{b: payload}
+	msg.MinFee = int64(d.uint64())
+	return d.err
 }
 
 // BtcEncode encodes the FEEFILTER message.
-func (msg *MsgFeeFilter) BtcEncode(w io.Writer, _ uint32) error {
-	return writeUint64(w, uint64(msg.MinFee))
+func (msg *MsgFeeFilter) BtcEncode(w *Buf, _ uint32) error {
+	w.putUint64(uint64(msg.MinFee))
+	return nil
 }
 
 // Command returns the protocol command string.

@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 
 	"banscore/internal/chainhash"
 )
@@ -161,21 +159,18 @@ func (msg *MsgTx) HasWitness() bool {
 
 // TxHash computes the transaction id: the double-SHA256 of the transaction
 // serialized without witness data.
-func (msg *MsgTx) TxHash() chainhash.Hash {
-	buf := bytes.NewBuffer(make([]byte, 0, msg.baseSize()))
-	_ = msg.serialize(buf, false)
-	return chainhash.DoubleHashH(buf.Bytes())
-}
+func (msg *MsgTx) TxHash() chainhash.Hash { return msg.hash(false) }
 
 // WitnessHash computes wtxid: the double-SHA256 including witness data. For
 // transactions without witnesses this equals TxHash.
-func (msg *MsgTx) WitnessHash() chainhash.Hash {
-	if !msg.HasWitness() {
-		return msg.TxHash()
-	}
-	buf := bytes.NewBuffer(make([]byte, 0, msg.SerializeSize()))
-	_ = msg.serialize(buf, true)
-	return chainhash.DoubleHashH(buf.Bytes())
+func (msg *MsgTx) WitnessHash() chainhash.Hash { return msg.hash(true) }
+
+func (msg *MsgTx) hash(withWitness bool) chainhash.Hash {
+	buf := GetBuf(0)
+	msg.encode(buf, withWitness)
+	h := chainhash.DoubleHashH(buf.Bytes())
+	buf.Release()
+	return h
 }
 
 // Copy returns a deep copy of the transaction.
@@ -209,139 +204,100 @@ func (msg *MsgTx) Copy() *MsgTx {
 	return &newTx
 }
 
-// BtcDecode decodes the transaction from r.
-func (msg *MsgTx) BtcDecode(r io.Reader, _ uint32) error {
-	version, err := readUint32(r)
-	if err != nil {
-		return err
-	}
-	msg.Version = int32(version)
+// Wire sizes of the smallest transaction parts: an input with an empty
+// script, an output with an empty script, and a transaction with neither.
+const (
+	minTxInSize  = chainhash.HashSize + 4 + 1 + 4
+	minTxOutSize = 8 + 1
+	minTxSize    = 4 + 1 + 1 + 4
+)
 
-	count, err := ReadVarInt(r)
-	if err != nil {
-		return err
-	}
+// BtcDecode decodes the transaction.
+func (msg *MsgTx) BtcDecode(payload []byte, _ uint32) error {
+	d := decoder{b: payload}
+	msg.decode(&d)
+	return d.err
+}
+
+// decode reads one transaction off d, which BLOCK, CMPCTBLOCK and BLOCKTXN
+// share with the transactions around it.
+func (msg *MsgTx) decode(d *decoder) {
+	msg.Version = int32(d.uint32())
 
 	// A count of zero with a following WitnessFlag byte indicates a
 	// segwit-serialized transaction.
-	var flag byte
-	if count == TxFlagMarker {
-		if flag, err = readUint8(r); err != nil {
-			return err
+	count := d.count("transaction inputs", maxTxPerMsg, minTxInSize)
+	witness := count == TxFlagMarker
+	if witness {
+		if flag := d.uint8(); flag != WitnessFlag {
+			d.malformed("witness tx but flag byte is %x", flag)
 		}
-		if flag != WitnessFlag {
-			return messageError("MsgTx.BtcDecode", fmt.Sprintf("witness tx but flag byte is %x", flag))
-		}
-		if count, err = ReadVarInt(r); err != nil {
-			return err
-		}
+		count = d.count("transaction inputs", maxTxPerMsg, minTxInSize)
 	}
-	if count > maxTxPerMsg {
-		return messageError("MsgTx.BtcDecode", fmt.Sprintf("too many input transactions [%d]", count))
-	}
-
-	msg.TxIn = make([]*TxIn, count)
-	for i := uint64(0); i < count; i++ {
+	msg.TxIn = make([]*TxIn, 0, count)
+	for ; count > 0 && d.err == nil; count-- {
 		ti := &TxIn{}
-		if err := readTxIn(r, ti); err != nil {
-			return err
-		}
-		msg.TxIn[i] = ti
+		ti.PreviousOutPoint.Hash = d.hash()
+		ti.PreviousOutPoint.Index = d.uint32()
+		ti.SignatureScript = d.varBytes("transaction input signature script", maxScriptSize)
+		ti.Sequence = d.uint32()
+		msg.TxIn = append(msg.TxIn, ti)
 	}
 
-	count, err = ReadVarInt(r)
-	if err != nil {
-		return err
-	}
-	if count > maxTxPerMsg {
-		return messageError("MsgTx.BtcDecode", fmt.Sprintf("too many output transactions [%d]", count))
-	}
-	msg.TxOut = make([]*TxOut, count)
-	for i := uint64(0); i < count; i++ {
-		to := &TxOut{}
-		if err := readTxOut(r, to); err != nil {
-			return err
-		}
-		msg.TxOut[i] = to
+	count = d.count("transaction outputs", maxTxPerMsg, minTxOutSize)
+	msg.TxOut = make([]*TxOut, 0, count)
+	for ; count > 0 && d.err == nil; count-- {
+		to := &TxOut{Value: int64(d.uint64())}
+		to.PkScript = d.varBytes("transaction output public key script", maxScriptSize)
+		msg.TxOut = append(msg.TxOut, to)
 	}
 
-	if flag != 0 {
+	if witness {
 		for _, ti := range msg.TxIn {
-			witCount, err := ReadVarInt(r)
-			if err != nil {
-				return err
-			}
-			if witCount > maxWitnessItemsPerInput {
-				return messageError("MsgTx.BtcDecode", fmt.Sprintf("too many witness items [%d]", witCount))
-			}
-			ti.Witness = make(TxWitness, witCount)
-			for j := uint64(0); j < witCount; j++ {
-				item, err := ReadVarBytes(r, maxWitnessItemSize, "script witness item")
-				if err != nil {
-					return err
-				}
-				ti.Witness[j] = item
+			count = d.count("witness items", maxWitnessItemsPerInput, 1)
+			ti.Witness = make(TxWitness, 0, count)
+			for ; count > 0 && d.err == nil; count-- {
+				ti.Witness = append(ti.Witness, d.varBytes("script witness item", maxWitnessItemSize))
 			}
 		}
 	}
-
-	msg.LockTime, err = readUint32(r)
-	return err
+	msg.LockTime = d.uint32()
 }
 
-// BtcEncode encodes the transaction to w, including witness data if present.
-func (msg *MsgTx) BtcEncode(w io.Writer, _ uint32) error {
-	return msg.serialize(w, true)
+// BtcEncode encodes the transaction, including witness data if present.
+func (msg *MsgTx) BtcEncode(w *Buf, _ uint32) error {
+	msg.encode(w, true)
+	return nil
 }
 
-// Serialize writes the transaction in stored form (with witness if present).
-func (msg *MsgTx) Serialize(w io.Writer) error { return msg.serialize(w, true) }
-
-// SerializeNoWitness writes the transaction in legacy form.
-func (msg *MsgTx) SerializeNoWitness(w io.Writer) error { return msg.serialize(w, false) }
-
-// Deserialize reads the transaction in stored form.
-func (msg *MsgTx) Deserialize(r io.Reader) error { return msg.BtcDecode(r, ProtocolVersion) }
-
-func (msg *MsgTx) serialize(w io.Writer, withWitness bool) error {
-	if err := writeUint32(w, uint32(msg.Version)); err != nil {
-		return err
-	}
+func (msg *MsgTx) encode(w *Buf, withWitness bool) {
+	w.putUint32(uint32(msg.Version))
 	doWitness := withWitness && msg.HasWitness()
 	if doWitness {
-		if _, err := w.Write([]byte{TxFlagMarker, WitnessFlag}); err != nil {
-			return err
-		}
+		w.putUint8(TxFlagMarker)
+		w.putUint8(WitnessFlag)
 	}
-	if err := WriteVarInt(w, uint64(len(msg.TxIn))); err != nil {
-		return err
-	}
+	w.putVarInt(uint64(len(msg.TxIn)))
 	for _, ti := range msg.TxIn {
-		if err := writeTxIn(w, ti); err != nil {
-			return err
-		}
+		w.putHash(&ti.PreviousOutPoint.Hash)
+		w.putUint32(ti.PreviousOutPoint.Index)
+		w.putVarBytes(ti.SignatureScript)
+		w.putUint32(ti.Sequence)
 	}
-	if err := WriteVarInt(w, uint64(len(msg.TxOut))); err != nil {
-		return err
-	}
+	w.putVarInt(uint64(len(msg.TxOut)))
 	for _, to := range msg.TxOut {
-		if err := writeTxOut(w, to); err != nil {
-			return err
-		}
+		w.putUint64(uint64(to.Value))
+		w.putVarBytes(to.PkScript)
 	}
 	if doWitness {
 		for _, ti := range msg.TxIn {
-			if err := WriteVarInt(w, uint64(len(ti.Witness))); err != nil {
-				return err
-			}
+			w.putVarInt(uint64(len(ti.Witness)))
 			for _, item := range ti.Witness {
-				if err := WriteVarBytes(w, item); err != nil {
-					return err
-				}
+				w.putVarBytes(item)
 			}
 		}
 	}
-	return writeUint32(w, msg.LockTime)
+	w.putUint32(msg.LockTime)
 }
 
 // baseSize is the serialized size without witness data.
@@ -373,59 +329,3 @@ func (msg *MsgTx) Command() string { return CmdTx }
 
 // MaxPayloadLength returns the maximum payload a TX message can be.
 func (msg *MsgTx) MaxPayloadLength(uint32) uint32 { return MaxBlockPayload }
-
-func readTxIn(r io.Reader, ti *TxIn) error {
-	if err := readOutPoint(r, &ti.PreviousOutPoint); err != nil {
-		return err
-	}
-	script, err := ReadVarBytes(r, maxScriptSize, "transaction input signature script")
-	if err != nil {
-		return err
-	}
-	ti.SignatureScript = script
-	ti.Sequence, err = readUint32(r)
-	return err
-}
-
-func writeTxIn(w io.Writer, ti *TxIn) error {
-	if err := writeOutPoint(w, &ti.PreviousOutPoint); err != nil {
-		return err
-	}
-	if err := WriteVarBytes(w, ti.SignatureScript); err != nil {
-		return err
-	}
-	return writeUint32(w, ti.Sequence)
-}
-
-func readTxOut(r io.Reader, to *TxOut) error {
-	value, err := readUint64(r)
-	if err != nil {
-		return err
-	}
-	to.Value = int64(value)
-	to.PkScript, err = ReadVarBytes(r, maxScriptSize, "transaction output public key script")
-	return err
-}
-
-func writeTxOut(w io.Writer, to *TxOut) error {
-	if err := writeUint64(w, uint64(to.Value)); err != nil {
-		return err
-	}
-	return WriteVarBytes(w, to.PkScript)
-}
-
-func readOutPoint(r io.Reader, op *OutPoint) error {
-	if err := readHash(r, &op.Hash); err != nil {
-		return err
-	}
-	var err error
-	op.Index, err = readUint32(r)
-	return err
-}
-
-func writeOutPoint(w io.Writer, op *OutPoint) error {
-	if err := writeHash(w, &op.Hash); err != nil {
-		return err
-	}
-	return writeUint32(w, op.Index)
-}

@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"time"
 )
 
@@ -74,49 +72,20 @@ func (msg *MsgVersion) HasService(service ServiceFlag) bool {
 // share it) and a UserAgent the wire bytes spell again.
 //
 //banlint:hotpath per-message on the duplicate-VERSION flood: a reused target decodes without allocating
-func (msg *MsgVersion) BtcDecode(r io.Reader, _ uint32) error {
-	pv, err := readUint32(r)
-	if err != nil {
-		return err
-	}
-	msg.ProtocolVersion = int32(pv)
-	services, err := readUint64(r)
-	if err != nil {
-		return err
-	}
-	msg.Services = ServiceFlag(services)
-	ts, err := readUint64(r)
-	if err != nil {
-		return err
-	}
-	msg.Timestamp = time.Unix(int64(ts), 0)
-	if err := readNetAddress(r, &msg.AddrYou, false); err != nil {
-		return err
-	}
-	if err := readNetAddress(r, &msg.AddrMe, false); err != nil {
-		return err
-	}
-	if msg.Nonce, err = readUint64(r); err != nil {
-		return err
-	}
-	ua, err := readVarStringBytes(r, MaxUserAgentLen)
-	if err != nil {
-		return err
-	}
-	msg.UserAgent = sameOrCopy(msg.UserAgent, ua)
-	lastBlock, err := readUint32(r)
-	if err != nil {
-		return err
-	}
-	msg.LastBlock = int32(lastBlock)
+func (msg *MsgVersion) BtcDecode(payload []byte, _ uint32) error {
+	d := decoder{b: payload}
+	msg.ProtocolVersion = int32(d.uint32())
+	msg.Services = ServiceFlag(d.uint64())
+	msg.Timestamp = time.Unix(int64(d.uint64()), 0)
+	readNetAddress(&d, &msg.AddrYou, false)
+	readNetAddress(&d, &msg.AddrMe, false)
+	msg.Nonce = d.uint64()
+	msg.UserAgent = sameOrCopy(msg.UserAgent, d.varSlice("user agent", MaxUserAgentLen))
+	msg.LastBlock = int32(d.uint32())
 	// Relay flag is optional trailing data. Absent means relay, whatever a
 	// reused target decoded last.
-	relay, err := readBool(r)
-	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return err
-	}
-	msg.DisableRelay = err == nil && !relay
-	return nil
+	msg.DisableRelay = d.remaining() > 0 && !d.bool()
+	return d.err
 }
 
 // sameOrCopy returns held when it already spells b, and otherwise the one
@@ -129,36 +98,21 @@ func sameOrCopy(held string, b []byte) string {
 }
 
 // BtcEncode encodes the VERSION message.
-func (msg *MsgVersion) BtcEncode(w io.Writer, _ uint32) error {
+func (msg *MsgVersion) BtcEncode(w *Buf, _ uint32) error {
 	if len(msg.UserAgent) > MaxUserAgentLen {
 		return messageError("MsgVersion.BtcEncode",
 			fmt.Sprintf("user agent too long [len %d, max %d]", len(msg.UserAgent), MaxUserAgentLen))
 	}
-	if err := writeUint32(w, uint32(msg.ProtocolVersion)); err != nil {
-		return err
-	}
-	if err := writeUint64(w, uint64(msg.Services)); err != nil {
-		return err
-	}
-	if err := writeUint64(w, uint64(msg.Timestamp.Unix())); err != nil {
-		return err
-	}
-	if err := writeNetAddress(w, &msg.AddrYou, false); err != nil {
-		return err
-	}
-	if err := writeNetAddress(w, &msg.AddrMe, false); err != nil {
-		return err
-	}
-	if err := writeUint64(w, msg.Nonce); err != nil {
-		return err
-	}
-	if err := WriteVarString(w, msg.UserAgent); err != nil {
-		return err
-	}
-	if err := writeUint32(w, uint32(msg.LastBlock)); err != nil {
-		return err
-	}
-	return writeBool(w, !msg.DisableRelay)
+	w.putUint32(uint32(msg.ProtocolVersion))
+	w.putUint64(uint64(msg.Services))
+	w.putUint64(uint64(msg.Timestamp.Unix()))
+	writeNetAddress(w, &msg.AddrYou, false)
+	writeNetAddress(w, &msg.AddrMe, false)
+	w.putUint64(msg.Nonce)
+	w.putVarString(msg.UserAgent)
+	w.putUint32(uint32(msg.LastBlock))
+	w.putBool(!msg.DisableRelay)
+	return nil
 }
 
 // Command returns the protocol command string.

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"io"
 	"net"
 	"time"
 )
@@ -52,69 +51,42 @@ func NewNetAddress(addr *net.TCPAddr, services ServiceFlag) *NetAddress {
 // maxNetAddressPayload is the wire size of a NetAddress with timestamp.
 const maxNetAddressPayload = 4 + 8 + 16 + 2
 
-// readNetAddress decodes into na. From a *payloadReader the 16 address bytes
-// are copied over the IP storage na already owns, so a reused decode target
-// costs no allocation; they are always copied, never aliased, because the
-// payload is a pooled buffer its owner releases after dispatch.
+// readNetAddress decodes into na. The 16 address bytes are copied over the IP
+// storage na already owns, so a reused decode target costs no allocation;
+// they are always copied, never aliased, because the payload is a pooled
+// buffer its owner releases after dispatch.
 //
 //banlint:hotpath twice per VERSION on the duplicate-VERSION flood: a target that owns its address bytes is overwritten in place
-func readNetAddress(r io.Reader, na *NetAddress, withTimestamp bool) error {
+func readNetAddress(d *decoder, na *NetAddress, withTimestamp bool) {
 	if withTimestamp {
-		ts, err := readUint32(r)
-		if err != nil {
-			return err
-		}
-		na.Timestamp = time.Unix(int64(ts), 0)
+		na.Timestamp = time.Unix(int64(d.uint32()), 0)
 	}
-	services, err := readUint64(r)
-	if err != nil {
-		return err
+	na.Services = ServiceFlag(d.uint64())
+	b, ok := d.take(net.IPv6len)
+	if !ok {
+		return
 	}
-	na.Services = ServiceFlag(services)
-	if pr, ok := r.(*payloadReader); ok {
-		b, ok := pr.take(net.IPv6len)
-		if !ok {
-			return pr.eofErr()
-		}
-		if cap(na.IP) >= len(b) {
-			na.IP = append(na.IP[:0], b...)
-		} else {
-			na.IP = ownIP(b)
-		}
+	if cap(na.IP) >= len(b) {
+		na.IP = append(na.IP[:0], b...)
 	} else {
-		var ip [net.IPv6len]byte
-		if _, err := io.ReadFull(r, ip[:]); err != nil {
-			return err
-		}
-		na.IP = net.IP(ip[:])
+		na.IP = ownIP(b)
 	}
-	port, err := readUint16BE(r)
-	if err != nil {
-		return err
-	}
-	na.Port = port
-	return nil
+	na.Port = d.uint16BE()
 }
 
 // ownIP keeps the one allocation of a target with no address storage yet (an
 // ADDR entry, a connection's first VERSION) out of readNetAddress.
 func ownIP(b []byte) net.IP { return append(net.IP(nil), b...) }
 
-func writeNetAddress(w io.Writer, na *NetAddress, withTimestamp bool) error {
+func writeNetAddress(w *Buf, na *NetAddress, withTimestamp bool) {
 	if withTimestamp {
-		if err := writeUint32(w, uint32(na.Timestamp.Unix())); err != nil {
-			return err
-		}
+		w.putUint32(uint32(na.Timestamp.Unix()))
 	}
-	if err := writeUint64(w, uint64(na.Services)); err != nil {
-		return err
-	}
-	var ip [16]byte
+	w.putUint64(uint64(na.Services))
+	var ip [net.IPv6len]byte
 	if na.IP != nil {
 		copy(ip[:], na.IP.To16())
 	}
-	if _, err := w.Write(ip[:]); err != nil {
-		return err
-	}
-	return writeUint16BE(w, na.Port)
+	w.putBytes(ip[:])
+	w.putUint16BE(na.Port)
 }
