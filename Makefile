@@ -93,13 +93,13 @@ bench:
 # Benchmark-regression gate. The gated families are the hot paths with
 # committed baselines in BENCH_baseline.json: telemetry instrumentation,
 # trace dispatch, the sharded ban-score engine, ban-list reads, the pooled
-# wire codec, the simnet pipe every workload crosses, the banstore WAL
-# append + recovery replay, and the fleet observer's store ingest. Fixed
-# iteration counts keep run-to-run variance down; cmd/benchdiff fails the
-# build past its tolerance, and any allocation on a zero-alloc baseline
-# fails outright. This is the only copy of the pattern: CI calls
-# `make bench-gate`.
-BENCH_GATE_PATTERN = 'BenchmarkTelemetry|BenchmarkTraceDispatch|BenchmarkBanScore|BenchmarkBanList|BenchmarkWire|BenchmarkPipe|BenchmarkReputation|BenchmarkNetgroup|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkObserver'
+# wire codec, the simnet pipe every workload crosses, the peer's PING → PONG
+# reply path, the banstore WAL append + recovery replay, and the fleet
+# observer's store ingest. Fixed iteration counts keep run-to-run variance
+# down; cmd/benchdiff fails the build past its tolerance, and any allocation
+# on a zero-alloc baseline fails outright. This is the only copy of the
+# pattern: CI calls `make bench-gate`.
+BENCH_GATE_PATTERN = 'BenchmarkTelemetry|BenchmarkTraceDispatch|BenchmarkBanScore|BenchmarkBanList|BenchmarkWire|BenchmarkPipe|BenchmarkPeer|BenchmarkReputation|BenchmarkNetgroup|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkObserver'
 
 # The swarm scenario bench is gated separately: one iteration IS a full
 # 1000-peer Sybil swarm (admission, flood, churn, exact ban count), so it

@@ -136,8 +136,11 @@ func (n *Node) dispatch(p *peer.Peer, msg wire.Message, rawLen int) {
 	case *wire.MsgPing:
 		// No ban rule exists for PING in any studied version: the
 		// node performs the full pipeline and answers — the paper's
-		// score-free BM-DoS vector 1.
-		_ = p.QueueMessage(wire.NewMsgPong(m.Nonce))
+		// score-free BM-DoS vector 1. Here as at every reply site
+		// below, a reader too slow for its own requests loses the
+		// reply; the queue counts what it refuses
+		// (peer_send_queue_shed_total).
+		_ = p.QueuePong(m.Nonce)
 	case *wire.MsgPong:
 		// Nonce bookkeeping would go here; no rule applies.
 	case *wire.MsgAddr:

@@ -205,10 +205,11 @@ type Config struct {
 	// nil and keep goroutine loops.
 	PeerRunner peer.Runner
 
-	// PeerSendQueue caps each peer's outbound message queue; zero keeps
-	// the peer default (1024). Swarm-scale simulations lower it — the
-	// queue is preallocated per peer, so its depth dominates per-peer
-	// memory at 100k connections.
+	// PeerSendQueue caps the messages each peer may have accepted and not
+	// yet written; zero keeps the peer default (1024). The queue grows on
+	// demand, so the cap bounds what a slow or hostile reader can make
+	// its connection retain (see peer.Config.SendQueueDepth), not what an
+	// idle one costs. Swarm-scale simulations lower it for that bound.
 	PeerSendQueue int
 
 	// Reputation, if set, layers the netgroup reputation engine over the
@@ -887,7 +888,7 @@ func (n *Node) peerDisconnected(p *peer.Peer) {
 	n.mu.Unlock()
 	n.forgetScore(p.ID())
 	if m := n.metrics; m != nil {
-		m.peerRetired(p.BytesReceived(), p.BytesSent())
+		m.peerRetired(p.BytesReceived(), p.BytesSent(), p.RepliesShed())
 		direction := "outbound"
 		if p.Inbound() {
 			direction = "inbound"

@@ -37,11 +37,12 @@ type nodeMetrics struct {
 
 	reconnectTries *telemetry.CounterVec // node_reconnect_attempts_total{result}
 
-	// Byte totals of already-disconnected peers; the pull-style counters
-	// add these to the live per-peer sums so disconnects never lose
-	// traffic history.
+	// Totals of already-disconnected peers; the pull-style counters add
+	// these to the live per-peer sums so disconnects never lose traffic
+	// history.
 	retiredBytesIn  atomic.Uint64
 	retiredBytesOut atomic.Uint64
+	retiredShed     atomic.Uint64
 }
 
 // newNodeMetrics registers the node's metric families with reg and returns
@@ -152,6 +153,17 @@ func newNodeMetrics(n *Node, reg *telemetry.Registry, journal *telemetry.Journal
 		return float64(depth)
 	})
 
+	reg.Describe("peer_send_queue_shed_total", "Replies and relays dropped at a full peer send queue (including disconnected peers).")
+	reg.CounterFunc("peer_send_queue_shed_total", func() float64 {
+		total := m.retiredShed.Load()
+		n.mu.Lock()
+		for _, p := range n.peers {
+			total += p.RepliesShed()
+		}
+		n.mu.Unlock()
+		return float64(total)
+	})
+
 	// The ledger's loss shows on /metrics like the journal's and the tracer's.
 	if l := n.cfg.TrackerConfig.Forensics; l != nil {
 		reg.Describe("forensics_records_total", "Ban-forensics records ever appended to the ledger.")
@@ -230,9 +242,9 @@ func (m *nodeMetrics) reconnectAttempt(err error) {
 	m.reconnectTries.With(result).Inc()
 }
 
-// peerRetired folds a disconnected peer's byte totals into the retained
-// counters.
-func (m *nodeMetrics) peerRetired(bytesIn, bytesOut uint64) {
+// peerRetired folds a disconnected peer's totals into the retained counters.
+func (m *nodeMetrics) peerRetired(bytesIn, bytesOut, shed uint64) {
 	m.retiredBytesIn.Add(bytesIn)
 	m.retiredBytesOut.Add(bytesOut)
+	m.retiredShed.Add(shed)
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,15 +30,24 @@ var ErrSendQueueFull = errors.New("send queue full")
 // DefaultIdleTimeout disconnects a peer that sends nothing for this long.
 const DefaultIdleTimeout = 5 * time.Minute
 
-// DefaultWriteTimeout bounds each message write. A remote that stops
-// reading stalls our writeLoop behind TCP back-pressure; without a
-// deadline the goroutine — and the outbound slot it represents — hangs
-// forever.
+// DefaultWriteTimeout bounds each flush of the send queue to the wire. A
+// remote that stops reading stalls our writeLoop behind TCP back-pressure;
+// without a deadline the goroutine — and the outbound slot it represents —
+// hangs forever.
 const DefaultWriteTimeout = 30 * time.Second
 
-// sendQueueSize bounds the outbound message queue. It is deliberately large:
-// a flooding *victim's* reply queue must not be the bottleneck under test.
+// sendQueueSize is the default cap on messages waiting to be written. It is
+// deliberately large: a flooding *victim's* reply queue must not be the
+// bottleneck under test. The cap costs nothing until it is used — see
+// Config.SendQueueDepth.
 const sendQueueSize = 1024
+
+// flushSize cuts a flush: the writer stops appending messages to a write once
+// it holds this many bytes, so a flush is at most flushSize-1 bytes plus one
+// message. A queue of small replies goes out in one write; a queue of 1 MB
+// blocks never becomes one giant one, and an event-loop runner is asked
+// whether the transport has room at least this often.
+const flushSize = 64 << 10
 
 // MessageHandler receives every successfully decoded message. rawLen is the
 // payload size on the wire.
@@ -79,12 +89,13 @@ type Config struct {
 	// DefaultIdleTimeout.
 	IdleTimeout time.Duration
 
-	// WriteTimeout bounds each message write to the wire. Zero selects
+	// WriteTimeout bounds each flush of queued messages to the wire (one
+	// write of at most flushSize bytes plus one message). Zero selects
 	// DefaultWriteTimeout; negative disables the deadline.
 	WriteTimeout time.Duration
 
-	// OnWriteTimeout is invoked (before OnDisconnect) when a message
-	// write exceeded WriteTimeout and the peer is being dropped for it.
+	// OnWriteTimeout is invoked (before OnDisconnect) when a flush
+	// exceeded WriteTimeout and the peer is being dropped for it.
 	OnWriteTimeout func(p *Peer)
 
 	// OnMessage is invoked from the read loop for each decoded message.
@@ -118,15 +129,30 @@ type Config struct {
 	// to it instead of spawning the goroutine pair. See Runner.
 	Runner Runner
 
-	// SendQueueDepth caps the outbound message queue. Zero selects
-	// sendQueueSize (1024), sized so a flooding victim's reply queue is
-	// never the bottleneck under test. Swarm-scale nodes lower it: the
-	// queue buffer is zeroed at allocation and scanned by the GC, so
-	// 1024 slots per peer at 100k peers is ~5 GB of dead weight.
+	// SendQueueDepth caps the messages waiting for the writer; the batch
+	// the writer has taken to write, at most as many again, is in flight.
+	// Zero selects sendQueueSize (1024), sized so a flooding victim's
+	// reply queue is never the bottleneck under test. The queue starts
+	// empty and grows on demand, so an idle connection pays nothing for
+	// its cap; what a connection has grown it keeps until it closes: at
+	// worst two slices (one filling, one being written) of SendQueueDepth
+	// entries of 40 bytes each — 80 KB at the default, for a peer that
+	// once filled its queue. Swarm-scale nodes lower the cap to bound that
+	// worst case across 100k connections.
 	SendQueueDepth int
 }
 
-// Peer wraps one connection.
+// Peer wraps one connection. Its fields are laid out by who writes them,
+// because the read loop and the write loop run on different cores under a
+// flood and every line they both write is handed back and forth per message:
+// what the read side writes comes first, then a line read by everyone and
+// written only at set-up and tear-down (from quit on), then the send queue
+// both sides lock, then — last, on a line of its own — what only the writer
+// touches. Peer is 432 bytes and comes from the allocator's 448-byte size
+// class, whose objects start on a cache line, so the offsets are the lines
+// (TestPeerLayout). Measured, not argued: with the writer's fields among the
+// others ping_flood absorbs 8 % fewer messages (EXPERIMENTS.md, "Cost of the
+// reply path").
 type Peer struct {
 	cfg     Config
 	conn    net.Conn
@@ -142,9 +168,8 @@ type Peer struct {
 	mu            sync.Mutex
 	remoteVersion *wire.MsgVersion
 
-	// Traffic statistics.
+	// Inbound traffic statistics (bytesSent is with the writer's fields).
 	bytesReceived    atomic.Uint64
-	bytesSent        atomic.Uint64
 	messagesReceived atomic.Uint64
 
 	// traceCtx is the lifecycle trace of the inbound message currently
@@ -169,14 +194,13 @@ type Peer struct {
 	reusePing wire.MsgPing
 	reusePong wire.MsgPong
 
-	sendQueue chan queued
-	quit      chan struct{}
-	quitOnce  sync.Once
-	wg        sync.WaitGroup
+	quit     chan struct{}
+	quitOnce sync.Once
+	wg       sync.WaitGroup
 
-	// onQueue, when set, fires after each successful QueueMessage — the
-	// event loop's wake signal for outbound work. Atomic because relay
-	// paths enqueue from goroutines other than the runner's workers.
+	// onQueue, when set, fires on the same edge as wake — the event loop's
+	// signal for outbound work. Atomic because relay paths enqueue from
+	// goroutines other than the runner's workers.
 	onQueue atomic.Pointer[func()]
 
 	// misbSink, when set, diverts misbehavior application into a staging
@@ -185,26 +209,50 @@ type Peer struct {
 
 	// reuseVersion is pick's decode target for every VERSION after the
 	// first, made on the first duplicate: honest peers never send one, so
-	// they never pay for it. It stays the last field — a pointer added
-	// mid-struct would move the offsets, and with them the cache lines the
-	// read and write loops share, of every field behind it.
+	// they never pay for it.
 	reuseVersion *wire.MsgVersion
 
-	// Without these bytes Peer is 336 bytes and comes from the allocator's
-	// 352-byte size class, where every other object starts in the middle of
-	// a cache line; with them it comes from the 384-byte class, whose
-	// objects start on one. Measured, not argued: ping_flood absorbs ~6 %
-	// fewer messages without them (EXPERIMENTS.md, "Cost of the io fork").
-	_ [32]byte
+	// The send queue. sendMu guards in (messages accepted and not yet taken
+	// by the writer, in order: what SendQueueDepth caps), closed and shed;
+	// it is never held across a write. depth publishes len(in) to readers
+	// without the lock: QueueDepth, and the writer's look before it locks.
+	// wake carries the empty → non-empty edge of in to a parked writeLoop.
+	sendMu sync.Mutex
+	in     []queued
+	closed bool
+	shed   uint64
+	depth  atomic.Int32
+	wake   chan struct{}
+
+	// Owned by the writer (writeLoop, or the runner's worker inside
+	// WriteStep): the batch it swapped out of in, how far into it the
+	// flushes have got, the PONG it encodes by-value entries from, and the
+	// bytes it has put on the wire.
+	out       []queued
+	next      int
+	sendPong  wire.MsgPong
+	bytesSent atomic.Uint64
 }
 
-// queued is one send-queue entry: the message plus, when the enqueue was
-// sampled, its trace handle and enqueue time (for the send_queue wait span).
-// Passed by value — the common untraced case allocates nothing extra.
+// queued is one send-queue entry, 40 bytes: the message — or, with msg nil, a
+// PONG carried by value as its nonce, which the writer encodes from its own
+// MsgPong so that answering a PING allocates nothing — plus, when the enqueue
+// was sampled, its trace handle and a clock reading in Unix nanoseconds: the
+// enqueue time while it waits (the send_queue span), the encode start once
+// the writer has picked it up (the wire_encode span).
 type queued struct {
-	msg wire.Message
-	ctx *trace.Ctx
-	at  time.Time
+	msg   wire.Message
+	ctx   *trace.Ctx
+	nonce uint64
+	at    int64
+}
+
+// command names the entry's wire command.
+func (q *queued) command() string {
+	if q.msg == nil {
+		return wire.CmdPong
+	}
+	return q.msg.Command()
 }
 
 // New wraps conn as a peer. inbound records which side initiated the
@@ -224,12 +272,12 @@ func New(conn net.Conn, inbound bool, cfg Config) *Peer {
 		cfg.SendQueueDepth = sendQueueSize
 	}
 	p := &Peer{
-		cfg:       cfg,
-		conn:      conn,
-		inbound:   inbound,
-		id:        core.PeerIDFromAddr(conn.RemoteAddr().String()),
-		sendQueue: make(chan queued, cfg.SendQueueDepth),
-		quit:      make(chan struct{}),
+		cfg:     cfg,
+		conn:    conn,
+		inbound: inbound,
+		id:      core.PeerIDFromAddr(conn.RemoteAddr().String()),
+		wake:    make(chan struct{}, 1),
+		quit:    make(chan struct{}),
 	}
 	// Built once so the read loop does not allocate a method-value closure
 	// per message. Only messages no handler retains past dispatch are safe
@@ -337,29 +385,84 @@ func (p *Peer) HandshakeComplete() bool {
 }
 
 // QueueMessage enqueues a message for delivery. It returns
-// ErrPeerDisconnected after disconnect and ErrSendQueueFull when the queue
-// is full (slow reader back-pressure).
+// ErrPeerDisconnected after disconnect and ErrSendQueueFull when
+// SendQueueDepth messages are already waiting for the writer (slow reader
+// back-pressure); RepliesShed counts the latter.
 func (p *Peer) QueueMessage(msg wire.Message) error {
-	select {
-	case <-p.quit:
+	return p.enqueue(queued{msg: msg})
+}
+
+// QueuePong enqueues the PONG answering a PING with the given nonce, as
+// QueueMessage(wire.NewMsgPong(nonce)) would, without building the message:
+// the nonce travels in the queue entry.
+func (p *Peer) QueuePong(nonce uint64) error {
+	return p.enqueue(queued{nonce: nonce})
+}
+
+// enqueue is the one way into the send queue. The writer is signalled only
+// when the entry is the first one waiting: every later one is taken by the
+// pass that signal already owes.
+//
+//banlint:hotpath per-reply path: one lock, no channel hand-off, no allocation once the queue has grown
+func (p *Peer) enqueue(q queued) error {
+	p.sendMu.Lock()
+	if p.closed {
+		p.sendMu.Unlock()
 		return ErrPeerDisconnected
-	default:
 	}
-	q := queued{msg: msg}
+	if len(p.in) >= p.cfg.SendQueueDepth {
+		p.shed++
+		p.sendMu.Unlock()
+		return ErrSendQueueFull
+	}
+	// Sampled only now that the entry is accepted: a refused message must
+	// not burn a trace ID it will never record a span under.
 	if ctx := p.cfg.Tracer.Sample(); ctx != nil {
-		q.ctx, q.at = ctx, time.Now()
+		q.ctx, q.at = ctx, time.Now().UnixNano()
 	}
-	select {
-	case p.sendQueue <- q:
+	if len(p.in) == cap(p.in) {
+		p.in = grown(p.in, p.cfg.SendQueueDepth)
+	}
+	p.in = append(p.in, q)
+	p.depth.Store(int32(len(p.in)))
+	first, full := len(p.in) == 1, len(p.in) == p.cfg.SendQueueDepth
+	p.sendMu.Unlock()
+	if full && p.cfg.Runner == nil {
+		// The queue has just filled: the write loop is behind, and more
+		// than four times in five (ping_flood, counted) it is behind
+		// because it was signalled and has not been given a processor
+		// since. Step aside
+		// once so that it can take the queue before the next reply has
+		// to be dropped. A queue that stays full — a reader that has
+		// stopped reading — refuses above and never comes back here.
+		runtime.Gosched()
+	}
+	if first {
+		select {
+		case p.wake <- struct{}{}:
+		default:
+		}
 		if w := p.onQueue.Load(); w != nil {
 			(*w)()
 		}
-		return nil
-	case <-p.quit:
-		return ErrPeerDisconnected
-	default:
-		return ErrSendQueueFull
 	}
+	return nil
+}
+
+// grown returns a copy of the full slice q with room for more: capacity
+// doubles from 8 up to the queue's cap, so the slices never hold more than
+// SendQueueDepth entries each.
+func grown(q []queued, depth int) []queued {
+	return append(make([]queued, 0, min(max(2*cap(q), 8), depth)), q...)
+}
+
+// RepliesShed returns how many messages the send queue has refused with
+// ErrSendQueueFull: replies (and relays) the node owed this peer and dropped
+// because it reads slower than it asks.
+func (p *Peer) RepliesShed() uint64 {
+	p.sendMu.Lock()
+	defer p.sendMu.Unlock()
+	return p.shed
 }
 
 // SetMisbehaviorSink installs (or, with nil, removes) the staging buffer
@@ -381,10 +484,11 @@ func (p *Peer) MisbehaviorSink() MisbehaviorSink {
 	return nil
 }
 
-// SetQueueWake registers fn to run after each successful QueueMessage (nil
-// unregisters). Event-loop runners install their re-enqueue hook here so a
-// reply queued by a handler — possibly from another shard's worker — gets
-// the owning connection scheduled for a write pass.
+// SetQueueWake registers fn to run whenever a message is queued with none
+// waiting in front of it (nil unregisters). Event-loop runners install their
+// re-enqueue hook here so a reply queued by a handler — possibly from another
+// shard's worker — gets the owning connection scheduled for a write pass;
+// that pass takes every message queued by then, so later ones need no wake.
 func (p *Peer) SetQueueWake(fn func()) {
 	if fn == nil {
 		p.onQueue.Store(nil)
@@ -426,14 +530,20 @@ func (p *Peer) BytesSent() uint64 { return p.bytesSent.Load() }
 // MessagesReceived returns the count of decoded messages.
 func (p *Peer) MessagesReceived() uint64 { return p.messagesReceived.Load() }
 
-// QueueDepth returns how many messages are waiting in the send queue — the
+// QueueDepth returns how many messages are waiting for the writer — the
 // back-pressure signal the telemetry layer aggregates across peers.
-func (p *Peer) QueueDepth() int { return len(p.sendQueue) }
+func (p *Peer) QueueDepth() int { return int(p.depth.Load()) }
 
 // Disconnect tears the connection down. Safe to call multiple times.
 func (p *Peer) Disconnect() {
 	p.quitOnce.Do(func() {
 		close(p.quit)
+		// Refuse what comes after and let go of what was waiting; the
+		// writer lets go of the batch it holds when it sees quit.
+		p.sendMu.Lock()
+		p.closed = true
+		p.in = nil
+		p.sendMu.Unlock()
 		p.conn.Close()
 		if p.cfg.OnDisconnect != nil {
 			p.cfg.OnDisconnect(p)
@@ -581,83 +691,159 @@ func (p *Peer) ReadStep() bool {
 	return true
 }
 
-// writeOne encodes and writes one queued message, returning false when the
-// connection is finished.
-func (p *Peer) writeOne(q queued) bool {
+// drain is the outbound state machine, the shared body of the blocking
+// writeLoop and the event-loop WriteStep as readOne is of the read side: take
+// everything queued under one lock acquisition, then flush it in order,
+// asking canWrite (nil: always) before every write. It returns pending=true
+// when messages remain behind a transport with no room, and ok=false once
+// the connection is finished; the caller tears the peer down then.
+//
+//banlint:hotpath per-flush path: the taken batch and the queue swap slices, nothing is allocated
+func (p *Peer) drain(canWrite func() bool) (pending, ok bool) {
+	for {
+		if p.Disconnected() {
+			p.dropBatch()
+			return false, false
+		}
+		if p.next == len(p.out) && !p.take() {
+			return false, true
+		}
+		if canWrite != nil && !canWrite() {
+			return true, true
+		}
+		if !p.flush() {
+			p.dropBatch()
+			return false, false
+		}
+	}
+}
+
+// take swaps the writer's finished batch for everything queued since, and
+// reports whether that is anything.
+func (p *Peer) take() bool {
+	if p.depth.Load() == 0 {
+		return false
+	}
+	p.sendMu.Lock()
+	p.in, p.out = p.out[:0], p.in
+	p.depth.Store(0)
+	p.sendMu.Unlock()
+	p.next = 0
+	return len(p.out) > 0
+}
+
+// dropBatch releases the messages of a batch that will never be written.
+func (p *Peer) dropBatch() {
+	p.out, p.next = nil, 0
+}
+
+// flush encodes the batch from p.next on into one pooled buffer, stopping at
+// flushSize bytes, and puts it on the wire with one deadline and one write.
+// It returns false when the connection is finished.
+//
+//banlint:hotpath per-flush path: one pooled buffer, one deadline, one write for every message in it
+func (p *Peer) flush() bool {
+	from := p.next
+	traced := false
+	buf := wire.GetBuf(0)
+	for p.next < len(p.out) && buf.Len() < flushSize {
+		q := &p.out[p.next]
+		msg := q.msg
+		if msg == nil {
+			p.sendPong.Nonce = q.nonce
+			msg = &p.sendPong
+		}
+		if q.ctx != nil {
+			traced = true
+			p.traceDequeued(q)
+		}
+		if err := wire.AppendMessage(buf, msg, p.cfg.ProtocolVersion, p.cfg.Net); err != nil {
+			buf.Release()
+			return false
+		}
+		p.next++
+	}
 	if p.cfg.WriteTimeout > 0 {
 		if err := p.conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout)); err != nil {
+			buf.Release()
 			return false
 		}
 	}
-	var encodeStart time.Time
-	if q.ctx != nil {
-		encodeStart = time.Now()
-		q.ctx.Record(trace.StageSendQueue, string(p.id), q.msg.Command(), q.at, encodeStart.Sub(q.at))
-	}
-	buf, err := wire.EncodeMessage(q.msg, p.cfg.ProtocolVersion, p.cfg.Net)
-	if err != nil {
-		return false
-	}
 	n, err := p.conn.Write(buf.Bytes())
-	buf.Release()
 	p.bytesSent.Add(uint64(n))
 	if err != nil {
+		buf.Release()
 		if isTimeout(err) && p.cfg.OnWriteTimeout != nil {
 			p.cfg.OnWriteTimeout(p)
 		}
 		return false
 	}
-	if q.ctx != nil {
-		q.ctx.Record(trace.StageWireEncode, string(p.id), q.msg.Command(), encodeStart, time.Since(encodeStart))
+	sent := p.out[from:p.next]
+	if traced || p.cfg.OnSend != nil {
+		p.reportSent(sent, buf.Bytes())
 	}
-	if p.cfg.OnSend != nil {
-		p.cfg.OnSend(q.msg.Command(), n)
-	}
+	buf.Release()
+	clear(sent)
 	return true
 }
 
-// writeLoop drains the send queue.
+// traceDequeued closes a sampled entry's send_queue span as the writer picks
+// it up, and restarts its clock for the wire_encode span.
+func (p *Peer) traceDequeued(q *queued) {
+	now := time.Now()
+	queuedAt := time.Unix(0, q.at)
+	q.ctx.Record(trace.StageSendQueue, string(p.id), q.command(), queuedAt, now.Sub(queuedAt))
+	q.at = now.UnixNano()
+}
+
+// reportSent tells OnSend and the tracer about each message of a flush that
+// reached the wire, reading the messages' sizes back out of the frames
+// written: a message's wire_encode span runs from its own encode to the end
+// of the write it shared.
+func (p *Peer) reportSent(sent []queued, frames []byte) {
+	now := time.Now()
+	for i := range sent {
+		q := &sent[i]
+		size := wire.MessageHeaderSize + int(binary.LittleEndian.Uint32(frames[16:20]))
+		frames = frames[size:]
+		if q.ctx != nil {
+			encodeStart := time.Unix(0, q.at)
+			q.ctx.Record(trace.StageWireEncode, string(p.id), q.command(), encodeStart, now.Sub(encodeStart))
+		}
+		if p.cfg.OnSend != nil {
+			p.cfg.OnSend(q.command(), size)
+		}
+	}
+}
+
+// writeLoop drains the send queue whenever it stops being empty.
 func (p *Peer) writeLoop() {
 	defer p.Disconnect()
 	for {
+		if _, ok := p.drain(nil); !ok {
+			return
+		}
 		select {
 		case <-p.quit:
 			return
-		case q := <-p.sendQueue:
-			if !p.writeOne(q) {
-				return
-			}
+		case <-p.wake:
 		}
 	}
 }
 
 // WriteStep drains queued outbound messages on behalf of an event-loop
-// runner, consulting canWrite before each message so a full peer buffer
-// never parks a worker (on simnet a write with any reported space proceeds
-// whole — the pipe accepts a bounded overshoot). It returns pending=true
-// when messages remain queued behind a full buffer, and ok=false once the
-// connection is finished (the peer is already disconnected then).
+// runner, consulting canWrite before each write so a full peer buffer never
+// parks a worker (on simnet a write with any reported space proceeds whole —
+// the pipe accepts a bounded overshoot, of one flush). It returns
+// pending=true when messages remain queued behind a full buffer — the next
+// step resumes them in order — and ok=false once the connection is finished
+// (the peer is already disconnected then).
 func (p *Peer) WriteStep(canWrite func() bool) (pending, ok bool) {
-	for {
-		select {
-		case <-p.quit:
-			return false, false
-		default:
-		}
-		if !canWrite() {
-			return len(p.sendQueue) > 0, true
-		}
-		var q queued
-		select {
-		case q = <-p.sendQueue:
-		default:
-			return false, true
-		}
-		if !p.writeOne(q) {
-			p.Disconnect()
-			return false, false
-		}
+	pending, ok = p.drain(canWrite)
+	if !ok {
+		p.Disconnect()
 	}
+	return pending, ok
 }
 
 // isTimeout reports whether err is an i/o deadline expiry (net.Error with

@@ -11,13 +11,13 @@ import (
 	"banscore/internal/wire"
 )
 
-// pair builds a connected peer pair over simnet. Returned peers are started.
-func pair(t *testing.T, serverCfg, clientCfg Config) (server, client *Peer, cleanup func()) {
-	t.Helper()
-	n := simnet.NewNetwork()
+// connPair dials a simnet listener and returns both ends of the connection.
+func connPair(tb testing.TB) (server, client net.Conn, n *simnet.Network) {
+	tb.Helper()
+	n = simnet.NewNetwork()
 	l, err := n.Listen("10.0.0.1:8333")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	accepted := make(chan net.Conn, 1)
 	go func() {
@@ -27,11 +27,17 @@ func pair(t *testing.T, serverCfg, clientCfg Config) (server, client *Peer, clea
 		}
 		accepted <- c
 	}()
-	clientConn, err := n.Dial("10.0.0.2:50001", "10.0.0.1:8333")
+	client, err = n.Dial("10.0.0.2:50001", "10.0.0.1:8333")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	serverConn := <-accepted
+	return <-accepted, client, n
+}
+
+// pair builds a connected peer pair over simnet. Returned peers are started.
+func pair(t *testing.T, serverCfg, clientCfg Config) (server, client *Peer, cleanup func()) {
+	t.Helper()
+	serverConn, clientConn, n := connPair(t)
 
 	serverCfg.Net = wire.SimNet
 	clientCfg.Net = wire.SimNet

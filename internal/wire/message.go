@@ -279,42 +279,58 @@ func ReadMessage(r io.Reader, pver uint32, net BitcoinNet) (Message, []byte, err
 	return msg, buf.Detach(), err
 }
 
+// AppendMessage appends msg, framed with a full header for the given network,
+// to buf — the one framing body: a send path that owes a peer several
+// messages appends them to one buffer and writes them out together. On error
+// buf is left as it was given.
+//
+//banlint:hotpath per-message send path: appended to the caller's pooled buffer, header written in place
+func AppendMessage(buf *Buf, msg Message, pver uint32, net BitcoinNet) error {
+	command := msg.Command()
+	if len(command) > CommandSize {
+		return messageError("WriteMessage", fmt.Sprintf("command %q too long", command))
+	}
+
+	start := buf.Len()
+	var header [MessageHeaderSize]byte
+	buf.putBytes(header[:])
+	if err := msg.BtcEncode(buf, pver); err != nil {
+		buf.b = buf.b[:start]
+		return err
+	}
+	// Sliced only now: the encoder may have moved the buffer to a larger class.
+	frame := buf.b[start:]
+	body := frame[MessageHeaderSize:]
+	if len(body) > MaxMessagePayload {
+		buf.b = buf.b[:start]
+		return messageError("WriteMessage",
+			fmt.Sprintf("payload %d exceeds max %d", len(body), MaxMessagePayload))
+	}
+	if maxLen := msg.MaxPayloadLength(pver); uint32(len(body)) > maxLen {
+		buf.b = buf.b[:start]
+		return messageError("WriteMessage",
+			fmt.Sprintf("payload %d exceeds max for %q [%d]", len(body), command, maxLen))
+	}
+
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(net))
+	copy(frame[4:16], command)
+	binary.LittleEndian.PutUint32(frame[16:20], uint32(len(body)))
+	checksum := chainhash.Checksum4(body)
+	copy(frame[20:24], checksum[:])
+	return nil
+}
+
 // EncodeMessage serializes msg with a full header into a pooled buffer for
 // the given network. The caller owns the returned buffer and MUST Release
 // (or Detach) it exactly once after writing it out.
 //
-//banlint:hotpath per-message send path: one pooled buffer, header written in place
+//banlint:hotpath per-message send path: one pooled buffer, framed by AppendMessage
 func EncodeMessage(msg Message, pver uint32, net BitcoinNet) (*Buf, error) {
-	command := msg.Command()
-	if len(command) > CommandSize {
-		return nil, messageError("WriteMessage", fmt.Sprintf("command %q too long", command))
-	}
-
-	buf := GetBuf(MessageHeaderSize)
-	if err := msg.BtcEncode(buf, pver); err != nil {
+	buf := GetBuf(0)
+	if err := AppendMessage(buf, msg, pver, net); err != nil {
 		buf.Release()
 		return nil, err
 	}
-	body := buf.Bytes()[MessageHeaderSize:]
-	if len(body) > MaxMessagePayload {
-		buf.Release()
-		return nil, messageError("WriteMessage",
-			fmt.Sprintf("payload %d exceeds max %d", len(body), MaxMessagePayload))
-	}
-	if maxLen := msg.MaxPayloadLength(pver); uint32(len(body)) > maxLen {
-		buf.Release()
-		return nil, messageError("WriteMessage",
-			fmt.Sprintf("payload %d exceeds max for %q [%d]", len(body), command, maxLen))
-	}
-
-	frame := buf.Bytes()
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(net))
-	var cmd [CommandSize]byte
-	copy(cmd[:], command)
-	copy(frame[4:16], cmd[:])
-	binary.LittleEndian.PutUint32(frame[16:20], uint32(len(body)))
-	checksum := chainhash.Checksum4(body)
-	copy(frame[20:24], checksum[:])
 	return buf, nil
 }
 

@@ -207,6 +207,47 @@ func TestWriteMessagePayloadExceedsCommandMax(t *testing.T) {
 	}
 }
 
+// TestAppendMessageAppends frames several messages into one buffer — small
+// ones, one that moves the buffer up two size classes, a short command whose
+// padding lands on recycled bytes — and holds the result to the per-message
+// frames; a message that cannot be framed leaves the buffer as it was.
+func TestAppendMessageAppends(t *testing.T) {
+	msgs := []Message{
+		NewMsgPong(1),
+		&fakeMessage{command: CmdBlock, payload: bytes.Repeat([]byte{0xab}, 70_000)},
+		&fakeMessage{command: CmdTx, payload: []byte{1, 2, 3}},
+		testVersion(),
+	}
+	buf := GetBuf(0)
+	defer buf.Release()
+	var want []byte
+	for _, msg := range msgs {
+		one, err := EncodeMessage(msg, ProtocolVersion, SimNet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, one.Bytes()...)
+		one.Release()
+		if err := AppendMessage(buf, msg, ProtocolVersion, SimNet); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("after %s the buffer is not the concatenation of the frames so far", msg.Command())
+		}
+	}
+	for _, bad := range []Message{
+		&fakeMessage{command: "thiscommandiswaytoolong"},
+		&fakeMessage{command: CmdPing, payload: make([]byte, 100), maxLen: 8},
+	} {
+		if err := AppendMessage(buf, bad, ProtocolVersion, SimNet); err == nil {
+			t.Errorf("AppendMessage framed %q", bad.Command())
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("a refused %q changed the buffer", bad.Command())
+		}
+	}
+}
+
 func TestMakeEmptyMessageAllCommands(t *testing.T) {
 	commands := []string{
 		CmdVersion, CmdVerAck, CmdAddr, CmdGetAddr, CmdInv, CmdGetData,
