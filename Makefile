@@ -1,16 +1,22 @@
-# Developer entry points. `make check` is the PR gate: vet, banlint,
-# build, the full test suite under the race detector, and the telemetry
-# hot-path benchmarks (one iteration — enough to catch a broken or
-# regressing instrumentation path without benchmarking noise in CI).
+# Developer entry points. `make check` is the merge gate: vet, banlint, the
+# docs reference check, build, the full test suite under the race
+# detector, and the telemetry hot-path benchmarks (one iteration — enough
+# to catch a broken or regressing instrumentation path without
+# benchmarking noise in CI).
 
 GO ?= go
 
-.PHONY: check vet lint lint-json lint-sarif loc alloc-gate alloc-baseline build benchmark-module test race bench bench-telemetry bench-trace bench-gate bench-baseline test-poolpoison fuzz-short chaos chaos-short chaos-crash fleet-short swarm-smoke swarm-full
+.PHONY: check docs-check vet lint lint-json lint-sarif loc alloc-gate alloc-baseline build benchmark-module test race bench bench-telemetry bench-trace bench-gate bench-baseline test-poolpoison fuzz-short chaos chaos-short chaos-crash fleet-short swarm-smoke swarm-full
 
-check: vet lint alloc-gate build benchmark-module race test-poolpoison bench-telemetry bench-trace
+check: vet lint docs-check alloc-gate build benchmark-module race test-poolpoison bench-telemetry bench-trace
 
 vet:
 	$(GO) vet ./...
+
+# README.md and DESIGN.md against the tree: every backticked `make` target
+# and repository path they name must exist (docs_test.go).
+docs-check:
+	$(GO) test -count=1 -run '^TestDocReferences$$' .
 
 # banlint: the repository's own analyzer suite (internal/lint). Zero
 # findings is a merge requirement; waivers need //lint:allow with a reason.

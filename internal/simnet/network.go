@@ -52,6 +52,11 @@ type Network struct {
 
 	drops atomic.Uint64
 
+	// pipeBytesAllocated counts the bytes every stream half's ring has
+	// allocated (pipeHalf.grow): a flooded ring that keeps re-growing
+	// shows here as a climbing counter.
+	pipeBytesAllocated atomic.Uint64
+
 	// Fault layer (see faults.go). faultsActive and partActive are cheap
 	// guards so the fault-free fast paths pay one atomic load at most.
 	defaultFaults *FaultPlan
@@ -183,6 +188,8 @@ func (n *Network) Dial(from, to string) (*Conn, error) {
 
 	clientToServer := newPipeHalf()
 	serverToClient := newPipeHalf()
+	clientToServer.allocated = &n.pipeBytesAllocated
+	serverToClient.allocated = &n.pipeBytesAllocated
 	client := &Conn{
 		network: n,
 		local:   Addr(from),

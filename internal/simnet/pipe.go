@@ -45,11 +45,15 @@ var ErrConnReset = errors.New("simnet: connection reset by peer")
 //
 // The cap is also the drain-release rule: a half that drains to empty hands
 // its backing array back to the collector only if the array had grown to the
-// cap, that is, only if it held a backlog writers were being paced by. A
-// drained flood therefore cannot pin its high-water mark, while a working
-// buffer below the cap is kept: a steady writer/reader pair at any frame
-// size under the cap allocates nothing, and a reader that momentarily
-// catches up with a flooder does not make the next frames re-grow the ring.
+// cap, that is, only if it held a backlog writers were being paced by, and
+// only if no writer is still parked waiting for room. A flood that has
+// stopped therefore cannot pin its high-water mark, a reader that wins the
+// race against a woken but not yet running flooder keeps the ring the
+// flooder is about to refill, and a working buffer below the cap is always
+// kept: a steady writer/reader pair at any frame size under the cap
+// allocates nothing. Growth past the cap sizes the ring once, at the cap
+// plus the write that crossed it, so a paced flood re-houses its ring at
+// most once however its frame boundaries fall against the reader's.
 const pipeBufferCap = 4 * 1024 * 1024
 
 // pipeHalf is one direction of a stream: a bounded in-memory byte queue,
@@ -70,6 +74,12 @@ type pipeHalf struct {
 	// seq counts bytes ever enqueued: the simulation's TCP sequence
 	// number. Injection must match it (see pipeHalf.inject).
 	seq uint64
+	// parked counts writers blocked in write waiting for room; a drained
+	// ring is kept while it is non-zero (see pipeBufferCap).
+	parked int
+	// allocated, when non-nil, counts the bytes grow allocates: the
+	// Network's simnet_pipe_buffer_bytes_allocated_total.
+	allocated *atomic.Uint64
 
 	// onData fires after bytes are enqueued or the half closes; onRoom
 	// fires after a read frees buffer space or the half closes. Both run
@@ -96,29 +106,34 @@ func (h *pipeHalf) writeErr() error {
 	return io.ErrClosedPipe
 }
 
-// grow re-houses the ring in an array of at least need bytes, unwrapping
-// the backlog to the front. Capacity doubles up to pipeBufferCap and is
-// otherwise exactly what was asked for: no power-of-two rounding, so tens
-// of thousands of small Sybil bursts cost what they hold and a whole-write
-// overshoot costs the overshoot.
-func (h *pipeHalf) grow(need int) {
-	c := 2 * len(h.buf)
-	if c > pipeBufferCap {
-		c = pipeBufferCap
-	}
+// grow re-houses the ring in an array with room for add more bytes,
+// unwrapping the backlog to the front. Capacity doubles up to pipeBufferCap
+// and is otherwise exactly what the write needs — no power-of-two rounding,
+// so tens of thousands of small Sybil bursts cost what they hold — until the
+// write would pass the cap: then the ring is sized once at pipeBufferCap +
+// add, room for a full backlog plus one more write of this size.
+func (h *pipeHalf) grow(add int) {
+	need := h.n + add
+	c := min(2*len(h.buf), pipeBufferCap)
 	if c < need {
 		c = need
+		if need > pipeBufferCap {
+			c = pipeBufferCap + add
+		}
 	}
 	buf := make([]byte, c)
 	h.copyOut(buf)
 	h.buf, h.head = buf, 0
+	if h.allocated != nil {
+		h.allocated.Add(uint64(c))
+	}
 }
 
 // deliver appends p to the ring, advances seq and signals readers. Called
 // with mu held; returns with mu released, the onData edge fired after.
 func (h *pipeHalf) deliver(p []byte) {
-	if need := h.n + len(p); need > len(h.buf) {
-		h.grow(need)
+	if h.n+len(p) > len(h.buf) {
+		h.grow(len(p))
 	}
 	tail := h.head + h.n
 	if tail >= len(h.buf) {
@@ -174,7 +189,10 @@ func (h *pipeHalf) wait(dl time.Time) error {
 func (h *pipeHalf) write(p []byte) (int, error) {
 	h.mu.Lock()
 	for h.n >= pipeBufferCap && !h.closed {
-		if err := h.wait(h.wdl); err != nil {
+		h.parked++
+		err := h.wait(h.wdl)
+		h.parked--
+		if err != nil {
 			h.mu.Unlock()
 			return 0, err
 		}
@@ -239,7 +257,7 @@ func (h *pipeHalf) read(p []byte) (int, error) {
 	}
 	if h.n == 0 {
 		h.head = 0
-		if len(h.buf) >= pipeBufferCap {
+		if len(h.buf) >= pipeBufferCap && h.parked == 0 {
 			h.buf = nil
 		}
 	}

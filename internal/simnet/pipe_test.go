@@ -6,8 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
+
+	"banscore/internal/telemetry"
 )
 
 // drainFrame reads one frame the way the wire decoder does: the 24-byte
@@ -93,6 +96,140 @@ func TestPipeDrainedFloodReleasesBuffer(t *testing.T) {
 	h.read(small)
 	if len(h.buf) != len(small) {
 		t.Fatalf("drained %d-byte frame left a %d-byte array, want it kept", len(small), len(h.buf))
+	}
+}
+
+// fillToCap writes frames into h until the next write would block.
+func fillToCap(h *pipeHalf, frame []byte) {
+	for n, _ := h.buffered(); n < pipeBufferCap; n, _ = h.buffered() {
+		if _, err := h.write(frame); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// parkWriter starts a write of frame into the full half h and returns once
+// that writer is parked waiting for room; done closes when the write
+// returns.
+func parkWriter(h *pipeHalf, frame []byte) chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		h.write(frame)
+		close(done)
+	}()
+	for {
+		h.mu.Lock()
+		parked := h.parked
+		h.mu.Unlock()
+		if parked > 0 {
+			return done
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestPipeParkedWriterCatchUpKeepsRing: a reader that drains a flooded half
+// to empty while the flooder is still parked — the whole backlog taken in
+// one read, under one lock acquisition, before the woken writer runs —
+// keeps the ring the writer is about to refill, instead of re-growing it
+// 1 → 2 → 4 → 5 MB on every catch-up.
+func TestPipeParkedWriterCatchUpKeepsRing(t *testing.T) {
+	h := newPipeHalf()
+	frame := make([]byte, 1_000_024)
+	backlog := make([]byte, pipeBufferCap+len(frame))
+	round := func() {
+		fillToCap(h, frame)
+		done := parkWriter(h, frame)
+		if n, err := h.read(backlog); err != nil || n < pipeBufferCap {
+			panic(fmt.Sprintf("catch-up read = %d, %v", n, err))
+		}
+		<-done
+	}
+	round()
+	ring := &h.buf[0]
+	// The round's own goroutine closure and channel are its only objects.
+	if allocs := testing.AllocsPerRun(20, round); allocs > 2 {
+		t.Errorf("%v allocs per parked-writer catch-up, want at most 2 (the round's goroutine and channel)", allocs)
+	}
+	if &h.buf[0] != ring {
+		t.Fatalf("the catch-up re-housed the ring (now %d bytes)", len(h.buf))
+	}
+}
+
+// TestPipeOvershootSizesRingOnce: the write that takes the backlog past the
+// cap sizes the ring at the cap plus that write, so the next frame that is
+// admitted below the cap lands in the same array even when the reader's
+// header read has moved the frame boundaries by 24 bytes (sized at the
+// exact need, the ring would go 4,000,096 → 5,000,096 → 5,000,120 bytes).
+func TestPipeOvershootSizesRingOnce(t *testing.T) {
+	h := newPipeHalf()
+	frame := make([]byte, 1_000_024)
+	for i := 0; i < 4; i++ {
+		h.write(frame)
+	}
+	if len(h.buf) != 4*len(frame) {
+		t.Fatalf("four frames grew the ring to %d bytes, want %d", len(h.buf), 4*len(frame))
+	}
+	h.read(make([]byte, 24)) // the reader takes one header: 4,000,072 queued
+	h.write(frame)
+	if want := pipeBufferCap + len(frame); len(h.buf) != want {
+		t.Fatalf("overshooting write sized the ring at %d bytes, want %d", len(h.buf), want)
+	}
+	ring := &h.buf[0]
+	h.read(make([]byte, len(frame)-24)) // the rest of the first frame: below the cap again
+	h.write(frame)
+	if &h.buf[0] != ring {
+		t.Fatalf("the next admitted frame re-housed the ring (now %d bytes)", len(h.buf))
+	}
+}
+
+// TestPipeBufferBytesAllocatedCounter: simnet_pipe_buffer_bytes_allocated_total
+// counts a flood's first fill and stays flat while a reader catches up with
+// the parked flooder and the flood refills the same ring.
+func TestPipeBufferBytesAllocatedCounter(t *testing.T) {
+	n := NewNetwork()
+	defer n.Close()
+	reg := telemetry.NewRegistry()
+	n.Instrument(reg)
+	allocated := func() float64 {
+		for _, s := range reg.Gather() {
+			if s.Name == "simnet_pipe_buffer_bytes_allocated_total" {
+				return s.Value
+			}
+		}
+		t.Fatal("simnet_pipe_buffer_bytes_allocated_total is not registered")
+		return 0
+	}
+	l, err := n.Listen("10.0.0.1:8333")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Dial("10.0.0.2:1", "10.0.0.1:8333"); err != nil {
+		t.Fatal(err)
+	}
+	server, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := server.(*Conn).recv
+	if got := allocated(); got != 0 {
+		t.Fatalf("counter at %v before any write", got)
+	}
+
+	frame := make([]byte, 1_000_024)
+	fillToCap(h, frame)
+	filled := allocated()
+	if filled < pipeBufferCap {
+		t.Fatalf("counter at %v after filling the ring, want at least %d", filled, pipeBufferCap)
+	}
+	done := parkWriter(h, frame)
+	if _, err := server.Read(make([]byte, pipeBufferCap+len(frame))); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	fillToCap(h, frame)
+	if got := allocated(); got != filled {
+		t.Fatalf("counter moved %v → %v across a parked-writer catch-up", filled, got)
 	}
 }
 

@@ -30,6 +30,10 @@ func (n *Network) Instrument(reg *telemetry.Registry) {
 	reg.CounterFunc("simnet_packets_dropped_total", func() float64 {
 		return float64(n.PacketsDropped())
 	})
+	reg.Describe("simnet_pipe_buffer_bytes_allocated_total", "Bytes allocated for stream ring buffers, all connections.")
+	reg.CounterFunc("simnet_pipe_buffer_bytes_allocated_total", func() float64 {
+		return float64(n.pipeBytesAllocated.Load())
+	})
 	reg.Describe("simnet_conns_active", "Open connection endpoints on the fabric.")
 	reg.GaugeFunc("simnet_conns_active", func() float64 {
 		n.mu.Lock()
