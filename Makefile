@@ -78,10 +78,13 @@ test-poolpoison:
 # Every native fuzz target in the tree, ten seconds each on top of its
 # committed seed corpus (go test -fuzz takes one target and one package per
 # run). A finding is written under the package's testdata/fuzz and fails
-# the build.
+# the build. FuzzOpenRestore's inputs are kilobyte segment bodies and each
+# call opens a store directory twice, so its minimization is capped at 100
+# calls; uncapped, minimizing one new input outlasts the ten seconds.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzPipeHalf$$' -fuzztime 10s ./internal/simnet/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 10s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenRestore$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/banstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzRing$$' -fuzztime 10s ./internal/ring/
 	$(GO) test -run '^$$' -fuzz '^FuzzVersionDecodeReuse$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/wire/

@@ -46,7 +46,14 @@ func TestGoldenDirectory(t *testing.T) {
 	}
 	s, rec := openTest(t, copyDir(t, "testdata/golden/store"), Options{Fsync: FsyncNone})
 	defer func() { _ = s.Close() }()
-	got, err := json.MarshalIndent(rec, "", " ")
+	// recovered.json renders decoded records; Open retains raw views.
+	got, err := json.MarshalIndent(struct {
+		Snapshot    *State
+		SnapshotLSN uint64
+		Records     []Record
+		LastLSN     uint64
+		Truncations uint64
+	}{rec.Snapshot, rec.SnapshotLSN, decodedRecords(t, rec), rec.LastLSN, rec.Truncations}, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,12 @@ type Recovered struct {
 	// SnapshotLSN is the LSN the snapshot covers through.
 	SnapshotLSN uint64
 
-	// Records is every retained WAL record, in log order. Replay is
-	// idempotent, so records the snapshot already covers are included.
-	Records []Record
+	// Records is every retained WAL record, in log order, as its raw
+	// payload: a view into the segment image Open read, which
+	// decodeRecord accepted there and Restore decodes as it applies it.
+	// Replay is idempotent, so records the snapshot already covers are
+	// included.
+	Records [][]byte
 
 	// LastLSN is the highest LSN recovered (snapshot or record).
 	LastLSN uint64
@@ -47,11 +50,13 @@ func Open(opts Options) (*Store, *Recovered, error) {
 			return nil
 		},
 		func(payload []byte) error {
-			r, err := decodeRecord(payload)
-			if err != nil {
+			if _, err := decodeRecord(payload); err != nil {
 				return err
 			}
-			rec.Records = append(rec.Records, r)
+			// wal.Recover reads each segment whole and never reuses the
+			// buffer, so the view outlives the callback. The clipped cap
+			// keeps an append through it off the next frame.
+			rec.Records = append(rec.Records, payload[:len(payload):len(payload)])
 			return nil
 		})
 	if err != nil {

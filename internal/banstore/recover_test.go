@@ -2,7 +2,9 @@ package banstore
 
 import (
 	"bytes"
+	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -133,7 +135,7 @@ func TestRecoverBitFlipMidLog(t *testing.T) {
 		t.Fatalf("expected a strict prefix of the 30 records, got %d", len(rec.Records))
 	}
 	// Prefix integrity: everything before the flip replays exactly.
-	for i, r := range rec.Records {
+	for i, r := range decodedRecords(t, rec) {
 		if r.Kind != recGood || r.Total != i {
 			t.Fatalf("prefix record %d corrupted: %+v", i, r)
 		}
@@ -345,4 +347,61 @@ func TestRestorePropertyByteForByte(t *testing.T) {
 				shards, len(got), len(want))
 		}
 	}
+}
+
+// TestOpenRetainsViewsNotRecords pins what a reopen costs the heap after a
+// serial-Sybil flood: Open keeps each retained record as a view into the
+// segment image it read, so the growth is that image plus a slice header
+// per record, not a decoded Record union per record. Not parallel: it
+// reads the process heap.
+func TestOpenRetainsViewsNotRecords(t *testing.T) {
+	const records = 20000
+	dir := t.TempDir()
+	s, _ := openTest(t, dir, Options{Fsync: FsyncNone})
+	at := time.Unix(1700000000, 0)
+	for i := 0; i < records/2; i++ {
+		peer := core.PeerID(fmt.Sprintf("%d.%d.7.7:4001", 20+(i>>8), i&0xff))
+		s.AppendMisbehavior(core.BanRecord{
+			Seq: uint64(i + 1), At: at, Peer: peer, RuleID: core.VersionDuplicate, Rule: "VersionDuplicate",
+			Delta: 1, Score: i%100 + 1, Command: "version", PayloadDigest: 0xdeadbeef, PayloadLen: 125,
+		})
+		s.RecordPenalty(reputation.PenaltyRecord{
+			ID: peer, Seq: uint64(i + 1), At: at, Mis: float64(i%100 + 1), Contributed: float64(i%100 + 1),
+			Group: fmt.Sprintf("v4:%d.%d", 20+(i>>8), i&0xff), Pressure: 12.5, BannedUntil: at.Add(time.Hour),
+			Identities: 1, Bans: uint64(i % 3),
+		})
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var segBytes int64
+	segs, _, err := wal.ScanDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		fi, err := os.Stat(seg.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segBytes += fi.Size()
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s2, rec := openTest(t, dir, Options{Fsync: FsyncNone})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	defer func() { _ = s2.Close() }()
+	if len(rec.Records) != records || rec.Truncations != 0 {
+		t.Fatalf("recovered %d records with %d truncations, want %d clean", len(rec.Records), rec.Truncations, records)
+	}
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("Open retained %d B (%d B/record) from a %d B log", grew, grew/records, segBytes)
+	if budget := segBytes + 40*records; grew > budget {
+		t.Fatalf("Open retained %d B for %d records (%d B/record) from a %d B log; want <= %d",
+			grew, records, grew/records, segBytes, budget)
+	}
+	runtime.KeepAlive(rec)
 }

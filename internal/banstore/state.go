@@ -199,7 +199,8 @@ func sortedPeerKeys(m map[core.PeerID]int) []core.PeerID {
 }
 
 // Restore rebuilds the live components from a recovery result: snapshot
-// first, then every retained WAL record replayed in order. Replay is
+// first, then every retained WAL record decoded and replayed in order, so
+// no more than one decoded record is live at a time. Replay is
 // idempotent over the snapshot — score/ban/trust records carry post-state
 // absolutes (last-write-wins), ledger and reputation records are de-duped
 // by their stamped sequence numbers — so it is correct, by design, for the
@@ -225,8 +226,9 @@ func Restore(rec *Recovered, tracker *core.Tracker, ledger *core.Ledger, engine 
 			engine.ImportState(st.Rep)
 		}
 	}
-	for i := range rec.Records {
-		r := &rec.Records[i]
+	for _, payload := range rec.Records {
+		// Open retained only payloads decodeRecord accepts.
+		r, _ := decodeRecord(payload)
 		switch r.Kind {
 		case recMisbehave:
 			m := &r.Misbehavior

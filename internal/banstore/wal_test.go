@@ -21,6 +21,20 @@ func openTest(t *testing.T, dir string, opts Options) (*Store, *Recovered) {
 	return s, rec
 }
 
+// decodedRecords decodes every view Open retained, in log order.
+func decodedRecords(t *testing.T, rec *Recovered) []Record {
+	t.Helper()
+	out := make([]Record, len(rec.Records))
+	for i, payload := range rec.Records {
+		r, err := decodeRecord(payload)
+		if err != nil {
+			t.Fatalf("retained record %d does not decode: %v", i, err)
+		}
+		out[i] = r
+	}
+	return out
+}
+
 func appendAllKinds(s *Store) int {
 	at := time.Unix(1700000000, 0)
 	s.AppendMisbehavior(core.BanRecord{
@@ -69,26 +83,27 @@ func TestWALAppendSyncReopenRoundTrip(t *testing.T) {
 	}
 
 	// Every field of every kind must round-trip exactly.
-	r := rec2.Records[0]
+	records := decodedRecords(t, rec2)
+	r := records[0]
 	if r.Kind != recMisbehave || r.Misbehavior.Peer != "p1" || r.Misbehavior.Score != 20 ||
 		r.Misbehavior.PayloadDigest != 0xdeadbeef || r.Misbehavior.TraceID != 7 ||
 		!r.Misbehavior.At.Equal(time.Unix(1700000000, 0)) {
 		t.Fatalf("misbehavior record mangled: %+v", r.Misbehavior)
 	}
-	if r = rec2.Records[1]; r.Kind != recBan || r.Peer != "p2" || !r.Until.Equal(time.Unix(1700000000, 0).Add(24*time.Hour)) {
+	if r = records[1]; r.Kind != recBan || r.Peer != "p2" || !r.Until.Equal(time.Unix(1700000000, 0).Add(24*time.Hour)) {
 		t.Fatalf("ban record mangled: %+v", r)
 	}
-	if r = rec2.Records[2]; r.Kind != recForget || r.Peer != "p3" {
+	if r = records[2]; r.Kind != recForget || r.Peer != "p3" {
 		t.Fatalf("forget record mangled: %+v", r)
 	}
-	if r = rec2.Records[3]; r.Kind != recGood || r.Peer != "p4" || r.Total != 3 {
+	if r = records[3]; r.Kind != recGood || r.Peer != "p4" || r.Total != 3 {
 		t.Fatalf("good record mangled: %+v", r)
 	}
-	if r = rec2.Records[4]; r.Kind != recPenalty || r.Penalty.Group != "v4:203.0.113.0" ||
+	if r = records[4]; r.Kind != recPenalty || r.Penalty.Group != "v4:203.0.113.0" ||
 		r.Penalty.Pressure != 81 || r.Penalty.Bans != 1 {
 		t.Fatalf("penalty record mangled: %+v", r.Penalty)
 	}
-	if r = rec2.Records[5]; r.Kind != recCredit || r.Credit.ID != "p6" || r.Credit.Trust != 15 {
+	if r = records[5]; r.Kind != recCredit || r.Credit.ID != "p6" || r.Credit.Trust != 15 {
 		t.Fatalf("credit record mangled: %+v", r)
 	}
 
@@ -120,7 +135,7 @@ func TestCrashLosesAtMostOneWindow(t *testing.T) {
 	if len(rec.Records) < 50 {
 		t.Fatalf("crash lost synced records: recovered %d, want >= 50", len(rec.Records))
 	}
-	for i, r := range rec.Records[:50] {
+	for i, r := range decodedRecords(t, rec)[:50] {
 		if r.Peer != "durable" || r.Total != i {
 			t.Fatalf("synced record %d corrupted: %+v", i, r)
 		}

@@ -53,6 +53,14 @@ func TestNodeBanStatePersistsAcrossRestart(t *testing.T) {
 	if got := n2.Tracker().Score(scored); got != 40 {
 		t.Fatalf("restored score %d, want 40 (snapshot 20 + WAL tail 20)", got)
 	}
+	// The node must not pin the recovery (and the segment image its
+	// records view) past Restore; the caller's pointer stays whole.
+	if n2.cfg.BanStoreRecovered != nil {
+		t.Fatal("node still holds the recovery after Restore")
+	}
+	if len(rec2.Records) == 0 {
+		t.Fatal("caller's recovery was emptied")
+	}
 
 	// Health surfaces the store's status alongside the node's own.
 	healthy, fields := n2.Health()

@@ -189,7 +189,10 @@ type Config struct {
 	// BanStoreRecovered, if set together with BanStore, is the recovery
 	// result from banstore.Open. New replays it into the tracker, the
 	// forensics ledger, and the reputation engine before the node accepts
-	// its first connection, so bans survive a crash or restart.
+	// its first connection, so bans survive a crash or restart. New drops
+	// its copy of the pointer once Restore returns, so the node does not
+	// keep the recovered segment image alive for its lifetime; the
+	// caller's own pointer is untouched.
 	BanStoreRecovered *banstore.Recovered
 
 	// SnapshotEvery is the ban-state snapshot interval; zero selects
@@ -381,6 +384,7 @@ func New(cfg Config) *Node {
 	if s := cfg.BanStore; s != nil {
 		if cfg.BanStoreRecovered != nil {
 			banstore.Restore(cfg.BanStoreRecovered, n.tracker, n.cfg.TrackerConfig.Forensics, cfg.Reputation)
+			n.cfg.BanStoreRecovered = nil
 		}
 		if cfg.SnapshotEvery >= 0 {
 			every := cfg.SnapshotEvery
