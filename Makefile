@@ -14,9 +14,10 @@ vet:
 	$(GO) vet ./...
 
 # README.md and DESIGN.md against the tree: every backticked `make` target
-# and repository path they name must exist (docs_test.go).
+# and repository path they name must exist, and their analyzer lists must
+# name exactly the analyzers banlint runs (docs_test.go).
 docs-check:
-	$(GO) test -count=1 -run '^TestDocReferences$$' .
+	$(GO) test -count=1 -run '^TestDoc(References|AnalyzerLists)$$' .
 
 # banlint: the repository's own analyzer suite (internal/lint). Zero
 # findings is a merge requirement; waivers need //lint:allow with a reason.

@@ -1,31 +1,18 @@
 // Command banlint runs the repository's analyzer suite (see
-// internal/lint/banlint) over Go packages. It runs two ways:
-//
-// Standalone, over directory trees:
+// internal/lint/banlint) over Go packages:
 //
 //	go run ./cmd/banlint ./...
 //	go run ./cmd/banlint -json -tests ./internal/simnet
-//
-// As a go vet tool, speaking the vet driver's unitchecker protocol
-// (the -V=full version handshake plus one vet.cfg JSON per package):
-//
-//	go build -o /tmp/banlint ./cmd/banlint
-//	go vet -vettool=/tmp/banlint ./...
 //
 // Exit status: 0 clean, 1 findings reported, 2 usage or load error.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"banscore/internal/lint/analysis"
@@ -35,37 +22,10 @@ import (
 )
 
 func main() {
-	// The vet driver's handshakes arrive before normal flag parsing:
-	// `-V=full` must print `<name> version <id>`, and `-flags` must
-	// describe the tool's flags as a JSON array so cmd/go knows which of
-	// its own vet flags it may forward.
-	if len(os.Args) == 2 && os.Args[1] == "-V=full" {
-		fmt.Printf("banlint version devel buildID=%s\n", selfID())
-		return
-	}
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		type flagDef struct {
-			Name  string `json:"Name"`
-			Bool  bool   `json:"Bool"`
-			Usage string `json:"Usage"`
-		}
-		defs := []flagDef{
-			{Name: "json", Bool: true, Usage: "emit findings as a JSON array on stdout"},
-			{Name: "tests", Bool: true, Usage: "also lint _test.go files (standalone mode)"},
-			{Name: "only", Bool: false, Usage: "comma-separated analyzer names to run (default: all)"},
-			{Name: "sarif", Bool: false, Usage: "write findings as SARIF 2.1.0 to the named file (standalone mode)"},
-		}
-		if err := json.NewEncoder(os.Stdout).Encode(defs); err != nil {
-			fmt.Fprintf(os.Stderr, "banlint: %v\n", err)
-			os.Exit(2)
-		}
-		return
-	}
-
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	tests := flag.Bool("tests", false, "also lint _test.go files (standalone mode)")
+	tests := flag.Bool("tests", false, "also lint _test.go files")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	sarifOut := flag.String("sarif", "", "write findings as SARIF 2.1.0 to the named file (standalone mode)")
+	sarifOut := flag.String("sarif", "", "write findings as SARIF 2.1.0 to the named file")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -75,11 +35,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vetMode(args[0], analyzers, *jsonOut, *tests))
-	}
-	os.Exit(standalone(args, analyzers, loader.Config{IncludeTests: *tests}, *jsonOut, *sarifOut))
+	os.Exit(lint(flag.Args(), analyzers, loader.Config{IncludeTests: *tests}, *jsonOut, *sarifOut))
 }
 
 func usage() {
@@ -109,11 +65,12 @@ func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
 	return out, nil
 }
 
-// standalone lints directory trees named by args (default "./...").
-// All loaded packages are analyzed as ONE tree: repo-level analyzers
-// (evidenceflow, lockorder) need the whole unit set to resolve calls and
-// lock classes across package boundaries.
-func standalone(args []string, analyzers []*analysis.Analyzer, cfg loader.Config, jsonOut bool, sarifOut string) int {
+// lint loads the directory trees named by args (default "./...") and
+// reports their findings.
+// All loaded packages are analyzed as ONE tree: the repo-level analyzer
+// (lockorder) needs the whole unit set to resolve calls and lock classes
+// across package boundaries.
+func lint(args []string, analyzers []*analysis.Analyzer, cfg loader.Config, jsonOut bool, sarifOut string) int {
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
@@ -181,111 +138,4 @@ func report(findings []runner.Finding, jsonOut bool, stdout io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// vetConfig is the subset of the vet driver's per-package JSON config
-// banlint needs. The driver writes one such file per package and invokes
-// the tool with its path as the sole argument.
-type vetConfig struct {
-	ID           string   `json:"ID"`
-	Dir          string   `json:"Dir"`
-	ImportPath   string   `json:"ImportPath"`
-	GoFiles      []string `json:"GoFiles"`
-	IgnoredFiles []string `json:"IgnoredFiles"`
-	VetxOnly     bool     `json:"VetxOnly"`
-	VetxOutput   string   `json:"VetxOutput"`
-}
-
-// vetMode services one unitchecker-protocol invocation.
-func vetMode(cfgPath string, analyzers []*analysis.Analyzer, jsonOut, tests bool) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "banlint: reading vet config: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "banlint: parsing vet config %s: %v\n", cfgPath, err)
-		return 2
-	}
-
-	// The driver requires the facts file to exist even though banlint's
-	// analyzers are fact-free.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "banlint: writing facts: %v\n", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		// Dependency package analyzed only for facts; nothing to report.
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		// The vet driver hands over augmented test packages; keep the
-		// default scope aligned with standalone mode (production files)
-		// unless -tests is forwarded.
-		if !tests && strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(cfg.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "banlint: %v\n", err)
-			return 2
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return 0
-	}
-	pkg := &loader.Package{
-		Name:  files[0].Name.Name,
-		Path:  cfg.ImportPath,
-		Dir:   cfg.Dir,
-		Fset:  fset,
-		Files: files,
-	}
-	diags, err := runner.RunPackage(pkg, analyzers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "banlint: %v\n", err)
-		return 2
-	}
-	findings := runner.Resolve(pkg, diags)
-	if jsonOut {
-		return report(findings, true, os.Stdout)
-	}
-	for _, f := range findings {
-		// The vet driver relays stderr verbatim; match vet's own
-		// file:line:col format.
-		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s: %s\n", f.File, f.Line, f.Column, f.Analyzer, f.Message)
-	}
-	if len(findings) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// selfID content-hashes the executable so the vet driver's result cache
-// invalidates when the tool changes.
-func selfID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:12])
 }

@@ -5,8 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"banscore/internal/lint/banlint"
 )
 
 var (
@@ -22,6 +25,10 @@ var (
 	bareFile  = regexp.MustCompile(`^[A-Za-z0-9_-][A-Za-z0-9_.-]*\.(go|md|json|txt|sh|mod|yml|sarif|golden)$`)
 	// goSelector is a trailing exported identifier (pkg/path.Name).
 	goSelector = regexp.MustCompile(`\.[A-Z][A-Za-z0-9_]*$`)
+	// analyzerRow is a table row naming an analyzer in its first cell;
+	// analyzerItem is a list item naming one first.
+	analyzerRow  = regexp.MustCompile("^\\| `([a-z]+)` \\|")
+	analyzerItem = regexp.MustCompile("^- `([a-z]+)`")
 )
 
 // TestDocReferences holds README.md and DESIGN.md to the tree: every
@@ -93,5 +100,73 @@ func TestDocReferences(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDocAnalyzerLists holds the two places that list banlint's analyzers
+// to the suite itself, so a deleted analyzer cannot linger in the docs and
+// a new one cannot go unlisted: each table in DESIGN.md §8 names exactly
+// banlint.Analyzers() (a row whose last cell starts with "**deleted**" is
+// history, not a claim), and README.md's "N analyzers run:" list names
+// them all, N spelled out. `make docs-check` runs it.
+func TestDocAnalyzerLists(t *testing.T) {
+	var want []string
+	for _, a := range banlint.Analyzers() {
+		want = append(want, a.Name)
+	}
+	slices.Sort(want)
+
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(design), "\n## 8.")
+	section, _, _ = strings.Cut(section, "\n## 9.")
+	tables := 0
+	for _, table := range strings.Split(section, "\n\n") {
+		var got []string
+		for _, line := range strings.Split(table, "\n") {
+			m := analyzerRow.FindStringSubmatch(line)
+			if m == nil {
+				continue
+			}
+			cells := strings.Split(strings.TrimSuffix(line, "|"), "|")
+			if !strings.HasPrefix(strings.TrimSpace(cells[len(cells)-1]), "**deleted**") {
+				got = append(got, m[1])
+			}
+		}
+		if got == nil {
+			continue
+		}
+		tables++
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("DESIGN.md §8 table lists analyzers %v, banlint runs %v", got, want)
+		}
+	}
+	if tables == 0 {
+		t.Error("DESIGN.md §8 has no analyzer table")
+	}
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, list, ok := strings.Cut(string(readme), " analyzers run:\n")
+	if !ok {
+		t.Fatal(`README.md has no "N analyzers run:" list`)
+	}
+	count := strings.ToLower(before[strings.LastIndexAny(before, " \n")+1:])
+	list, _, _ = strings.Cut(list, "\n\n")
+	var got []string
+	for _, line := range strings.Split(list, "\n") {
+		if m := analyzerItem.FindStringSubmatch(line); m != nil {
+			got = append(got, m[1])
+		}
+	}
+	slices.Sort(got)
+	words := []string{"zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten", "eleven", "twelve"}
+	if !slices.Equal(got, want) || (len(want) < len(words) && count != words[len(want)]) {
+		t.Errorf("README.md says %s analyzers run, lists %v; banlint runs %d: %v", count, got, len(want), want)
 	}
 }

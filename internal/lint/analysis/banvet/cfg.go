@@ -2,18 +2,17 @@
 // control-flow-graph builder, a syntactic whole-repo function/type index
 // with call resolution, and a forward may-dataflow engine. The per-package
 // analyzers in internal/lint/analyzers are single-file syntax walks; the
-// banvet analyzers (evidenceflow, lockorder, allocbudget) instead reason
-// about paths — which values flow into a score mutation, which locks a
+// banvet analyzer, lockorder, instead reasons about paths — which locks a
 // function may hold when it calls another — across package boundaries.
 //
 // Like the rest of the framework, banvet is deliberately stdlib-only and
 // type-checker-free. Types are inferred syntactically (declared struct
 // fields, parameter lists, composite literals, constructor results), and
 // every inference carries a conservative default: an unresolvable call or
-// receiver degrades to "unknown", and each analyzer chooses the sound
-// direction for its property (assume tainted / assume held / assume
-// allocating) so missing precision can only cause noise that a reviewed
-// //lint:allow waiver records, never a silent pass.
+// receiver degrades to "unknown", and the analyzer chooses the sound
+// direction for its property (assume held) so missing precision can only
+// cause noise that a reviewed //lint:allow waiver records, never a silent
+// pass.
 package banvet
 
 import "go/ast"

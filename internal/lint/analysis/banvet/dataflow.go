@@ -1,8 +1,7 @@
 package banvet
 
-// Facts is a set of named dataflow facts — tainted variable names for
-// evidenceflow, held lock keys for lockorder. The empty map (or nil) is
-// the bottom element.
+// Facts is a set of named dataflow facts — held lock keys for lockorder.
+// The empty map (or nil) is the bottom element.
 type Facts map[string]bool
 
 // Clone returns an independent copy of f.
@@ -35,7 +34,7 @@ func (f Facts) Union(o Facts) bool {
 //
 // Merge at a join point is set union — a fact holds at block entry if it
 // holds on ANY predecessor's exit — which is the conservative direction
-// for taint ("may be tainted") and for lock tracking ("may be held").
+// for lock tracking ("may be held").
 // After the fixpoint, callers typically re-walk each block with its
 // final entry facts to report diagnostics at specific nodes.
 func Forward(c *CFG, entry Facts, transfer func(*Block, Facts) Facts) map[*Block]Facts {

@@ -45,9 +45,9 @@ func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 // RunTree loads every fixture package under root — a multi-package
 // fixture tree — and applies the analyzers through the whole-tree driver
 // pipeline, so repo-level analyzers see the packages together and
-// cross-package properties (interprocedural taint, the lock-order graph)
-// are exercised exactly as cmd/banlint would over the real tree. The
-// // want expectations of every file in the tree are checked.
+// cross-package properties (the lock-order graph) are exercised exactly
+// as cmd/banlint would over the real tree. The // want expectations of
+// every file in the tree are checked.
 func RunTree(t *testing.T, root string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
 	pkgs, err := loader.LoadTree(root, loader.Config{IncludeTests: true})

@@ -1,20 +1,8 @@
 // Package banlint assembles the repository's analyzer suite — the single
-// list cmd/banlint, the analysistest fixtures, and the repo-cleanliness
-// test all share, so "what banlint checks" has exactly one definition.
-//
-// The suite enforces the invariants the concurrent core's correctness
-// arguments rest on (see DESIGN.md, "Checked invariants"):
-//
-//	wallclock    no ambient time / global math/rand in determinism-
-//	             critical packages (simnet, experiments, vclock)
-//	errsentinel  sentinel errors matched with errors.Is, never ==/!= or
-//	             error-text comparison
-//	lockhold     no blocking operations while holding a mutex
-//	metriclabel  metric names and label keys are compile-time constants
-//	gospawn      go statements in node/peer route through the supervised
-//	             spawn helpers
-//	bufrelease   pooled wire buffers (GetBuf, EncodeMessage,
-//	             DecodeMessage) reach Release/Detach or are handed onward
+// list cmd/banlint, the analysistest fixtures, the repo-cleanliness test
+// and the docs check all share, so "what banlint checks" has exactly one
+// definition. DESIGN.md §8 states each analyzer's invariant and the
+// mutations that show what it catches that the tests do not.
 package banlint
 
 import (
@@ -22,11 +10,9 @@ import (
 	"banscore/internal/lint/analyzers/allocbudget"
 	"banscore/internal/lint/analyzers/bufrelease"
 	"banscore/internal/lint/analyzers/errsentinel"
-	"banscore/internal/lint/analyzers/evidenceflow"
 	"banscore/internal/lint/analyzers/gospawn"
 	"banscore/internal/lint/analyzers/lockhold"
 	"banscore/internal/lint/analyzers/lockorder"
-	"banscore/internal/lint/analyzers/metriclabel"
 	"banscore/internal/lint/analyzers/wallclock"
 )
 
@@ -36,11 +22,9 @@ func Analyzers() []*analysis.Analyzer {
 		allocbudget.Analyzer,
 		bufrelease.Analyzer,
 		errsentinel.Analyzer,
-		evidenceflow.Analyzer,
 		gospawn.Analyzer,
 		lockhold.Analyzer,
 		lockorder.Analyzer,
-		metriclabel.Analyzer,
 		wallclock.Analyzer,
 	}
 }

@@ -12,8 +12,9 @@ import (
 // TestRepoIsLintClean is the merge gate in test form: the whole tree must
 // carry zero banlint findings, at cmd/banlint's default scope (test files
 // excluded — tests measuring real elapsed behavior may consult the real
-// clock; `banlint -tests` exists for opt-in auditing). A failure here
-// prints exactly what cmd/banlint would.
+// clock; `banlint -tests` exists for opt-in auditing). It loads the tree
+// and runs it through runner.RunTree in one piece, as cmd/banlint does, so
+// a failure here prints exactly what `make lint` would.
 func TestRepoIsLintClean(t *testing.T) {
 	root, err := moduleRoot()
 	if err != nil {

@@ -1,15 +1,16 @@
 // Package runner executes a set of analyzers over loaded packages and
-// applies the //lint:allow suppression pass. It is the shared core of the
-// cmd/banlint standalone driver, the go vet -vettool mode, and the
-// analysistest harness, so all three agree exactly on what a finding is.
+// applies the //lint:allow suppression pass. It is the shared core of
+// cmd/banlint, TestRepoIsLintClean and the analysistest harness, so all
+// three agree exactly on what a finding is.
 //
 // Two granularities exist. Per-package analyzers (Analyzer.Run) see one
 // package at a time. Repo-level analyzers (Analyzer.RunRepo — the banvet
-// dataflow tier) see every loaded package at once, so cross-package
-// properties (interprocedural evidence taint, the whole-repo lock-order
-// graph) are provable. RunTree runs both kinds; RunPackage is the
-// single-package view the vet driver and single-directory fixtures use,
-// in which repo-level analyzers see a one-package repo.
+// dataflow tier) see every loaded package at once, so a cross-package
+// property (the whole-repo lock-order graph) is provable. RunTree runs
+// both kinds over the same set of packages, which is why there is no
+// per-package entry point: a repo-level analyzer handed one package would
+// check a one-package repo, and a waiver audit against it would call
+// waivers for its cross-package findings stale.
 package runner
 
 import (
@@ -85,17 +86,6 @@ func RunTree(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([][]analys
 		analysis.SortDiagnostics(pkg.Fset, diags[i])
 	}
 	return diags, nil
-}
-
-// RunPackage applies every analyzer to the single package pkg — the
-// repo-of-one view. Repo-level analyzers therefore check only
-// intra-package properties here; whole-repo runs go through RunTree.
-func RunPackage(pkg *loader.Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
-	per, err := RunTree([]*loader.Package{pkg}, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	return per[0], nil
 }
 
 // Finding is one diagnostic rendered against its file set — the

@@ -43,7 +43,7 @@ var callFlagger = &analysis.Analyzer{
 	},
 }
 
-func TestRunPackagePipeline(t *testing.T) {
+func TestRunTreePipeline(t *testing.T) {
 	src := `package p
 
 func f() {
@@ -53,11 +53,11 @@ func f() {
 }
 `
 	pkg := writeFixture(t, src)
-	diags, err := RunPackage(pkg, []*analysis.Analyzer{callFlagger})
+	per, err := RunTree([]*loader.Package{pkg}, []*analysis.Analyzer{callFlagger})
 	if err != nil {
-		t.Fatalf("RunPackage: %v", err)
+		t.Fatalf("RunTree: %v", err)
 	}
-	findings := Resolve(pkg, diags)
+	findings := Resolve(pkg, per[0])
 	// Line 4 is waived; line 5 survives; line 6's malformed directive
 	// waives nothing, so both the finding and the directive report.
 	var got []string

@@ -55,7 +55,6 @@ func (mb *MisbehaviorBatch) grow() { mb.staged = append(mb.staged, nil)[:len(mb.
 func (mb *MisbehaviorBatch) Flush() {
 	i := 0
 	mb.b.Flush(func(_ core.BatchOp, res core.Result) {
-		//lint:allow evidenceflow(res is the callback Result of core.Batch.Flush, produced by the same evidenced applyLocked body as the inline path; the evidence-carrying MisbehaviorContext entered via StageMisbehavior, where Batch.Add checks it — the analyzer cannot trace taint through the Flush callback parameter)
 		mb.n.scored(mb.staged[i], res)
 		i++
 	})

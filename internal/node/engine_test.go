@@ -1,6 +1,7 @@
 package node
 
 import (
+	"encoding/binary"
 	"io"
 	"net"
 	"testing"
@@ -8,7 +9,9 @@ import (
 
 	"banscore/internal/blockchain"
 	"banscore/internal/core"
+	"banscore/internal/peer"
 	"banscore/internal/reputation"
+	"banscore/internal/swarm"
 	"banscore/internal/wire"
 )
 
@@ -22,46 +25,93 @@ func oversizeAddr() *wire.MsgAddr {
 	return m
 }
 
+// TestEnginePenaltyCarriesWireEvidence holds both misbehavior pumps to the
+// evidence chain the Defamation defense rests on: each forensics record
+// names the checksum and length of the frame the peer actually sent, and
+// the reputation engine is charged exactly each hit's tracker delta. The
+// goroutine pump scores inline (Node.misbehave → MisbehavingCtx); the
+// event-loop engine stages each hit in a MisbehaviorBatch and scores it at
+// the flush (StageMisbehavior → Batch.Add → Flush → scored).
 func TestEnginePenaltyCarriesWireEvidence(t *testing.T) {
+	t.Run("goroutine", func(t *testing.T) { checkWireEvidence(t, nil) })
+	t.Run("batched", func(t *testing.T) {
+		checkWireEvidence(t, func(n **Node) peer.Runner {
+			eng := swarm.NewEngine(swarm.Config{
+				Shards:   1,
+				NewBatch: func() swarm.Batcher { return (*n).NewMisbehaviorBatch() },
+			})
+			t.Cleanup(eng.Stop)
+			return eng
+		})
+	})
+}
+
+// checkWireEvidence scores two rules of different weight against one
+// inbound peer — an oversize ADDR (+20) and a duplicate VERSION (+1) — and
+// checks the ledger and the engine against the frames sent. pump, if not
+// nil, builds the node's PeerRunner; *n is the node by the time a
+// connection arrives.
+func checkWireEvidence(t *testing.T, pump func(n **Node) peer.Runner) {
+	var n *Node
 	ledger := core.NewLedger(0, 0)
 	engine := reputation.New(reputation.Config{})
 	env := newEnv(t, func(cfg *Config) {
 		cfg.TrackerConfig = core.Config{Mode: core.ModeThresholdInfinity}
 		cfg.Forensics = ledger
 		cfg.Reputation = engine
+		if pump != nil {
+			cfg.PeerRunner = pump(&n)
+		}
 	})
+	n = env.node
 	conn := env.dial(t, "10.0.0.2:50001")
 	defer conn.Close()
 	handshake(t, conn)
 	peerID := core.PeerIDFromAddr("10.0.0.2:50001")
 
-	// The engine decays continuously, so an instant after the hit the
-	// score is fractionally under the nominal 20.
-	send(t, conn, oversizeAddr())
-	waitFor(t, "penalty charged", func() bool { return engine.Score(peerID).Misbehavior > 19.9 })
+	hits := []struct {
+		msg   wire.Message
+		rule  core.RuleID
+		frame []byte
+	}{
+		{msg: oversizeAddr(), rule: core.AddrOversize},
+		{msg: clientVersion(2), rule: core.VersionDuplicate},
+	}
+	for i := range hits {
+		buf, err := wire.EncodeMessage(hits[i].msg, wire.ProtocolVersion, wire.SimNet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits[i].frame = buf.Detach()
+		if _, err := conn.Write(hits[i].frame); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	// The forensics record must name the offending bytes: the ADDR's wire
-	// checksum and payload length, alongside command and rule.
+	// The engine decays continuously, so an instant after the hits the
+	// score is fractionally under the nominal 20+1.
+	waitFor(t, "penalties charged", func() bool { return engine.Score(peerID).Misbehavior > 20.9 })
+	if s := engine.Score(peerID); s.Misbehavior > 21 {
+		t.Fatalf("engine misbehavior = %v, want the rules' 20+1 less instants of decay", s.Misbehavior)
+	}
+
+	// Each record names the offending bytes: the frame's header checksum
+	// (big-endian, as framed) and its payload length, alongside command
+	// and rule.
 	records := ledger.Records(peerID)
-	if len(records) != 1 {
-		t.Fatalf("ledger holds %d records, want 1", len(records))
+	if len(records) != len(hits) {
+		t.Fatalf("ledger holds %d records, want %d", len(records), len(hits))
 	}
-	r := records[0]
-	if r.Command != "addr" || r.RuleID != core.AddrOversize {
-		t.Fatalf("record names %q/%v, want addr/AddrOversize", r.Command, r.RuleID)
-	}
-	if r.PayloadDigest == 0 || r.PayloadLen == 0 {
-		t.Fatalf("record evidence (%#x, %d): missing payload digest/length", r.PayloadDigest, r.PayloadLen)
-	}
-	// The oversize ADDR payload is varint + 1001×30 bytes (timestamp,
-	// services, IP, port per entry).
-	if want := 3 + (wire.MaxAddrPerMsg+1)*30; r.PayloadLen != want {
-		t.Fatalf("payload length %d, want %d", r.PayloadLen, want)
-	}
-	// The engine saw the same delta the tracker scored (modulo the decay
-	// between the hit and this read).
-	if s := engine.Score(peerID); s.Misbehavior <= 19.9 || s.Misbehavior > 20 {
-		t.Fatalf("engine misbehavior = %v, want the rule's 20 less instants of decay", s.Misbehavior)
+	for i, r := range records {
+		h := hits[i]
+		if r.Command != h.msg.Command() || r.RuleID != h.rule {
+			t.Errorf("record %d names %q/%v, want %s/%v", i, r.Command, r.RuleID, h.msg.Command(), h.rule)
+		}
+		digest := binary.BigEndian.Uint32(h.frame[20:24])
+		if r.PayloadDigest != digest || r.PayloadLen != len(h.frame)-24 {
+			t.Errorf("record %d evidence (%#x, %d), want the frame's (%#x, %d)",
+				i, r.PayloadDigest, r.PayloadLen, digest, len(h.frame)-24)
+		}
 	}
 }
 

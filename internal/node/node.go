@@ -712,8 +712,9 @@ func (n *Node) Connect(addr string) error {
 }
 
 // dial invokes the configured Dialer under DialTimeout. The Dialer contract
-// has no cancellation, so on expiry the attempt is abandoned to a reaper
-// that closes the connection if it ever materializes.
+// has no cancellation, so on expiry (or Stop) the attempt is abandoned: the
+// dial goroutine hands its result to a caller that is still waiting, or
+// closes the connection if the caller has given up.
 func (n *Node) dial(addr string) (net.Conn, error) {
 	if n.cfg.DialTimeout <= 0 {
 		return n.cfg.Dialer(addr)
@@ -722,13 +723,18 @@ func (n *Node) dial(addr string) (net.Conn, error) {
 		conn net.Conn
 		err  error
 	}
-	ch := make(chan dialResult, 1)
-	// Deliberately unsupervised: the Dialer contract has no cancellation,
-	// so a hung dial would make a supervised goroutine block Stop forever.
-	//lint:allow gospawn(a hung Dialer would pin a supervised goroutine and deadlock Stop; the reaper below owns the result)
+	ch := make(chan dialResult) // unbuffered: a send lands only while the caller waits
+	abandoned := make(chan struct{})
+	//lint:allow gospawn(a hung Dialer would pin a supervised goroutine and deadlock Stop; the goroutine closes what an abandoned dial returns)
 	go func() {
 		conn, err := n.cfg.Dialer(addr)
-		ch <- dialResult{conn, err}
+		select {
+		case ch <- dialResult{conn, err}:
+		case <-abandoned:
+			if err == nil && conn != nil {
+				conn.Close()
+			}
+		}
 	}()
 	timer := time.NewTimer(n.cfg.DialTimeout)
 	defer timer.Stop()
@@ -736,22 +742,11 @@ func (n *Node) dial(addr string) (net.Conn, error) {
 	case r := <-ch:
 		return r.conn, r.err
 	case <-timer.C:
-	case <-n.quit:
-		timer.Stop()
-	}
-	// The reaper inherits the dial goroutine's unbounded wait and must
-	// not be supervised for the same reason.
-	//lint:allow gospawn(reaper for an abandoned dial; blocks until the unsupervised dial goroutine resolves)
-	go func() {
-		if r := <-ch; r.err == nil && r.conn != nil {
-			r.conn.Close()
-		}
-	}()
-	select {
-	case <-n.quit:
-		return nil, ErrNodeStopped
-	default:
+		close(abandoned)
 		return nil, ErrDialTimeout
+	case <-n.quit:
+		close(abandoned)
+		return nil, ErrNodeStopped
 	}
 }
 

@@ -1,7 +1,10 @@
 package node
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -24,6 +27,48 @@ func remoteNode(t *testing.T, env *testEnv, addr string) *Node {
 	t.Cleanup(remote.Stop)
 	env.node.AddrManager().Add(addr)
 	return remote
+}
+
+// TestDialTimeoutAbandonsHungDialer: a Dialer that outlives DialTimeout
+// costs Connect ErrDialTimeout rather than a wait, Stop does not wait on
+// it either, and the connection it produces after all is closed rather
+// than leaked.
+func TestDialTimeoutAbandonsHungDialer(t *testing.T) {
+	release := make(chan struct{})
+	farEnd := make(chan net.Conn, 1)
+	env := newEnv(t, func(cfg *Config) {
+		cfg.DialTimeout = 20 * time.Millisecond
+		cfg.Dialer = func(string) (net.Conn, error) {
+			<-release
+			conn, far := net.Pipe()
+			farEnd <- far
+			return conn, nil
+		}
+	})
+
+	if err := env.node.Connect("10.0.0.9:8333"); !errors.Is(err, ErrDialTimeout) {
+		t.Fatalf("Connect = %v, want ErrDialTimeout", err)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		env.node.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Stop waited on the hung Dialer")
+	}
+
+	close(release)
+	far := <-farEnd
+	defer far.Close()
+	// Setting the deadline fails only if the pipe is closed already, and
+	// then the read below sees EOF at once.
+	_ = far.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := far.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read from the abandoned connection's far end = %v, want EOF (closed)", err)
+	}
 }
 
 // TestReconnectSurvivesDialFailure is the regression test for the keeper:

@@ -524,7 +524,9 @@ func (p *Peer) setEvidence(digest uint32, payloadLen int) {
 // BytesReceived returns the total payload+header bytes read from the peer.
 func (p *Peer) BytesReceived() uint64 { return p.bytesReceived.Load() }
 
-// BytesSent returns the total bytes written to the peer.
+// BytesSent returns the total bytes written to the peer. A write counts
+// once its conn.Write has returned, so the remote end may already have
+// read bytes this count does not show yet.
 func (p *Peer) BytesSent() uint64 { return p.bytesSent.Load() }
 
 // MessagesReceived returns the count of decoded messages.

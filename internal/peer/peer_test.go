@@ -368,6 +368,13 @@ func TestPeerByteAndMessageCounters(t *testing.T) {
 	if want := uint64(3 * (24 + 8)); server.BytesReceived() != want {
 		t.Errorf("BytesReceived = %d, want %d", server.BytesReceived(), want)
 	}
+	// BytesSent counts a write only once it has returned, and the server
+	// can dispatch the last PING before the client's Write does: wait for
+	// the client's count to reach the server's, then compare.
+	deadline := time.Now().Add(2 * time.Second)
+	for client.BytesSent() < server.BytesReceived() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if client.BytesSent() != server.BytesReceived() {
 		t.Errorf("sent %d != received %d", client.BytesSent(), server.BytesReceived())
 	}

@@ -168,7 +168,7 @@ func (v *CounterVec) With(value string) *Counter {
 	if c, ok := v.cache.Load(value); ok {
 		return c.(*Counter)
 	}
-	c := v.reg.Counter(v.name, L(v.labelKey, value)) //lint:allow metriclabel(v.name and v.labelKey are bound once from compile-time constants at CounterVec construction)
+	c := v.reg.Counter(v.name, L(v.labelKey, value))
 	actual, _ := v.cache.LoadOrStore(value, c)
 	return actual.(*Counter)
 }
@@ -204,7 +204,7 @@ func (v *GaugeVec) With(value string) *Gauge {
 	if g, ok := v.cache.Load(value); ok {
 		return g.(*Gauge)
 	}
-	g := v.reg.Gauge(v.name, L(v.labelKey, value)) //lint:allow metriclabel(v.name and v.labelKey are bound once from compile-time constants at GaugeVec construction)
+	g := v.reg.Gauge(v.name, L(v.labelKey, value))
 	actual, _ := v.cache.LoadOrStore(value, g)
 	return actual.(*Gauge)
 }

@@ -307,6 +307,30 @@ func TestTxWitnessRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHashesAllocateNothing holds the three hashers to their pooled
+// scratch buffer: each serializes into a GetBuf and must Release it, or
+// every txid, wtxid and block hash the node computes costs an allocation.
+// A dropped Release is invisible to the analyzer here (the buffer is
+// handed to encode first) and to every functional test.
+func TestHashesAllocateNothing(t *testing.T) {
+	// Under the race detector sync.Pool drops a quarter of what it is given.
+	if lossy := testing.AllocsPerRun(100, func() { GetBuf(0).Release() }); lossy > 0 {
+		t.Skipf("the buffer pool is dropping buffers (%v allocations per trip)", lossy)
+	}
+	tx := testTx(1)
+	tx.TxIn[0].Witness = TxWitness{[]byte{1, 2, 3}}
+	hdr := testHeader(1)
+	for name, hash := range map[string]func(){
+		"TxHash":      func() { tx.TxHash() },
+		"WitnessHash": func() { tx.WitnessHash() },
+		"BlockHash":   func() { hdr.BlockHash() },
+	} {
+		if allocs := testing.AllocsPerRun(100, hash); allocs != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", name, allocs)
+		}
+	}
+}
+
 func TestTxSerializeSizeMatches(t *testing.T) {
 	txs := []*MsgTx{testTx(1), testTx(2)}
 	txs[1].TxIn[0].Witness = TxWitness{[]byte{9, 9}}
