@@ -87,6 +87,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenRestore$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/banstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzRing$$' -fuzztime 10s ./internal/ring/
+	$(GO) test -run '^$$' -fuzz '^FuzzLedger$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzVersionDecodeReuse$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/wire/
 

@@ -74,15 +74,56 @@ type Ledger struct {
 	total   uint64
 	trimmed uint64 // records trimmed from overlong chains
 
+	// names interns every rule and command an entry refers to; index is its
+	// reverse. Live hits name a fixed set of rule and wire-command constants,
+	// and restored names are bounded by the log they were read from, so the
+	// table is never pruned.
+	names []ledgerName
+	index map[ledgerName]uint32
+
 	maxPerPeer int
 }
 
 // chain is one peer's retained records and its sequence counter — not the
 // ring's Total: restored records carry their stamps, which may skip WAL sheds.
+// The peer itself is the chain's key in Ledger.chains, stored once.
 type chain struct {
-	records ring.Ring[BanRecord]
+	entries ring.Ring[entry]
 	seq     uint64
 }
+
+// ledgerName is one name-table row. A rule is interned with its RuleID, a
+// command with RuleID zero.
+type ledgerName struct {
+	id   RuleID
+	text string
+}
+
+// entry is one retained BanRecord, packed to 64 bytes with no pointers: the
+// peer is the chain's, Rule and Command are name-table indices, and At is its
+// UnixNano. Every numeric field keeps BanRecord's width, so any record the
+// WAL can hold rebuilds exactly. Of At's location only "UTC or not" is kept:
+// any other zone rebuilds as Local, the zone a WAL-restored time carries. The
+// monotonic clock reading is dropped.
+type entry struct {
+	seq        uint64
+	at         int64
+	delta      int
+	score      int
+	traceID    uint64
+	payloadLen int
+	rule       uint32 // names index of {RuleID, Rule}
+	command    uint32 // names index of {0, Command}
+	digest     uint32
+	flags      uint8
+}
+
+// entry flags.
+const (
+	entryBanned uint8 = 1 << iota
+	entryTimed        // At is not the zero time
+	entryUTC          // At's location is UTC
+)
 
 // NewLedger builds a ledger; non-positive bounds select the defaults.
 func NewLedger(maxPeers, maxPerPeer int) *Ledger {
@@ -95,6 +136,7 @@ func NewLedger(maxPeers, maxPerPeer int) *Ledger {
 	return &Ledger{
 		chains:     make(map[PeerID]*chain),
 		order:      ring.New[PeerID](maxPeers),
+		index:      make(map[ledgerName]uint32),
 		maxPerPeer: maxPerPeer,
 	}
 }
@@ -105,12 +147,12 @@ func NewLedger(maxPeers, maxPerPeer int) *Ledger {
 // nil ledger (returning 0, the "unstamped" sentinel Restore recognizes).
 func (l *Ledger) Append(rec BanRecord) uint64 {
 	rec.Seq = 0
-	return l.add(rec)
+	return l.add(&rec)
 }
 
 // add is the one body under Append and Restore: a zero rec.Seq is stamped
 // with the peer's next number, a non-zero one honored unless already reached.
-func (l *Ledger) add(rec BanRecord) uint64 {
+func (l *Ledger) add(rec *BanRecord) uint64 {
 	if l == nil {
 		return 0
 	}
@@ -121,7 +163,7 @@ func (l *Ledger) add(rec BanRecord) uint64 {
 		if oldest, evicted := l.order.Push(rec.Peer); evicted {
 			delete(l.chains, oldest)
 		}
-		c = &chain{records: ring.New[BanRecord](l.maxPerPeer)}
+		c = &chain{entries: ring.New[entry](l.maxPerPeer)}
 		l.chains[rec.Peer] = c
 	}
 	if rec.Seq == 0 {
@@ -130,11 +172,88 @@ func (l *Ledger) add(rec BanRecord) uint64 {
 		return c.seq
 	}
 	c.seq = rec.Seq
-	if _, trimmed := c.records.Push(rec); trimmed {
+	if _, trimmed := c.entries.Push(l.pack(rec)); trimmed {
 		l.trimmed++
 	}
 	l.total++
 	return c.seq
+}
+
+// intern returns the name-table index of {id, text}, adding it if new.
+// Called with l.mu held.
+func (l *Ledger) intern(id RuleID, text string) uint32 {
+	k := ledgerName{id, text}
+	i, ok := l.index[k]
+	if !ok {
+		i = uint32(len(l.names))
+		l.names = append(l.names, k)
+		l.index[k] = i
+	}
+	return i
+}
+
+// pack builds rec's entry, interning its names. Called with l.mu held.
+func (l *Ledger) pack(rec *BanRecord) entry {
+	e := entry{
+		seq:        rec.Seq,
+		delta:      rec.Delta,
+		score:      rec.Score,
+		traceID:    rec.TraceID,
+		payloadLen: rec.PayloadLen,
+		rule:       l.intern(rec.RuleID, rec.Rule),
+		command:    l.intern(0, rec.Command),
+		digest:     rec.PayloadDigest,
+	}
+	if rec.Banned {
+		e.flags |= entryBanned
+	}
+	if !rec.At.IsZero() {
+		e.at = rec.At.UnixNano()
+		e.flags |= entryTimed
+		if rec.At.Location() == time.UTC {
+			e.flags |= entryUTC
+		}
+	}
+	return e
+}
+
+// unpack rebuilds the BanRecord e was packed from. Called with l.mu held.
+func (l *Ledger) unpack(id PeerID, e *entry) BanRecord {
+	rule := l.names[e.rule]
+	rec := BanRecord{
+		Seq:           e.seq,
+		Peer:          id,
+		RuleID:        rule.id,
+		Rule:          rule.text,
+		Delta:         e.delta,
+		Score:         e.score,
+		Banned:        e.flags&entryBanned != 0,
+		Command:       l.names[e.command].text,
+		TraceID:       e.traceID,
+		PayloadDigest: e.digest,
+		PayloadLen:    e.payloadLen,
+	}
+	if e.flags&entryTimed != 0 {
+		rec.At = time.Unix(0, e.at)
+		if e.flags&entryUTC != 0 {
+			rec.At = rec.At.UTC()
+		}
+	}
+	return rec
+}
+
+// records rebuilds c's retained chain, oldest first (nil when empty). Called
+// with l.mu held.
+func (l *Ledger) records(id PeerID, c *chain) []BanRecord {
+	entries := c.entries.Snapshot()
+	if entries == nil {
+		return nil
+	}
+	out := make([]BanRecord, len(entries))
+	for i := range entries {
+		out[i] = l.unpack(id, &entries[i])
+	}
+	return out
 }
 
 // Records returns the peer's chain, oldest first (nil when unknown).
@@ -148,7 +267,7 @@ func (l *Ledger) Records(id PeerID) []BanRecord {
 	if !ok {
 		return nil
 	}
-	return c.records.Snapshot()
+	return l.records(id, c)
 }
 
 // Peers returns every peer with at least one record, ordered by first
@@ -255,10 +374,13 @@ func (l *Ledger) serveIndex(w http.ResponseWriter, isBanned func(PeerID) bool) {
 	}
 	for _, id := range l.order.Snapshot() {
 		c := l.chains[id]
-		last, _ := c.records.Last()
+		var last BanRecord
+		if e, ok := c.entries.Last(); ok {
+			last = l.unpack(id, &e)
+		}
 		resp.Peers = append(resp.Peers, ledgerSummary{
 			Peer:     id,
-			Records:  c.records.Len(),
+			Records:  c.entries.Len(),
 			Score:    last.Score,
 			Banned:   last.Banned,
 			LastRule: last.Rule,

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -370,4 +372,38 @@ func TestLedgerConcurrentAppend(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLedgerRetainedBytesAtCaps fills a default ledger to its caps, 4,096
+// peers × 256 records, through the tracker's scoring path, and bounds the
+// heap it holds per retained record. A free-identity flood reaches exactly
+// this state, so the bound is the ledger's worst case: 65 B per record and
+// 68 MB measured. A ledger that kept each hit as a 136-byte BanRecord held
+// 161 B per record and 169 MB here.
+func TestLedgerRetainedBytesAtCaps(t *testing.T) {
+	ledger := NewLedger(0, 0)
+	tr := NewTracker(Config{Mode: ModeThresholdInfinity, Forensics: ledger})
+	const records = DefaultLedgerPeers * DefaultLedgerPerPeer
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for p := 0; p < DefaultLedgerPeers; p++ {
+		id := PeerID("10." + strconv.Itoa(p>>8) + "." + strconv.Itoa(p&0xff) + ".1:8333")
+		for range DefaultLedgerPerPeer {
+			tr.MisbehavingCtx(id, true, AddrOversize, MisbehaviorContext{Command: "addr", TraceID: 1, PayloadDigest: 0xfeedbeef, PayloadLen: 30012})
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	if st := ledger.Stats(); st.Total != records || st.EvictedPeers != 0 || st.TrimmedRecords != 0 {
+		t.Fatalf("ledger stats %+v, want %d records and no loss", st, records)
+	}
+	perRecord := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / records
+	t.Logf("%d records retained: %.1f B per record, %.1f MB", records, perRecord, perRecord*records/1e6)
+	if perRecord > 80 {
+		t.Fatalf("the ledger holds %.1f B per retained record, want at most 80", perRecord)
+	}
+	runtime.KeepAlive(tr)
 }

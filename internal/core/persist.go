@@ -138,7 +138,7 @@ func (l *Ledger) ExportState() LedgerState {
 	}
 	for _, id := range l.order.Snapshot() {
 		c := l.chains[id]
-		st.Chains = append(st.Chains, LedgerChain{Peer: id, Seq: c.seq, Records: c.records.Snapshot()})
+		st.Chains = append(st.Chains, LedgerChain{Peer: id, Seq: c.seq, Records: l.records(id, c)})
 	}
 	return st
 }
@@ -146,7 +146,9 @@ func (l *Ledger) ExportState() LedgerState {
 // ImportState replaces the ledger's content with the restored state. The
 // ledger keeps its own configured caps (st's caps describe the exporter):
 // the newest chains and each chain's newest records that fit are installed,
-// the rest added to the evicted and trimmed counters. No-op on a nil ledger.
+// the rest added to the evicted and trimmed counters. A chain's records are
+// taken to be its peer's: each is rebuilt with Peer set to the chain's. No-op
+// on a nil ledger.
 func (l *Ledger) ImportState(st LedgerState) {
 	if l == nil {
 		return
@@ -161,9 +163,12 @@ func (l *Ledger) ImportState(st LedgerState) {
 	l.chains = make(map[PeerID]*chain, l.order.Len())
 	l.total, l.trimmed = st.Total, st.Trimmed
 	for _, ec := range st.Chains[len(st.Chains)-l.order.Len():] {
-		c := &chain{records: ring.New[BanRecord](l.maxPerPeer), seq: ec.Seq}
-		c.records.Load(ec.Records, 0)
-		l.trimmed += c.records.Dropped()
+		c := &chain{entries: ring.New[entry](l.maxPerPeer), seq: ec.Seq}
+		excess := max(len(ec.Records)-l.maxPerPeer, 0)
+		for i := excess; i < len(ec.Records); i++ {
+			c.entries.Push(l.pack(&ec.Records[i]))
+		}
+		l.trimmed += uint64(excess)
 		l.chains[ec.Peer] = c
 	}
 }
@@ -175,4 +180,4 @@ func (l *Ledger) ImportState(st LedgerState) {
 // which is what makes WAL replay idempotent against the snapshot. A
 // record with Seq zero was produced by a tracker running without a
 // forensics ledger; it is stamped like a live append. No-op on nil.
-func (l *Ledger) Restore(rec BanRecord) { l.add(rec) }
+func (l *Ledger) Restore(rec BanRecord) { l.add(&rec) }

@@ -9,12 +9,14 @@
 // race detector never sees it (nothing races) and tests only catch it
 // when the scheduler cooperates. The analyzer makes the rule static:
 // between x.Lock()/x.RLock() and the matching x.Unlock()/x.RUnlock() —
-// or to the end of the function when the unlock is deferred — these are
-// diagnostics:
+// or to the end of the function when the unlock is deferred, and from entry
+// when the function's first lock operation on x is an unlock (it was called
+// with x held) — these are diagnostics:
 //
 //   - channel sends and receives,
 //   - select statements with no default clause,
-//   - time.Sleep,
+//   - time.Sleep, and any other .Sleep() call: in this tree the only
+//     Sleep methods are vclock.Clock's, which park like time.Sleep,
 //   - WaitGroup-style waits: any .Wait() or .WaitForShutdown() call,
 //     except sync.Cond waits (receivers whose name contains "cond"),
 //     which require the lock by contract.
@@ -37,7 +39,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "lockhold",
 	Doc: "forbid blocking operations while holding a mutex\n\n" +
-		"Channel operations, default-less selects, time.Sleep, and " +
+		"Channel operations, default-less selects, time.Sleep or a clock's " +
+		"Sleep, and " +
 		"WaitGroup-style waits between Lock/Unlock pairs (or under a deferred " +
 		"unlock) are reported: they are the static shape of the lock-ordering " +
 		"deadlocks the chaos suite chases dynamically.",
@@ -53,7 +56,7 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			w := &walker{pass: pass, timeName: timeName}
-			w.walkBody(fn.Body, newHeld())
+			w.walkBody(fn.Body, heldAtEntry(fn.Body))
 		}
 	}
 	return nil
@@ -71,6 +74,26 @@ func (h held) clone() held {
 		c[k] = true
 	}
 	return c
+}
+
+// heldAtEntry is the locks a function's caller holds: each receiver whose
+// first lock operation in the body, in source order, is an unlock — the
+// "called with n.mu held" helper that drops the lock to wait.
+func heldAtEntry(body *ast.BlockStmt) held {
+	h, seen := newHeld(), map[string]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		if recv, op := lockCall(n); recv != "" && !seen[recv] {
+			seen[recv] = true
+			if op == "Unlock" || op == "RUnlock" {
+				h[recv] = true
+			}
+		}
+		return true
+	})
+	return h
 }
 
 // walker scans one function body, tracking lock state statement by
@@ -245,7 +268,7 @@ func (w *walker) reportBlocked(pos token.Pos, what string, h held) {
 
 // lockCall recognizes x.Lock/RLock/Unlock/RUnlock() and returns the
 // rendered receiver and operation.
-func lockCall(e ast.Expr) (recv, op string) {
+func lockCall(e ast.Node) (recv, op string) {
 	call, ok := e.(*ast.CallExpr)
 	if !ok || len(call.Args) != 0 {
 		return "", ""
@@ -264,8 +287,8 @@ func lockCall(e ast.Expr) (recv, op string) {
 }
 
 // blockingCall recognizes the call-shaped blocking operations: time.Sleep,
-// .WaitForShutdown(), and WaitGroup-style .Wait() (excluding sync.Cond
-// receivers, which must hold the lock by contract).
+// a clock's .Sleep(), .WaitForShutdown(), and WaitGroup-style .Wait()
+// (excluding sync.Cond receivers, which must hold the lock by contract).
 func blockingCall(call *ast.CallExpr, timeName string) (name, kind string) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -275,6 +298,9 @@ func blockingCall(call *ast.CallExpr, timeName string) (name, kind string) {
 	case "Sleep":
 		if base, ok := sel.X.(*ast.Ident); ok && timeName != "" && base.Name == timeName {
 			return "time.Sleep", "call to"
+		}
+		if recv := exprString(sel.X); recv != "" {
+			return recv + ".Sleep", "call to"
 		}
 	case "WaitForShutdown":
 		return exprString(sel.X) + ".WaitForShutdown", "call to"

@@ -51,6 +51,26 @@ func (g *guarded) sleepy() {
 	g.mu.Unlock()
 }
 
+// clock is the shape of vclock.Clock: its Sleep parks like time.Sleep.
+type clock interface{ Sleep(time.Duration) }
+
+// clockSleep flags an injected clock's Sleep under a lock, not after it.
+func (g *guarded) clockSleep(clk clock) {
+	g.mu.Lock()
+	clk.Sleep(time.Millisecond) // want `call to clk\.Sleep while holding g\.mu`
+	g.mu.Unlock()
+	clk.Sleep(time.Millisecond)
+}
+
+// unlockToWait is called with g.mu held and drops it to wait: what precedes
+// the unlock runs under the caller's lock.
+func (g *guarded) unlockToWait(clk clock) {
+	clk.Sleep(time.Millisecond) // want `call to clk\.Sleep while holding g\.mu`
+	g.mu.Unlock()
+	clk.Sleep(time.Millisecond)
+	g.mu.Lock()
+}
+
 // waits flags WaitGroup-style waits but not sync.Cond waits.
 func (g *guarded) waits() {
 	g.mu.Lock()

@@ -9,8 +9,8 @@ import (
 
 // TestStorageFollowsThePushes holds the ring to append's growth and nothing
 // more: a forensics ledger builds a 256-record ring for every one of up to
-// 4,096 peers, so a ring that reserved its limit up front would cost ~140 MB
-// before the first ban. Once full, a push writes one slot and allocates
+// 4,096 peers, so a ring that reserved its limit up front would cost the
+// ledger's whole worst case, ~68 MB, before the first ban. Once full, a push writes one slot and allocates
 // nothing.
 func TestStorageFollowsThePushes(t *testing.T) {
 	r := ring.New[core.BanRecord](core.DefaultLedgerPerPeer)

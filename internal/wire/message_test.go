@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -90,6 +91,48 @@ func TestReadMessageChecksumMismatch(t *testing.T) {
 	var cErr *ChecksumError
 	if !errors.As(err, &cErr) || cErr.Command != CmdPing || cErr.Got != bad {
 		t.Errorf("ReadMessage error = %#v, want *ChecksumError for %q claiming %x", err, CmdPing, bad)
+	}
+}
+
+// TestBogusBlockFloodReusesItsBuffer is the paper's bogus-BLOCK vector at
+// the decoder: 1 MB BLOCK frames under a wrong checksum. The mismatch path
+// must hand each payload buffer back to the pool, or every frame the
+// attacker sends for free costs the victim a fresh megabyte.
+func TestBogusBlockFloodReusesItsBuffer(t *testing.T) {
+	// Under the race detector sync.Pool drops a quarter of what it is given;
+	// ten trips a run keep AllocsPerRun's whole-number average from hiding it.
+	if lossy := testing.AllocsPerRun(100, func() {
+		for range 10 {
+			GetBuf(0).Release()
+		}
+	}); lossy > 0 {
+		t.Skipf("the buffer pool is dropping buffers (%v allocations per ten trips)", lossy)
+	}
+	const payload, frames = 1 << 20, 64
+	var frame bytes.Buffer
+	if _, err := WriteRawMessageChecksum(&frame, CmdBlock, make([]byte, payload), SimNet, [4]byte{0xde, 0xad, 0xbe, 0xef}); err != nil {
+		t.Fatal(err)
+	}
+	var c Codec
+	r := bytes.NewReader(nil)
+	decode := func() {
+		r.Reset(frame.Bytes())
+		if msg, buf, err := c.DecodeMessage(r, ProtocolVersion, SimNet, nil); !errors.Is(err, ErrChecksumMismatch) || msg != nil || buf != nil {
+			t.Fatalf("DecodeMessage = %v, %v, %v; want only ErrChecksumMismatch", msg, buf, err)
+		}
+	}
+	decode() // fills the pool's megabyte class
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range frames {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	perFrame := (after.TotalAlloc - before.TotalAlloc) / frames
+	t.Logf("%d bogus %d-byte BLOCK frames: %d B allocated per frame", frames, payload, perFrame)
+	if perFrame > payload/64 {
+		t.Fatalf("a bogus-checksum BLOCK frame allocates %d B, want at most %d: its payload buffer is not reused", perFrame, payload/64)
 	}
 }
 
