@@ -33,7 +33,6 @@ import (
 	"banscore/internal/node"
 	"banscore/internal/simnet"
 	"banscore/internal/telemetry"
-	"banscore/internal/trace"
 	"banscore/internal/wire"
 )
 
@@ -127,27 +126,13 @@ func WithTap(t node.Tap) NodeOption {
 // WithTelemetry attaches a metrics registry and (optionally nil) event
 // journal to the node: per-command message counters, dispatch latency,
 // per-rule misbehavior counters, ban totals, slot occupancy, peer traffic,
-// and typed events. Serve them with telemetry.NewServer.
+// and typed events, plus the Simulation fabric's and the journal's own
+// series. Serve them with telemetry.NewServer.
 func WithTelemetry(reg *telemetry.Registry, j *telemetry.Journal) NodeOption {
 	return func(cfg *node.Config) {
 		cfg.Telemetry = reg
 		cfg.Journal = j
 	}
-}
-
-// WithTracer attaches the message-lifecycle tracer to the node: sampled
-// spans through wire decode, dispatch, ban scoring, and send. Install the
-// same tracer on the Simulation's fabric (Fabric().SetTracer) to include
-// conn_write spans, and remember to call Enable — tracers start disabled.
-func WithTracer(t *trace.Tracer) NodeOption {
-	return func(cfg *node.Config) { cfg.Tracer = t }
-}
-
-// WithForensics attaches a ban-forensics ledger to the node's tracker: every
-// ban-score application is appended as an immutable record answering "why is
-// this peer banned" even after scores reset or the peer is forgotten.
-func WithForensics(l *core.Ledger) NodeOption {
-	return func(cfg *node.Config) { cfg.Forensics = l }
 }
 
 // WithMaxInbound overrides the 117-inbound-slot default.
@@ -164,73 +149,59 @@ func WithReputationEviction() NodeOption {
 
 // Node is a running full node inside a Simulation.
 type Node struct {
-	inner *node.Node
-	sim   *Simulation
-	addr  string
-	ports atomic.Uint32
+	a    *node.Assembly
+	addr string
 }
 
 // StartNode launches a node listening at addr (e.g. "10.0.0.1:8333").
 func (s *Simulation) StartNode(addr string, opts ...NodeOption) (*Node, error) {
-	n := &Node{sim: s, addr: addr}
-	cfg := node.Config{
-		Dialer: func(remote string) (net.Conn, error) {
-			port := 40000 + n.ports.Add(1)
-			host, _, err := net.SplitHostPort(addr)
-			if err != nil {
-				host = "10.0.0.1"
-			}
-			return s.fabric.Dial(fmt.Sprintf("%s:%d", host, port), remote)
-		},
-	}
+	o := node.Options{Fabric: s.fabric, Listen: addr}
 	for _, opt := range opts {
-		opt(&cfg)
+		opt(&o.Config)
 	}
-	n.inner = node.New(cfg)
-	l, err := s.fabric.Listen(addr)
+	a, err := node.Assemble(o)
 	if err != nil {
 		return nil, fmt.Errorf("start node at %s: %w", addr, err)
 	}
-	n.inner.Serve(l)
-	return n, nil
+	return &Node{a: a, addr: addr}, nil
 }
 
 // Addr returns the node's listen address.
 func (n *Node) Addr() string { return n.addr }
 
 // Internal exposes the underlying node for advanced use.
-func (n *Node) Internal() *node.Node { return n.inner }
+func (n *Node) Internal() *node.Node { return n.a.Node }
 
 // ConnectTo opens an outbound connection to another node's address.
-func (n *Node) ConnectTo(addr string) error { return n.inner.Connect(addr) }
+func (n *Node) ConnectTo(addr string) error { return n.a.Node.Connect(addr) }
 
 // BanScore returns the tracked misbehavior score of a peer identifier.
-func (n *Node) BanScore(id PeerID) int { return n.inner.Tracker().Score(id) }
+func (n *Node) BanScore(id PeerID) int { return n.a.Node.Tracker().Score(id) }
 
 // GoodScore returns the good-score credit of a peer identifier.
-func (n *Node) GoodScore(id PeerID) int { return n.inner.Tracker().GoodScore(id) }
+func (n *Node) GoodScore(id PeerID) int { return n.a.Node.Tracker().GoodScore(id) }
 
 // IsBanned reports whether a peer identifier is currently banned.
-func (n *Node) IsBanned(id PeerID) bool { return n.inner.Tracker().IsBanned(id) }
+func (n *Node) IsBanned(id PeerID) bool { return n.a.Node.Tracker().IsBanned(id) }
 
 // BannedCount returns the number of banned identifiers.
-func (n *Node) BannedCount() int { return n.inner.Tracker().BanList().Count() }
+func (n *Node) BannedCount() int { return n.a.Node.Tracker().BanList().Count() }
 
 // PeerCount returns (inbound, outbound) connection counts.
-func (n *Node) PeerCount() (int, int) { return n.inner.PeerCount() }
+func (n *Node) PeerCount() (int, int) { return n.a.Node.PeerCount() }
 
 // ChainHeight returns the node's best block height.
-func (n *Node) ChainHeight() int32 { return n.inner.Chain().BestHeight() }
+func (n *Node) ChainHeight() int32 { return n.a.Node.Chain().BestHeight() }
 
 // Stats returns a snapshot of node counters.
-func (n *Node) Stats() node.Stats { return n.inner.Stats() }
+func (n *Node) Stats() node.Stats { return n.a.Node.Stats() }
 
 // RankPeers returns connected peers by ascending reputation — the
 // non-binary peer-health view built from retained scores.
-func (n *Node) RankPeers() []node.PeerReputation { return n.inner.RankPeers() }
+func (n *Node) RankPeers() []node.PeerReputation { return n.a.Node.RankPeers() }
 
 // Stop shuts the node down.
-func (n *Node) Stop() { n.inner.Stop() }
+func (n *Node) Stop() { _ = n.a.Close() }
 
 // Attacker holds one attacker IP on the fabric and mints Sybil identifiers
 // against a target node.

@@ -23,6 +23,7 @@ import (
 	"banscore/internal/experiments"
 	"banscore/internal/miner"
 	"banscore/internal/mlbase"
+	"banscore/internal/node"
 	"banscore/internal/telemetry"
 	"banscore/internal/trace"
 	"banscore/internal/traffic"
@@ -44,9 +45,9 @@ type benchPeer interface {
 
 func newBenchEnv(b *testing.B) (*experiments.Testbed, *attack.Session, *attack.Forge, processFunc) {
 	b.Helper()
-	tb, err := experiments.NewTestbed(experiments.TestbedConfig{
+	tb, err := experiments.NewTestbed(node.Options{Config: node.Config{
 		TrackerConfig: core.Config{Mode: core.ModeThresholdInfinity},
-	})
+	}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -75,9 +76,9 @@ type processFunc func(wire.Message)
 // counter increment through a single-entry command cache plus a 1-in-64
 // sampled latency timing, ~6 ns (≈5%) on the development host.
 func BenchmarkTelemetryNodeDispatch(b *testing.B) {
-	run := func(b *testing.B, cfg experiments.TestbedConfig) {
+	run := func(b *testing.B, cfg node.Config) {
 		cfg.TrackerConfig = core.Config{Mode: core.ModeThresholdInfinity}
-		tb, err := experiments.NewTestbed(cfg)
+		tb, err := experiments.NewTestbed(node.Options{Config: cfg})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -99,10 +100,10 @@ func BenchmarkTelemetryNodeDispatch(b *testing.B) {
 		}
 	}
 	b.Run("disabled", func(b *testing.B) {
-		run(b, experiments.TestbedConfig{})
+		run(b, node.Config{})
 	})
 	b.Run("enabled", func(b *testing.B) {
-		run(b, experiments.TestbedConfig{
+		run(b, node.Config{
 			Telemetry: telemetry.NewRegistry(),
 			Journal:   telemetry.NewJournal(0),
 		})
@@ -118,11 +119,11 @@ func BenchmarkTelemetryNodeDispatch(b *testing.B) {
 // always-on overhead a node pays for a queryable flight recorder.
 func BenchmarkTraceDispatch(b *testing.B) {
 	run := func(b *testing.B, tracer *trace.Tracer) {
-		tb, err := experiments.NewTestbed(experiments.TestbedConfig{
+		tb, err := experiments.NewTestbed(node.Options{Config: node.Config{
 			TrackerConfig: core.Config{Mode: core.ModeThresholdInfinity},
 			Tracer:        tracer,
 			Forensics:     core.NewLedger(0, 0),
-		})
+		}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -266,7 +267,7 @@ func BenchmarkTable3PacketPaths(b *testing.B) {
 		}
 	})
 	b.Run("icmp-kernel-path", func(b *testing.B) {
-		tb, err := experiments.NewTestbed(experiments.TestbedConfig{})
+		tb, err := experiments.NewTestbed(node.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

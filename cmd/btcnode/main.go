@@ -55,7 +55,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -114,138 +113,81 @@ func run() error {
 		return err
 	}
 
-	monitor := detect.NewMonitor(detect.DefaultWindow)
-	cfg := node.Config{
-		TrackerConfig:       core.Config{Mode: trackerMode, Version: version},
-		Dialer:              func(remote string) (net.Conn, error) { return net.Dial("tcp", remote) },
-		Tap:                 monitor,
-		DialTimeout:         *dialTimeout,
-		HandshakeTimeout:    *handshakeTimeout,
-		WriteTimeout:        *writeTimeout,
-		ReconnectBackoff:    *reconnectBackoff,
-		ReconnectMaxBackoff: *reconnectMaxBackoff,
+	if (*traceOn || *pprofOn) && *telemetryAddr == "" {
+		return fmt.Errorf("-trace and -pprof require -telemetry")
 	}
-	// The store opens before the reputation engine so the engine can be
-	// born with its Recorder attached — no reputation change escapes the
-	// WAL — and before node.New so recovered state is restored ahead of
-	// the first accepted connection.
-	var store *banstore.Store
-	var recovered *banstore.Recovered
+	opts := node.Options{
+		Config: node.Config{
+			TrackerConfig:       core.Config{Mode: trackerMode, Version: version},
+			Tap:                 detect.NewMonitor(detect.DefaultWindow),
+			DialTimeout:         *dialTimeout,
+			HandshakeTimeout:    *handshakeTimeout,
+			WriteTimeout:        *writeTimeout,
+			ReconnectBackoff:    *reconnectBackoff,
+			ReconnectMaxBackoff: *reconnectMaxBackoff,
+			SnapshotEvery:       *snapshotEvery,
+		},
+		Listen:  *listen,
+		Observe: *telemetryAddr != "",
+	}
 	if *banstoreDir != "" {
 		policy, err := banstore.ParseFsyncPolicy(*fsyncMode)
 		if err != nil {
 			return err
 		}
-		store, recovered, err = banstore.Open(banstore.Options{Dir: *banstoreDir, Fsync: policy})
-		if err != nil {
-			return fmt.Errorf("banstore: %w", err)
-		}
-		defer store.Close()
-		cfg.BanStore = store
-		cfg.BanStoreRecovered = recovered
-		cfg.SnapshotEvery = *snapshotEvery
+		opts.Store = &banstore.Options{Dir: *banstoreDir, Fsync: policy}
 	}
-
-	var engine *reputation.Engine
 	if *reputationOn {
-		rcfg := reputation.Config{}
-		if store != nil {
-			rcfg.Recorder = store
-		}
-		engine = reputation.New(rcfg)
-		cfg.Reputation = engine
+		opts.Engine = &reputation.Config{}
 	}
-
-	if (*traceOn || *pprofOn) && *telemetryAddr == "" {
-		return fmt.Errorf("-trace and -pprof require -telemetry")
+	if *traceOn {
+		opts.Trace = &trace.Config{SampleN: *traceSample}
 	}
+	a, err := node.Assemble(opts)
+	if err != nil {
+		return err
+	}
+	defer a.Close()
+	n := a.Node
 
-	var telemetrySrv *telemetry.Server
-	var tracer *trace.Tracer
-	var ledger *core.Ledger
-	if *telemetryAddr != "" {
-		reg := telemetry.NewRegistry()
-		journal := telemetry.NewJournal(0)
-		monitor.Instrument(reg, journal)
-		journal.Instrument(reg)
-		cfg.Telemetry = reg
-		cfg.Journal = journal
-		telemetrySrv = telemetry.NewServer(reg, journal)
+	if srv := a.Server; srv != nil {
 		id := *nodeID
 		if id == "" {
 			id = *listen
 		}
-		telemetrySrv.SetNodeID(id)
-		telemetry.RegisterNodeInfo(reg, id, buildVersion)
-		if engine != nil {
-			engine.Instrument(reg)
-			repHandler := engine.Handler()
-			telemetrySrv.Handle("/debug/reputation", repHandler)
-			telemetrySrv.Handle("/debug/reputation/", repHandler)
-		}
-		if *traceOn {
-			tracer = trace.New(trace.Config{SampleN: *traceSample})
-			tracer.Instrument(reg)
-			monitor.SetTracer(tracer)
-			cfg.Tracer = tracer
-			ledger = core.NewLedger(0, 0)
-			cfg.Forensics = ledger
-			telemetrySrv.Handle("/debug/trace", tracer.QueryHandler())
-			telemetrySrv.Handle("/debug/trace/export", tracer.ExportHandler())
-		}
-		if store != nil {
-			store.Instrument(reg)
-			telemetrySrv.Handle("/debug/banstore", store.Handler())
-		}
+		srv.SetNodeID(id)
+		telemetry.RegisterNodeInfo(a.Registry, id, buildVersion)
 		if *pprofOn {
-			telemetry.RegisterRuntimeMetrics(reg)
-			telemetrySrv.EnablePprof()
+			telemetry.RegisterRuntimeMetrics(a.Registry)
+			srv.EnablePprof()
 		}
-		addr, err := telemetrySrv.Start(*telemetryAddr)
+		addr, err := srv.Start(*telemetryAddr)
 		if err != nil {
 			return fmt.Errorf("telemetry: %w", err)
 		}
 		fmt.Printf("telemetry at http://%s/metrics (also /healthz, /events)\n", addr)
-		if engine != nil {
+		if *reputationOn {
 			fmt.Printf("reputation engine at http://%s/debug/reputation\n", addr)
 		}
 		if *traceOn {
-			fmt.Printf("tracing 1-in-%d at http://%s/debug/trace (export: /debug/trace/export, forensics: /debug/bans)\n", tracer.SampleN(), addr)
+			fmt.Printf("tracing 1-in-%d at http://%s/debug/trace (export: /debug/trace/export, forensics: /debug/bans)\n", a.Tracer.SampleN(), addr)
 		}
 		if *pprofOn {
 			fmt.Printf("pprof at http://%s/debug/pprof/\n", addr)
 		}
-		defer telemetrySrv.Close()
 	}
-
-	n := node.New(cfg)
-	if telemetrySrv != nil {
-		telemetrySrv.SetHealth(n.Health)
-	}
-	if tracer != nil {
-		banHandler := ledger.Handler(n.Tracker().IsBanned)
-		telemetrySrv.Handle("/debug/bans", banHandler)
-		telemetrySrv.Handle("/debug/bans/", banHandler)
-		tracer.Enable()
-	}
-
-	l, err := net.Listen("tcp", *listen)
-	if err != nil {
-		return fmt.Errorf("listen: %w", err)
-	}
-	if store != nil {
-		fmt.Printf("banstore at %s (fsync=%s): recovered %d WAL records", *banstoreDir, *fsyncMode, len(recovered.Records))
-		if recovered.Snapshot != nil {
-			fmt.Printf(" atop snapshot lsn %d", recovered.SnapshotLSN)
+	if rec := a.Recovered; rec != nil {
+		fmt.Printf("banstore at %s (fsync=%s): recovered %d WAL records", *banstoreDir, *fsyncMode, len(rec.Records))
+		if rec.Snapshot != nil {
+			fmt.Printf(" atop snapshot lsn %d", rec.SnapshotLSN)
 		}
-		if recovered.Truncations > 0 {
-			fmt.Printf(", truncated %d corrupt tail(s)", recovered.Truncations)
+		if rec.Truncations > 0 {
+			fmt.Printf(", truncated %d corrupt tail(s)", rec.Truncations)
 		}
 		fmt.Println()
+		a.Recovered = nil // release the segment image the records view
 	}
-
-	n.Serve(l)
-	fmt.Printf("btcnode listening on %s (mode=%s, rules=%s)\n", l.Addr(), trackerMode, version)
+	fmt.Printf("btcnode listening on %s (mode=%s, rules=%s)\n", a.Addr, trackerMode, version)
 
 	if *connect != "" {
 		for _, addr := range strings.Split(*connect, ",") {
@@ -275,10 +217,10 @@ func run() error {
 		case <-sig:
 			fmt.Println("\nshutting down")
 			n.Stop()
-			if store != nil {
+			if a.Store != nil {
 				// Parting snapshot: the next boot restores without
-				// replaying this run's WAL tail. Close (deferred)
-				// flushes and fsyncs whatever is still pending.
+				// replaying this run's WAL tail. The assembly's Close
+				// (deferred) flushes and fsyncs whatever is still pending.
 				if err := n.WriteSnapshot(); err != nil {
 					fmt.Fprintln(os.Stderr, "banstore snapshot:", err)
 				}

@@ -31,7 +31,8 @@ var (
 	analyzerItem = regexp.MustCompile("^- `([a-z]+)`")
 )
 
-// TestDocReferences holds README.md and DESIGN.md to the tree: every
+// TestDocReferences holds README.md, DESIGN.md, EXPERIMENTS.md and PERF.md
+// to the tree: every
 // backticked `make <target>` names a Makefile target, every backticked
 // repository path (a word whose first segment is a top-level entry of the
 // repository, such as internal/simnet or benchmark/run.sh) exists, and
@@ -69,7 +70,7 @@ func TestDocReferences(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "PERF.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,8 @@
-// Telemetry: run a simnet victim with the observability stack attached,
-// put it under a light BM-DoS flood plus a wave of misbehaving Sybils, and
-// watch the per-rule misbehavior counters and ban total climb through the
-// HTTP exposition endpoint — the live view of Table I. The run also threads
+// Telemetry: run a simnet victim with the observability stack that
+// node.Assemble wires around it, put it under a light BM-DoS flood plus a
+// wave of misbehaving Sybils, and watch the per-rule misbehavior counters
+// and ban total climb through the HTTP exposition endpoint — the live view
+// of Table I. The run also threads
 // the message-lifecycle tracer and the ban-forensics ledger through the
 // node, then pulls the attacker's complete rule-by-rule ban history from
 // /debug/bans/<peer> and a Chrome trace-event timeline (chrome://tracing,
@@ -18,8 +19,7 @@ import (
 	"time"
 
 	"banscore"
-	"banscore/internal/core"
-	"banscore/internal/telemetry"
+	"banscore/internal/node"
 	"banscore/internal/trace"
 )
 
@@ -30,45 +30,33 @@ func main() {
 }
 
 func run() error {
-	reg := telemetry.NewRegistry()
-	journal := telemetry.NewJournal(0)
-
 	sim := banscore.NewSimulation()
 	defer sim.Close()
-	sim.Fabric().Instrument(reg)
 
-	// Trace every message (SampleN 1) — this is a demo, not a hot path —
-	// and keep the forensic record of every ban-score application.
-	tracer := trace.New(trace.Config{SampleN: 1})
-	tracer.Instrument(reg)
-	tracer.Enable()
-	sim.Fabric().SetTracer(tracer)
-	ledger := core.NewLedger(0, 0)
-
-	victim, err := sim.StartNode("10.0.0.1:8333",
-		banscore.WithTelemetry(reg, journal),
-		banscore.WithTracer(tracer),
-		banscore.WithForensics(ledger))
+	// One assembly wires the victim's whole observability stack: registry,
+	// journal, health probe, and — tracing every message (SampleN 1; this is
+	// a demo, not a hot path) — the lifecycle tracer plus the ban-forensics
+	// ledger, each with its /debug handler mounted on one server.
+	const victimAddr = "10.0.0.1:8333"
+	victim, err := node.Assemble(node.Options{
+		Fabric:  sim.Fabric(),
+		Listen:  victimAddr,
+		Observe: true,
+		Trace:   &trace.Config{SampleN: 1},
+	})
 	if err != nil {
 		return err
 	}
-	defer victim.Stop()
+	defer victim.Close()
 
-	srv := telemetry.NewServer(reg, journal)
-	srv.Handle("/debug/trace", tracer.QueryHandler())
-	srv.Handle("/debug/trace/export", tracer.ExportHandler())
-	banHandler := ledger.Handler(victim.IsBanned)
-	srv.Handle("/debug/bans", banHandler)
-	srv.Handle("/debug/bans/", banHandler)
-	addr, err := srv.Start("127.0.0.1:0")
+	addr, err := victim.Server.Start("127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
 	base := "http://" + addr.String()
 	fmt.Printf("telemetry at %s/metrics (also /healthz, /events)\n\n", base)
 
-	attacker := sim.NewAttacker("10.0.0.66", victim.Addr())
+	attacker := sim.NewAttacker("10.0.0.66", victimAddr)
 
 	// A light BM-DoS PING flood: no Table I rule covers PING, so the
 	// message counters climb while the rule counters stay flat.
@@ -92,7 +80,7 @@ func run() error {
 			}
 		}
 		s.Close()
-		waitFor(func() bool { return victim.BannedCount() >= wave })
+		waitFor(func() bool { return victim.Node.Tracker().BanList().Count() >= wave })
 
 		fmt.Printf("after wave %d:\n", wave)
 		if err := printMatching(base+"/metrics", "core_rule_hits_total", "core_bans_total",

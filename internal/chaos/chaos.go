@@ -10,28 +10,27 @@ package chaos
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http/httptest"
 	"runtime"
 	"sync"
 	"time"
 
-	"banscore/internal/banstore"
-	"banscore/internal/core"
 	"banscore/internal/detect"
 	"banscore/internal/miner"
 	"banscore/internal/node"
-	"banscore/internal/reputation"
 	"banscore/internal/simnet"
-	"banscore/internal/telemetry"
 	"banscore/internal/trace"
 	"banscore/internal/wire"
 )
 
-// Config parameterizes a Cluster. The zero value selects small, aggressive
-// timeouts suited to chaos tests: the point is to exercise recovery, not to
-// wait out production-scale deadlines.
+// Config parameterizes a Cluster. The victim is assembled from the
+// embedded options: the cluster always observes and traces it, serves it at
+// VictimAddr on its own fabric, and gives zero timeouts small, aggressive
+// chaos-scale values — the point is to exercise recovery, not to wait out
+// production-scale deadlines.
 type Config struct {
+	node.Options
+
 	// HonestPeers is the number of honest remote nodes; zero selects
 	// node.DefaultMaxOutbound (8), filling every outbound slot.
 	HonestPeers int
@@ -44,36 +43,6 @@ type Config struct {
 	// selects 50ms. Heartbeats keep healthy links inside IdleTimeout and
 	// feed the monitor's message-rate feature.
 	HeartbeatEvery time.Duration
-
-	// Victim connection-resilience knobs; zeros select chaos-scale
-	// defaults (idle 1.2s, handshake 300ms, dial 400ms, write 500ms,
-	// backoff 25ms..300ms).
-	IdleTimeout         time.Duration
-	HandshakeTimeout    time.Duration
-	DialTimeout         time.Duration
-	WriteTimeout        time.Duration
-	ReconnectBackoff    time.Duration
-	ReconnectMaxBackoff time.Duration
-
-	// TraceSampleN is the lifecycle tracer's 1-in-N sampling rate; zero
-	// selects trace.DefaultSampleN. Chaos forensics tests set 1 so every
-	// message through the storm leaves spans.
-	TraceSampleN int
-
-	// Reputation, when non-nil, layers the netgroup reputation engine
-	// over the victim's tracker so storms can exercise admission gating
-	// and collective netgroup bans under fabric faults.
-	Reputation *reputation.Engine
-
-	// BanStore, when non-nil, gives the victim crash-safe ban-state
-	// persistence; BanStoreRecovered (from banstore.Open) is restored
-	// into the victim before it accepts connections. SnapshotEvery
-	// follows node.Config semantics (zero = default, negative = off).
-	// Crash-storm scenarios open the store themselves so they can
-	// Crash() and reopen it across simulated process deaths.
-	BanStore          *banstore.Store
-	BanStoreRecovered *banstore.Recovered
-	SnapshotEvery     time.Duration
 }
 
 func (c *Config) applyDefaults() {
@@ -104,6 +73,10 @@ func (c *Config) applyDefaults() {
 	if c.ReconnectMaxBackoff == 0 {
 		c.ReconnectMaxBackoff = 300 * time.Millisecond
 	}
+	c.Observe = true
+	if c.Trace == nil {
+		c.Trace = &trace.Config{}
+	}
 }
 
 // VictimAddr is where the cluster's victim node listens.
@@ -112,23 +85,16 @@ const VictimAddr = "10.0.0.1:8333"
 // Cluster is one victim (mining, telemetry-instrumented, monitored) plus a
 // set of honest peers, all on a shared fault-capable fabric.
 type Cluster struct {
-	Fabric    *simnet.Network
-	Victim    *node.Node
-	Registry  *telemetry.Registry
-	Journal   *telemetry.Journal
-	Server    *telemetry.Server
-	Monitor   *detect.Monitor
-	Miner     *miner.Miner
-	Honest    []*node.Node
-	Tracer    *trace.Tracer
-	Forensics *core.Ledger
+	*node.Assembly
+	Victim  *node.Node // the assembly's Node
+	Monitor *detect.Monitor
+	Miner   *miner.Miner
+	Honest  []*node.Node
 
 	// HonestAddrs lists the honest listeners ("10.0.1.N:8333").
 	HonestAddrs []string
 
 	cfg       Config
-	dialPort  uint32
-	dialMu    sync.Mutex
 	quit      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -141,61 +107,19 @@ type Cluster struct {
 func NewCluster(cfg Config) (*Cluster, error) {
 	cfg.applyDefaults()
 	c := &Cluster{
-		Fabric:    simnet.NewNetwork(),
-		Registry:  telemetry.NewRegistry(),
-		Journal:   telemetry.NewJournal(4096),
-		Monitor:   detect.NewMonitor(cfg.Window),
-		Tracer:    trace.New(trace.Config{SampleN: cfg.TraceSampleN}),
-		Forensics: core.NewLedger(0, 0),
-		cfg:       cfg,
-		dialPort:  40000,
-		quit:      make(chan struct{}),
+		Monitor: detect.NewMonitor(cfg.Window),
+		cfg:     cfg,
+		quit:    make(chan struct{}),
 	}
-	c.Fabric.Instrument(c.Registry)
-	c.Fabric.SetTracer(c.Tracer)
-	c.Monitor.SetTracer(c.Tracer)
-	c.Tracer.Instrument(c.Registry)
-	c.Journal.Instrument(c.Registry)
-	c.Server = telemetry.NewServer(c.Registry, c.Journal)
-	c.Server.Handle("/debug/trace", c.Tracer.QueryHandler())
-	c.Server.Handle("/debug/trace/export", c.Tracer.ExportHandler())
-
-	c.Victim = node.New(node.Config{
-		Dialer: func(remote string) (net.Conn, error) {
-			c.dialMu.Lock()
-			c.dialPort++
-			port := c.dialPort
-			c.dialMu.Unlock()
-			return c.Fabric.Dial(fmt.Sprintf("10.0.0.1:%d", port), remote)
-		},
-		Tap:                 c.Monitor,
-		Telemetry:           c.Registry,
-		Journal:             c.Journal,
-		Tracer:              c.Tracer,
-		Forensics:           c.Forensics,
-		Reputation:          cfg.Reputation,
-		BanStore:            cfg.BanStore,
-		BanStoreRecovered:   cfg.BanStoreRecovered,
-		SnapshotEvery:       cfg.SnapshotEvery,
-		IdleTimeout:         cfg.IdleTimeout,
-		HandshakeTimeout:    cfg.HandshakeTimeout,
-		DialTimeout:         cfg.DialTimeout,
-		WriteTimeout:        cfg.WriteTimeout,
-		ReconnectBackoff:    cfg.ReconnectBackoff,
-		ReconnectMaxBackoff: cfg.ReconnectMaxBackoff,
-	})
-	c.Server.SetHealth(c.Victim.Health)
-	banHandler := c.Forensics.Handler(c.Victim.Tracker().IsBanned)
-	c.Server.Handle("/debug/bans", banHandler)
-	c.Server.Handle("/debug/bans/", banHandler)
-	c.Tracer.Enable()
-
-	vl, err := c.Fabric.Listen(VictimAddr)
+	fabric := simnet.NewNetwork()
+	opts := cfg.Options
+	opts.Fabric, opts.Listen, opts.Tap = fabric, VictimAddr, c.Monitor
+	a, err := node.Assemble(opts)
 	if err != nil {
-		c.Fabric.Close()
+		fabric.Close()
 		return nil, err
 	}
-	c.Victim.Serve(vl)
+	c.Assembly, c.Victim = a, a.Node
 	c.Miner = miner.New(c.Victim.Chain())
 	c.Miner.Start()
 
@@ -266,21 +190,21 @@ func (c *Cluster) Healthz() (status int, doc map[string]any, err error) {
 	return rec.Code, doc, nil
 }
 
-// Close tears the whole cluster down in dependency order.
-func (c *Cluster) Close() {
+// Close tears the whole cluster down in dependency order and returns the
+// error of the victim's ban store closing, if the victim has one. Safe
+// to call twice.
+func (c *Cluster) Close() error {
 	c.closeOnce.Do(func() {
 		close(c.quit)
 		c.wg.Wait()
-		if c.Miner != nil {
-			c.Miner.Stop()
-		}
-		c.Victim.Stop()
+		c.Miner.Stop()
+		_ = c.Assembly.Close()
 		for _, h := range c.Honest {
 			h.Stop()
 		}
-		c.Server.Close()
 		c.Fabric.Close()
 	})
+	return c.Assembly.Close()
 }
 
 // WaitGoroutines polls until the process goroutine count settles at or

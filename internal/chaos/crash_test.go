@@ -13,6 +13,7 @@ import (
 	"banscore/internal/banstore"
 	"banscore/internal/blockchain"
 	"banscore/internal/core"
+	"banscore/internal/node"
 	"banscore/internal/reputation"
 )
 
@@ -44,26 +45,18 @@ func TestCrashStormBanStateSurvives(t *testing.T) {
 	// and the cluster restores recovered state before serving.
 	boot := func() (*banstore.Store, *banstore.Recovered, *reputation.Engine, *Cluster) {
 		t.Helper()
-		s, rec, err := banstore.Open(banstore.Options{Dir: dir, FsyncInterval: 10 * time.Millisecond})
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		engine := reputation.New(reputation.Config{
-			PeerContributionCap: 40,
-			GroupBudget:         150,
-			Recorder:            s,
-		})
 		cl, err := NewCluster(Config{
-			HonestPeers:       1,
-			Reputation:        engine,
-			BanStore:          s,
-			BanStoreRecovered: rec,
-			SnapshotEvery:     -1, // snapshots forced explicitly below
+			HonestPeers: 1,
+			Options: node.Options{
+				Store:  &banstore.Options{Dir: dir, FsyncInterval: 10 * time.Millisecond},
+				Engine: &reputation.Config{PeerContributionCap: 40, GroupBudget: 150},
+				Config: node.Config{SnapshotEvery: -1}, // snapshots forced explicitly below
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, rec, engine, cl
+		return cl.Store, cl.Recovered, cl.Victim.Reputation(), cl
 	}
 
 	// Life 1: flood until the collective ban lands.
@@ -118,15 +111,14 @@ func TestCrashStormBanStateSurvives(t *testing.T) {
 		attackOnce(conn, forge)
 	}
 
-	// SIGKILL: the cluster tears down, the store dies without flushing.
-	cl.Close()
+	// SIGKILL: the store dies without flushing, the cluster tears down.
 	s.Crash()
+	cl.Close()
 
 	// Life 2: same directory, fresh process state.
-	s2, rec2, engine2, cl2 := boot()
+	_, rec2, engine2, cl2 := boot()
 	defer func() {
-		cl2.Close()
-		if err := s2.Close(); err != nil {
+		if err := cl2.Close(); err != nil {
 			t.Errorf("Close after recovery: %v", err)
 		}
 	}()

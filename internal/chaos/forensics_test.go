@@ -14,6 +14,7 @@ import (
 	"banscore/internal/attack"
 	"banscore/internal/blockchain"
 	"banscore/internal/core"
+	"banscore/internal/node"
 	"banscore/internal/simnet"
 	"banscore/internal/trace"
 	"banscore/internal/wire"
@@ -109,7 +110,7 @@ func attackPaced(cl *Cluster, conn net.Conn, forge *attack.Forge, id core.PeerID
 // resolves to lifecycle spans and a Chrome trace export that parses.
 func TestForensicsUnderChaos(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	cl, err := NewCluster(Config{HonestPeers: 2, TraceSampleN: 1})
+	cl, err := NewCluster(Config{HonestPeers: 2, Options: node.Options{Trace: &trace.Config{SampleN: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,16 @@ package chaos
 import (
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"banscore/internal/attack"
+	"banscore/internal/banstore"
 	"banscore/internal/blockchain"
 	"banscore/internal/core"
+	"banscore/internal/node"
 	"banscore/internal/reputation"
 	"banscore/internal/simnet"
 )
@@ -27,7 +31,7 @@ func TestNetgroupBanSurvivesFaultStorm(t *testing.T) {
 		PeerContributionCap: 40,
 		GroupBudget:         150,
 	})
-	cl, err := NewCluster(Config{HonestPeers: 2, Reputation: engine})
+	cl, err := NewCluster(Config{HonestPeers: 2, Options: node.Options{Config: node.Config{Reputation: engine}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,5 +120,37 @@ func TestNetgroupBanSurvivesFaultStorm(t *testing.T) {
 	})
 	if _, status := engine.GroupPressure(swarmGroup); status != reputation.GroupBanned {
 		t.Error("netgroup ban did not survive the heal")
+	}
+}
+
+// TestClusterServesEveryComponent pins what the one victim assembly buys
+// the chaos harness: a cluster given a reputation engine and a ban store
+// serves both components' /debug views and exports their series, like
+// cmd/btcnode does, rather than running them dark.
+func TestClusterServesEveryComponent(t *testing.T) {
+	cl, err := NewCluster(Config{HonestPeers: 1, Options: node.Options{
+		Store:  &banstore.Options{Dir: t.TempDir()},
+		Engine: &reputation.Config{},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	get := func(path string) (int, string) {
+		rec := httptest.NewRecorder()
+		cl.Server.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec.Code, rec.Body.String()
+	}
+	for _, path := range []string{"/debug/reputation", "/debug/banstore"} {
+		if code, body := get(path); code != http.StatusOK {
+			t.Errorf("GET %s = %d: %s", path, code, body)
+		}
+	}
+	_, metrics := get("/metrics")
+	for _, series := range []string{"reputation_peers", "banstore_wal_appends_total"} {
+		if !strings.Contains(metrics, "\n"+series) {
+			t.Errorf("/metrics carries no %s series", series)
+		}
 	}
 }

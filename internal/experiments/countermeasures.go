@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"banscore/internal/core"
+	"banscore/internal/node"
 	"banscore/internal/wire"
 )
 
@@ -35,7 +36,7 @@ func Countermeasures(scale Scale) (CountermeasuresResult, error) {
 	for _, mode := range []core.Mode{
 		core.ModeStandard, core.ModeThresholdInfinity, core.ModeDisabled, core.ModeGoodScore,
 	} {
-		tb, err := NewTestbed(TestbedConfig{TrackerConfig: core.Config{Mode: mode}, Faults: scale.Faults, Tracer: scale.Tracer, Forensics: scale.Forensics})
+		tb, err := scale.testbed(node.Config{TrackerConfig: core.Config{Mode: mode}})
 		if err != nil {
 			return res, err
 		}

@@ -12,18 +12,13 @@ import (
 	"net"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"banscore/internal/attack"
-	"banscore/internal/banstore"
-	"banscore/internal/blockchain"
 	"banscore/internal/core"
 	"banscore/internal/node"
 	"banscore/internal/peer"
-	"banscore/internal/reputation"
 	"banscore/internal/simnet"
-	"banscore/internal/telemetry"
 	"banscore/internal/trace"
 	"banscore/internal/wire"
 )
@@ -117,85 +112,35 @@ func PaperScale() Scale {
 // target node (listening like a public node on :8333), an attacker address
 // space, and room for an innocent peer.
 type Testbed struct {
-	Fabric *simnet.Network
-	Victim *node.Node
+	*node.Assembly
+	Victim *node.Node // the assembly's Node
 	Target string
-
-	ports atomic.Uint32
 }
 
-// TestbedConfig tunes the victim node.
-type TestbedConfig struct {
-	ChainParams   *blockchain.Params
-	TrackerConfig core.Config
-	Tap           node.Tap
-	MaxInbound    int
-
-	// Telemetry/Journal are passed through to the victim node; both may
-	// be nil.
-	Telemetry *telemetry.Registry
-	Journal   *telemetry.Journal
-
-	// Faults, when non-nil, becomes the fabric's default fault plan before
-	// any connection is made (see Scale.Faults).
-	Faults *simnet.FaultPlan
-
-	// Tracer/Forensics are passed through to the fabric and the victim
-	// node (see Scale.Tracer, Scale.Forensics); both may be nil.
-	Tracer    *trace.Tracer
-	Forensics *core.Ledger
-
-	// Reputation, when non-nil, layers the netgroup reputation engine over
-	// the victim's tracker (admission gating, evidence-weighted penalties,
-	// collective netgroup bans). Pair with Mode: ModeThresholdInfinity to
-	// study the engine as the sole countermeasure.
-	Reputation *reputation.Engine
-
-	// BanStore / BanStoreRecovered / SnapshotEvery pass crash-safe ban
-	// persistence through to the victim node (see node.Config). The
-	// restart experiment opens the store itself so it can crash and
-	// reopen it between victim lifetimes.
-	BanStore          *banstore.Store
-	BanStoreRecovered *banstore.Recovered
-	SnapshotEvery     time.Duration
-}
-
-// NewTestbed builds and starts the victim node on a fresh fabric.
-func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
-	fabric := simnet.NewNetwork()
-	if cfg.Faults != nil {
-		fabric.SetDefaultFaults(cfg.Faults)
+// NewTestbed assembles the victim from opts and serves it at 10.0.0.1:8333
+// on opts.Fabric, or on a fresh fabric when that is nil.
+func NewTestbed(opts node.Options) (*Testbed, error) {
+	if opts.Fabric == nil {
+		opts.Fabric = simnet.NewNetwork()
 	}
-	if cfg.Tracer != nil {
-		fabric.SetTracer(cfg.Tracer)
-	}
-	tb := &Testbed{Fabric: fabric, Target: "10.0.0.1:8333"}
-	victim := node.New(node.Config{
-		ChainParams:       cfg.ChainParams,
-		TrackerConfig:     cfg.TrackerConfig,
-		Tap:               cfg.Tap,
-		MaxInbound:        cfg.MaxInbound,
-		Telemetry:         cfg.Telemetry,
-		Journal:           cfg.Journal,
-		Tracer:            cfg.Tracer,
-		Forensics:         cfg.Forensics,
-		Reputation:        cfg.Reputation,
-		BanStore:          cfg.BanStore,
-		BanStoreRecovered: cfg.BanStoreRecovered,
-		SnapshotEvery:     cfg.SnapshotEvery,
-		Dialer: func(remote string) (net.Conn, error) {
-			port := 40000 + tb.ports.Add(1)
-			return fabric.Dial(fmt.Sprintf("10.0.0.1:%d", port), remote)
-		},
-	})
-	l, err := fabric.Listen(tb.Target)
+	opts.Listen = "10.0.0.1:8333"
+	a, err := node.Assemble(opts)
 	if err != nil {
-		fabric.Close()
+		opts.Fabric.Close()
 		return nil, err
 	}
-	victim.Serve(l)
-	tb.Victim = victim
-	return tb, nil
+	return &Testbed{Assembly: a, Victim: a.Node, Target: opts.Listen}, nil
+}
+
+// testbed builds a Testbed for cfg under the scale's tracer and forensics
+// ledger, on a fabric that applies the scale's fault plan from the start.
+func (s Scale) testbed(cfg node.Config) (*Testbed, error) {
+	cfg.Tracer, cfg.Forensics = s.Tracer, s.Forensics
+	fabric := simnet.NewNetwork()
+	if s.Faults != nil {
+		fabric.SetDefaultFaults(s.Faults)
+	}
+	return NewTestbed(node.Options{Config: cfg, Fabric: fabric})
 }
 
 // AttackerDialer returns the spoofing-capable dialer of the fabric.
@@ -220,7 +165,7 @@ func (tb *Testbed) NewAttackSession(from string) (*attack.Session, error) {
 
 // Close tears the testbed down.
 func (tb *Testbed) Close() {
-	tb.Victim.Stop()
+	_ = tb.Assembly.Close()
 	tb.Fabric.Close()
 }
 

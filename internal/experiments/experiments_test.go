@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"banscore/internal/core"
+	"banscore/internal/node"
 )
 
 // The experiment tests assert the SHAPES the paper reports — who wins, by
@@ -396,7 +397,7 @@ func TestCountermeasuresNeutralizeDefamation(t *testing.T) {
 }
 
 func TestVictimPeerTimesOutForUnknownPeer(t *testing.T) {
-	tb, err := NewTestbed(TestbedConfig{})
+	tb, err := NewTestbed(node.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"banscore/internal/attack"
+	"banscore/internal/node"
 	"banscore/internal/stats"
 	"banscore/internal/wire"
 )
@@ -32,7 +33,7 @@ type Figure8Result struct {
 func Figure8(scale Scale) (Figure8Result, error) {
 	res := Figure8Result{Scale: scale}
 	for _, delay := range []time.Duration{0, time.Millisecond} {
-		tb, err := NewTestbed(TestbedConfig{Faults: scale.Faults, Tracer: scale.Tracer, Forensics: scale.Forensics})
+		tb, err := scale.testbed(node.Config{})
 		if err != nil {
 			return res, err
 		}

@@ -10,6 +10,7 @@ import (
 	"banscore/internal/attack"
 	"banscore/internal/blockchain"
 	"banscore/internal/miner"
+	"banscore/internal/node"
 	"banscore/internal/stats"
 	"banscore/internal/wire"
 )
@@ -92,7 +93,7 @@ func Figure6(scale Scale) (Figure6Result, error) {
 // runFloodMiningConfig measures the victim's mining rate while the given
 // flood runs.
 func runFloodMiningConfig(scale Scale, attackKind string, sybils int) (Figure6Row, error) {
-	tb, err := NewTestbed(TestbedConfig{ChainParams: blockchain.HardNetParams(), Faults: scale.Faults, Tracer: scale.Tracer, Forensics: scale.Forensics})
+	tb, err := scale.testbed(node.Config{ChainParams: blockchain.HardNetParams()})
 	if err != nil {
 		return Figure6Row{}, err
 	}
@@ -329,7 +330,7 @@ func memMB() float64 {
 const calibrationWindow = 200 * time.Millisecond
 
 func runBitcoinPingFlood(scale Scale, rate float64) (Table3Row, error) {
-	tb, err := NewTestbed(TestbedConfig{ChainParams: blockchain.HardNetParams(), Faults: scale.Faults, Tracer: scale.Tracer, Forensics: scale.Forensics})
+	tb, err := scale.testbed(node.Config{ChainParams: blockchain.HardNetParams()})
 	if err != nil {
 		return Table3Row{}, err
 	}
@@ -390,7 +391,7 @@ func runBitcoinPingFlood(scale Scale, rate float64) (Table3Row, error) {
 }
 
 func runICMPFlood(scale Scale, rate float64) (Table3Row, error) {
-	tb, err := NewTestbed(TestbedConfig{ChainParams: blockchain.HardNetParams(), Faults: scale.Faults, Tracer: scale.Tracer, Forensics: scale.Forensics})
+	tb, err := scale.testbed(node.Config{ChainParams: blockchain.HardNetParams()})
 	if err != nil {
 		return Table3Row{}, err
 	}

@@ -8,6 +8,7 @@ import (
 	"banscore/internal/attack"
 	"banscore/internal/blockchain"
 	"banscore/internal/core"
+	"banscore/internal/node"
 	"banscore/internal/reputation"
 )
 
@@ -114,12 +115,9 @@ func ReputationComparison(scale Scale) (ReputationComparisonResult, error) {
 			engine = reputation.New(reputationEngineConfig())
 			trackerMode = core.ModeThresholdInfinity
 		}
-		tb, err := NewTestbed(TestbedConfig{
+		tb, err := scale.testbed(node.Config{
 			TrackerConfig: core.Config{Mode: trackerMode},
 			MaxInbound:    swarm + 8,
-			Faults:        scale.Faults,
-			Tracer:        scale.Tracer,
-			Forensics:     scale.Forensics,
 			Reputation:    engine,
 		})
 		if err != nil {

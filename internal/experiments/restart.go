@@ -10,6 +10,7 @@ import (
 	"banscore/internal/banstore"
 	"banscore/internal/blockchain"
 	"banscore/internal/core"
+	"banscore/internal/node"
 	"banscore/internal/reputation"
 )
 
@@ -88,54 +89,35 @@ func restartRow(attackName, persistence, dir string) (RestartRow, error) {
 	// boot assembles one victim lifetime. With persistence the store is
 	// opened first (recovering the previous life), the engine is born
 	// recording into it, and the testbed restores before serving.
-	boot := func() (*banstore.Store, *reputation.Engine, *Testbed, error) {
-		var store *banstore.Store
-		var recovered *banstore.Recovered
+	boot := func() (*Testbed, error) {
+		opts := node.Options{Config: node.Config{SnapshotEvery: -1}}
 		if durable {
-			var err error
-			store, recovered, err = banstore.Open(banstore.Options{Dir: dir})
-			if err != nil {
-				return nil, nil, nil, err
-			}
+			opts.Store = &banstore.Options{Dir: dir}
 		}
-		cfg := TestbedConfig{BanStore: store, BanStoreRecovered: recovered, SnapshotEvery: -1}
-		var engine *reputation.Engine
 		if attackName == "sybil" {
-			rcfg := reputation.Config{
+			opts.Engine = &reputation.Config{
 				HalfLife:            1000 * time.Hour,
 				GroupBudget:         restartSwarmBudget,
 				PeerContributionCap: restartSwarmPeerCap,
 			}
-			if store != nil {
-				rcfg.Recorder = store
-			}
-			engine = reputation.New(rcfg)
-			cfg.TrackerConfig = core.Config{Mode: core.ModeThresholdInfinity}
-			cfg.Reputation = engine
+			opts.TrackerConfig = core.Config{Mode: core.ModeThresholdInfinity}
 		}
-		tb, err := NewTestbed(cfg)
-		if err != nil {
-			if store != nil {
-				_ = store.Close()
-			}
-			return nil, nil, nil, err
-		}
-		return store, engine, tb, nil
+		return NewTestbed(opts)
 	}
 
-	drive := func(tb *Testbed, engine *reputation.Engine) (int, float64, error) {
+	drive := func(tb *Testbed) (int, float64, error) {
 		if attackName == "sybil" {
-			return driveSybilToGroupBan(tb, engine)
+			return driveSybilToGroupBan(tb, tb.Victim.Reputation())
 		}
 		return driveDefamationToBan(tb)
 	}
 
 	// First life: attack to the ban.
-	store, engine, tb, err := boot()
+	tb, err := boot()
 	if err != nil {
 		return row, err
 	}
-	row.MsgsToBan, row.TimeToBan, err = drive(tb, engine)
+	row.MsgsToBan, row.TimeToBan, err = drive(tb)
 	if err != nil {
 		tb.Close()
 		return row, err
@@ -145,32 +127,25 @@ func restartRow(attackName, persistence, dir string) (RestartRow, error) {
 	// separately proves what an unflushed window costs) and then dies the
 	// unclean way — no snapshot, no graceful close; recovery replays the
 	// WAL tail.
-	if store != nil {
-		if err := store.Sync(); err != nil {
+	if tb.Store != nil {
+		if err := tb.Store.Sync(); err != nil {
 			tb.Close()
 			return row, err
 		}
+		tb.Store.Crash()
 	}
 	tb.Close()
-	if store != nil {
-		store.Crash()
-	}
 
 	// Second life.
-	store2, engine2, tb2, err := boot()
+	tb2, err := boot()
 	if err != nil {
 		return row, err
 	}
-	defer func() {
-		tb2.Close()
-		if store2 != nil {
-			_ = store2.Close()
-		}
-	}()
+	defer tb2.Close()
 
 	if attackName == "sybil" {
 		group := reputation.NetgroupKey(core.PeerIDFromAddr(restartSwarmAddr(0)))
-		_, status := engine2.GroupPressure(group)
+		_, status := tb2.Victim.Reputation().GroupPressure(group)
 		row.BannedAfterRestart = status == reputation.GroupBanned
 		row.ReconnectRefused = sessionRefused(tb2, restartSwarmPrefix+".250.250:6000")
 	} else {
@@ -178,7 +153,7 @@ func restartRow(attackName, persistence, dir string) (RestartRow, error) {
 		row.ReconnectRefused = sessionRefused(tb2, restartDefamerAddr)
 	}
 	if !row.BannedAfterRestart {
-		row.MsgsToReban, row.TimeToReban, err = drive(tb2, engine2)
+		row.MsgsToReban, row.TimeToReban, err = drive(tb2)
 		if err != nil {
 			return row, err
 		}

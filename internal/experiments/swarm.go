@@ -146,31 +146,27 @@ func Swarm(cfg SwarmConfig) (SwarmResult, error) {
 	defer fabric.Close()
 	fabric.SetListenBacklog(8192)
 
-	var victim *node.Node
-	eng := swarm.NewEngine(swarm.Config{
-		Shards:   cfg.Shards,
-		NewBatch: func() swarm.Batcher { return victim.NewMisbehaviorBatch() },
+	a, err := node.Assemble(node.Options{
+		Config: node.Config{
+			MaxInbound:       cfg.Attackers + 8,
+			DisableReconnect: true,
+			// 100k handshake watchdog timers would dominate the run; the
+			// swarm's handshakes complete from pre-buffered bytes anyway.
+			HandshakeTimeout: -1,
+			// The victim sends each attacker only a handful of messages
+			// (VERSION, VERACK, stray replies); the default 1024-slot queue
+			// would cost ~5 GB of preallocated buffers at 100k peers.
+			PeerSendQueue: 64,
+		},
+		Fabric: fabric,
+		Listen: "10.0.0.1:8333",
+		Swarm:  &swarm.Config{Shards: cfg.Shards},
 	})
-	defer eng.Stop()
-
-	victim = node.New(node.Config{
-		PeerRunner:       eng,
-		MaxInbound:       cfg.Attackers + 8,
-		DisableReconnect: true,
-		// 100k handshake watchdog timers would dominate the run; the
-		// swarm's handshakes complete from pre-buffered bytes anyway.
-		HandshakeTimeout: -1,
-		// The victim sends each attacker only a handful of messages
-		// (VERSION, VERACK, stray replies); the default 1024-slot queue
-		// would cost ~5 GB of preallocated buffers at 100k peers.
-		PeerSendQueue: 64,
-	})
-	defer victim.Stop()
-	l, err := fabric.Listen("10.0.0.1:8333")
 	if err != nil {
 		return SwarmResult{}, err
 	}
-	victim.Serve(l)
+	defer a.Close()
+	victim, eng := a.Node, a.Swarm
 
 	handshake, flood, err := swarmFrames()
 	if err != nil {

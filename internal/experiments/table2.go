@@ -9,6 +9,7 @@ import (
 	"banscore/internal/blockchain"
 	"banscore/internal/chainhash"
 	"banscore/internal/core"
+	"banscore/internal/node"
 	"banscore/internal/wire"
 )
 
@@ -42,12 +43,7 @@ type table2Spec struct {
 
 // Table2 measures every message type against a live victim node.
 func Table2(scale Scale) (Table2Result, error) {
-	tb, err := NewTestbed(TestbedConfig{
-		TrackerConfig: core.Config{Mode: core.ModeThresholdInfinity},
-		Faults:        scale.Faults,
-		Tracer:        scale.Tracer,
-		Forensics:     scale.Forensics,
-	})
+	tb, err := scale.testbed(node.Config{TrackerConfig: core.Config{Mode: core.ModeThresholdInfinity}})
 	if err != nil {
 		return Table2Result{}, err
 	}

@@ -12,10 +12,6 @@ import (
 // snapshot encoding on any hot path.
 const DefaultSnapshotEvery = time.Minute
 
-// BanStore exposes the crash-safe persistence store (nil when the node
-// runs without durability).
-func (n *Node) BanStore() *banstore.Store { return n.cfg.BanStore }
-
 // snapshotLoop writes a compacted ban-state snapshot every interval until
 // the node stops. Runs supervised under the node's WaitGroup.
 func (n *Node) snapshotLoop(every time.Duration) {

@@ -151,8 +151,8 @@ type Config struct {
 // touches. Peer is 432 bytes and comes from the allocator's 448-byte size
 // class, whose objects start on a cache line, so the offsets are the lines
 // (TestPeerLayout). Measured, not argued: with the writer's fields among the
-// others ping_flood absorbs 8 % fewer messages (EXPERIMENTS.md, "Cost of the
-// reply path").
+// others ping_flood absorbs 8 % fewer messages (PERF.md, "Cost of the reply
+// path").
 type Peer struct {
 	cfg     Config
 	conn    net.Conn
