@@ -14,10 +14,12 @@ vet:
 	$(GO) vet ./...
 
 # README.md and DESIGN.md against the tree: every backticked `make` target
-# and repository path they name must exist, and their analyzer lists must
-# name exactly the analyzers banlint runs (docs_test.go).
+# and repository path they name must exist, their analyzer lists must
+# name exactly the analyzers banlint runs, and every cmd/experiments command
+# line in the docs, this Makefile, CI and the verify skill must use only
+# flags and experiment names the command has (docs_test.go).
 docs-check:
-	$(GO) test -count=1 -run '^TestDoc(References|AnalyzerLists)$$' .
+	$(GO) test -count=1 -run '^Test(Doc(References|AnalyzerLists)|ExperimentsCommandLines)$$' .
 
 # banlint: the repository's own analyzer suite (internal/lint). Zero
 # findings is a merge requirement; waivers need //lint:allow with a reason.
@@ -167,10 +169,10 @@ fleet-short:
 swarm-smoke:
 	$(GO) test -race -shuffle=on -count=1 -timeout 600s ./internal/swarm/
 	BANSCORE_SWARM_PEERS=10000 $(GO) test -count=1 -timeout 600s -run TestSwarmScenario ./internal/swarm/
-	$(GO) run ./cmd/experiments -scale quick -only swarm -swarm-out swarm-smoke.json
+	$(GO) run ./cmd/experiments -scale quick -only swarm -json swarm-smoke.json
 
 # The headline scale run: 100k concurrent simulated attackers in one
 # process, every identity banned. Minutes of runtime and a few GB of RSS;
 # the nightly workflow pays this, the per-change gate does not.
 swarm-full:
-	$(GO) run ./cmd/experiments -scale paper -only swarm -swarm-out swarm-100k.json
+	$(GO) run ./cmd/experiments -scale paper -only swarm -json swarm-100k.json

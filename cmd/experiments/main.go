@@ -1,13 +1,21 @@
-// Command experiments regenerates every table and figure of the paper's
+// Command experiments regenerates the tables and figures of the paper's
 // evaluation and prints them in paper order.
 //
 // Usage:
 //
-//	experiments [-scale quick|paper] [-only table1|table2|fig6|table3|fig7|fig8|fig10|fig11|countermeasures|reputation|restart|fleet|swarm]
+//	experiments [-scale quick|paper] [-only NAME] [-json results.json]
 //	            [-loss 0.1] [-latency 5ms] [-jitter 2ms] [-fault-seed 1]
 //	            [-trace-out trace.json] [-trace-sample 64] [-bans-out bans.json]
-//	            [-reputation-out reputation.json] [-restart-out restart.json]
-//	            [-fleet-out propagation.json] [-swarm-out swarm.json] [-swarm-peers 10000]
+//
+// Without -only the run is experiments.Suite: every registry entry marked
+// InSuite, in paper order under one header. -only runs one entry of the
+// registry (internal/experiments/registry.go) by name, including the
+// scenarios the suite leaves out: the restart ban-durability matrix, the
+// real multi-process btcnode fleet on loopback TCP, and the 10k/100k-identity
+// Sybil swarm on the event-loop engine.
+//
+// -json writes {name: result} for every experiment the run executed, from
+// the same run that printed them.
 //
 // The fault flags degrade the simulation fabric every experiment runs on —
 // probabilistic payload loss, one-way latency, and jitter, all deterministic
@@ -19,71 +27,45 @@
 // (open in chrome://tracing or Perfetto) when the run finishes — e.g. the
 // wire-to-ban timeline behind a Table II row or a Fig. 8 serial-identifier
 // sweep. -bans-out writes the forensic ban ledger (every rule application,
-// per attacker identity, in order) as JSON.
-//
-// -reputation-out runs the ban-score vs reputation-engine comparison
-// (Defamation + Sybil swarm under both defenses) and writes its rows —
-// time-to-ban, innocent-ban rate, identities needed to exhaust a netgroup —
-// as a JSON artifact, in addition to whatever -only selects.
-//
-// -only restart (or -restart-out restart.json) runs the ban-durability
-// matrix: Defamation and Sybil attacks against a victim that crashes and
-// restarts mid-defense, with and without the crash-safe banstore. The rows
-// record whether each ban survived the restart and what re-earning it cost
-// the defender when it did not.
-//
-// -only fleet leaves the simulation fabric entirely: it builds cmd/btcnode,
-// launches a real multi-node fleet on loopback TCP (3 nodes at quick scale,
-// 5 at paper scale), replays the Defamation and Sybil attacks against every
-// node at once from shared SO_REUSEPORT identities, and prints the
-// cross-node ban-propagation table assembled by the fleet observer.
-// -fleet-out writes the full result as a JSON artifact.
-//
-// -only swarm runs the Sybil-swarm scale scenario on the event-loop
-// engine: 10k distinct attacker identities at quick scale (CI's smoke
-// gate), 100k at paper scale (the nightly run), every one flooding
-// duplicate VERSIONs until banned, with churn-heavy reconnects. The
-// printed result records peers/s admitted, msgs/s absorbed, and the exact
-// banned count; -swarm-out writes it as JSON and -swarm-peers overrides
-// the identity count.
+// per attacker identity, in order) as JSON. Both files are written after
+// any run; an experiment that builds no testbed leaves them empty.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"banscore/internal/core"
 	"banscore/internal/experiments"
-	"banscore/internal/fleet"
 	"banscore/internal/simnet"
 	"banscore/internal/trace"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or paper")
-	only := flag.String("only", "", "run a single experiment (table1, table2, fig6, table3, fig7, fig8, fig10, fig11, countermeasures, reputation, restart, fleet, swarm)")
-	loss := flag.Float64("loss", 0, "fabric payload drop probability in [0,1]")
-	latency := flag.Duration("latency", 0, "fabric one-way latency")
-	jitter := flag.Duration("jitter", 0, "fabric per-payload jitter bound")
-	faultSeed := flag.Int64("fault-seed", 0, "fault plan RNG seed (0 selects a fixed default)")
-	traceOut := flag.String("trace-out", "", "write sampled lifecycle spans as Chrome trace-event JSON to this file")
-	traceSample := flag.Int("trace-sample", trace.DefaultSampleN, "trace 1 in N messages (rounded up to a power of two; 1 traces everything)")
-	bansOut := flag.String("bans-out", "", "write the forensic ban ledger as JSON to this file")
-	reputationOut := flag.String("reputation-out", "", "run the ban-score vs reputation comparison and write its table as JSON to this file")
-	restartOut := flag.String("restart-out", "", "run the restart ban-durability matrix and write its rows as JSON to this file")
-	fleetOut := flag.String("fleet-out", "", "with -only fleet: also write the ban-propagation result as JSON to this file")
-	swarmOut := flag.String("swarm-out", "", "with -only swarm: also write the swarm-scale result as JSON to this file")
-	swarmPeers := flag.Int("swarm-peers", 0, "with -only swarm: override the identity count (default 10000 quick, 100000 paper)")
-	flag.Parse()
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	scaleFlag := fs.String("scale", "quick", "experiment scale: quick or paper")
+	only := fs.String("only", "", "run one experiment of the registry by name instead of the suite")
+	jsonOut := fs.String("json", "", "write {name: result} for every experiment run as JSON to this file")
+	loss := fs.Float64("loss", 0, "fabric payload drop probability in [0,1]")
+	latency := fs.Duration("latency", 0, "fabric one-way latency")
+	jitter := fs.Duration("jitter", 0, "fabric per-payload jitter bound")
+	faultSeed := fs.Int64("fault-seed", 0, "fault plan RNG seed (0 selects a fixed default)")
+	traceOut := fs.String("trace-out", "", "write sampled lifecycle spans as Chrome trace-event JSON to this file (empty if no testbed was built)")
+	traceSample := fs.Int("trace-sample", trace.DefaultSampleN, "trace 1 in N messages (rounded up to a power of two; 1 traces everything)")
+	bansOut := fs.String("bans-out", "", "write the forensic ban ledger as JSON to this file (empty if no testbed was built)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var scale experiments.Scale
 	switch *scaleFlag {
@@ -93,6 +75,10 @@ func run() error {
 		scale = experiments.PaperScale()
 	default:
 		return fmt.Errorf("unknown scale %q", *scaleFlag)
+	}
+	exp, found := experiments.Lookup(*only)
+	if *only != "" && !found {
+		return fmt.Errorf("unknown experiment %q", *only)
 	}
 
 	if *loss < 0 || *loss > 1 {
@@ -105,7 +91,7 @@ func run() error {
 			Jitter:   *jitter,
 			Seed:     *faultSeed,
 		}
-		fmt.Printf("fabric faults: loss=%.0f%% latency=%s jitter=%s seed=%d\n\n",
+		fmt.Fprintf(stdout, "fabric faults: loss=%.0f%% latency=%s jitter=%s seed=%d\n\n",
 			*loss*100, *latency, *jitter, *faultSeed)
 	}
 
@@ -119,212 +105,40 @@ func run() error {
 		scale.Forensics = ledger
 	}
 
-	// The fleet experiment runs real btcnode processes over TCP rather
-	// than the simulation fabric, so it dispatches outside the suite.
-	if *only == "fleet" {
-		return runFleet(scale, *fleetOut)
-	}
-	if *fleetOut != "" {
-		return fmt.Errorf("-fleet-out requires -only fleet")
-	}
-
-	// The swarm experiment builds its own fabric sized for 10k–100k
-	// identities; it dispatches outside the suite for the same reason.
-	if *only == "swarm" {
-		return runSwarm(scale, *swarmPeers, *swarmOut)
-	}
-	if *swarmOut != "" || *swarmPeers != 0 {
-		return fmt.Errorf("-swarm-out and -swarm-peers require -only swarm")
+	results := map[string]experiments.Result{}
+	var runErr error
+	if !found {
+		results, runErr = experiments.Suite(scale, stdout)
+	} else if r, err := exp.Run(scale); err != nil {
+		runErr = fmt.Errorf("%s: %w", exp.Name, err)
+	} else {
+		fmt.Fprint(stdout, r.Render())
+		results[exp.Name] = r
 	}
 
-	runErr := dispatch(scale, *only)
-
+	if *jsonOut != "" {
+		if err := writeJSON(*jsonOut, results); err != nil {
+			return fmt.Errorf("json: %w", err)
+		}
+	}
 	if *traceOut != "" {
 		if err := writeTraceArtifact(*traceOut, tracer); err != nil {
 			return err
 		}
 		total, dropped, sampled := tracer.Stats()
-		fmt.Printf("\nwrote %s (spans=%d dropped=%d sampled-messages=%d)\n", *traceOut, total, dropped, sampled)
+		fmt.Fprintf(stdout, "\nwrote %s (spans=%d dropped=%d sampled-messages=%d)\n", *traceOut, total, dropped, sampled)
 	}
 	if *bansOut != "" {
-		if err := writeBansArtifact(*bansOut, ledger); err != nil {
-			return err
+		doc := make(map[string][]core.BanRecord)
+		for _, id := range ledger.Peers() {
+			doc[string(id)] = ledger.Records(id)
 		}
-		fmt.Printf("wrote %s (peers=%d records=%d)\n", *bansOut, len(ledger.Peers()), ledger.Total())
-	}
-	if *reputationOut != "" && runErr == nil {
-		res, err := experiments.ReputationComparison(scale)
-		if err != nil {
-			return fmt.Errorf("reputation comparison: %w", err)
+		if err := writeJSON(*bansOut, doc); err != nil {
+			return fmt.Errorf("bans-out: %w", err)
 		}
-		if err := writeReputationArtifact(*reputationOut, res); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (modes=%d swarm-netgroup=%s)\n", *reputationOut, len(res.Rows), res.SwarmNetgroup)
-	}
-	if *restartOut != "" && runErr == nil {
-		res, err := runRestart(scale)
-		if err != nil {
-			return fmt.Errorf("restart comparison: %w", err)
-		}
-		data, err := json.MarshalIndent(res, "", " ")
-		if err != nil {
-			return fmt.Errorf("restart-out: %w", err)
-		}
-		if err := os.WriteFile(*restartOut, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("restart-out: %w", err)
-		}
-		fmt.Printf("wrote %s (rows=%d)\n", *restartOut, len(res.Rows))
+		fmt.Fprintf(stdout, "wrote %s (peers=%d records=%d)\n", *bansOut, len(ledger.Peers()), ledger.Total())
 	}
 	return runErr
-}
-
-// runFleet replays Defamation and the Sybil loop against a real multi-node
-// btcnode fleet on loopback TCP and prints the cross-node ban-propagation
-// table. Quick scale runs 3 nodes / 2 Sybil identities; paper scale 5 / 4.
-func runFleet(scale experiments.Scale, outPath string) error {
-	cfg := fleet.ExperimentConfig{
-		Cluster:         fleet.Config{Nodes: 3},
-		SybilIdentities: 2,
-	}
-	if scale.Name == "paper" {
-		cfg.Cluster.Nodes = 5
-		cfg.SybilIdentities = 4
-	}
-	res, err := fleet.RunExperiment(cfg)
-	if err != nil {
-		return fmt.Errorf("fleet: %w", err)
-	}
-	fmt.Print(res.Render())
-	if outPath != "" {
-		data, err := json.MarshalIndent(res, "", " ")
-		if err != nil {
-			return fmt.Errorf("fleet-out: %w", err)
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("fleet-out: %w", err)
-		}
-		fmt.Printf("wrote %s (identities=%d)\n", outPath,
-			len(res.Defamation.Identities)+len(res.Sybil.Identities))
-	}
-	return nil
-}
-
-// runSwarm runs the Sybil-swarm scale scenario on the event-loop engine:
-// 10k identities at quick scale, 100k at paper scale — the latter is the
-// "single process sustains 100k concurrent simulated peers" claim, run
-// nightly in CI.
-func runSwarm(scale experiments.Scale, peers int, outPath string) error {
-	cfg := experiments.SwarmConfig{Attackers: 10000, ChurnEvery: 7}
-	if scale.Name == "paper" {
-		cfg.Attackers = 100000
-	}
-	if peers > 0 {
-		cfg.Attackers = peers
-	}
-	res, err := experiments.Swarm(cfg)
-	if err != nil {
-		return fmt.Errorf("swarm: %w", err)
-	}
-	fmt.Print(res.Render())
-	if outPath != "" {
-		data, err := json.MarshalIndent(res, "", " ")
-		if err != nil {
-			return fmt.Errorf("swarm-out: %w", err)
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("swarm-out: %w", err)
-		}
-		fmt.Printf("wrote %s (banned=%d)\n", outPath, res.Banned)
-	}
-	return nil
-}
-
-// runRestart runs the ban-durability matrix against a throwaway store
-// directory.
-func runRestart(scale experiments.Scale) (experiments.RestartComparisonResult, error) {
-	dir, err := os.MkdirTemp("", "banstore-restart-*")
-	if err != nil {
-		return experiments.RestartComparisonResult{}, err
-	}
-	defer os.RemoveAll(dir)
-	return experiments.RestartComparison(scale, dir)
-}
-
-func dispatch(scale experiments.Scale, only string) error {
-	if only == "" {
-		out, err := experiments.Suite(scale)
-		fmt.Print(out)
-		return err
-	}
-
-	switch only {
-	case "table1":
-		fmt.Print(experiments.Table1().Render())
-	case "table2":
-		res, err := experiments.Table2(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-	case "fig6":
-		res, err := experiments.Figure6(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-	case "table3":
-		res, err := experiments.Table3(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-	case "fig7":
-		res, err := experiments.Figure7(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-	case "fig8":
-		res, err := experiments.Figure8(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-	case "fig10":
-		res, err := experiments.Figure10(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-	case "fig11":
-		res, err := experiments.Figure11(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-	case "countermeasures":
-		res, err := experiments.Countermeasures(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-	case "reputation":
-		res, err := experiments.ReputationComparison(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-	case "restart":
-		res, err := runRestart(scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-	default:
-		return fmt.Errorf("unknown experiment %q", only)
-	}
-	return nil
 }
 
 // writeTraceArtifact dumps the tracer's span ring as a Chrome trace-event
@@ -341,31 +155,11 @@ func writeTraceArtifact(path string, t *trace.Tracer) error {
 	return f.Close()
 }
 
-// writeReputationArtifact dumps the ban-score vs reputation comparison rows
-// as JSON.
-func writeReputationArtifact(path string, res experiments.ReputationComparisonResult) error {
-	data, err := json.MarshalIndent(res, "", " ")
+// writeJSON writes v to path as indented JSON.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", " ")
 	if err != nil {
-		return fmt.Errorf("reputation-out: %w", err)
+		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("reputation-out: %w", err)
-	}
-	return nil
-}
-
-// writeBansArtifact dumps the forensic ledger, peer by peer, as JSON.
-func writeBansArtifact(path string, l *core.Ledger) error {
-	doc := make(map[string][]core.BanRecord)
-	for _, id := range l.Peers() {
-		doc[string(id)] = l.Records(id)
-	}
-	data, err := json.MarshalIndent(doc, "", " ")
-	if err != nil {
-		return fmt.Errorf("bans-out: %w", err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("bans-out: %w", err)
-	}
-	return nil
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

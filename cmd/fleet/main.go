@@ -85,18 +85,11 @@ func run() error {
 		fmt.Printf("  %s  p2p %s  telemetry %s\n", n.ID, n.Addr, n.TelemetryURL)
 	}
 
-	res := fleet.ExperimentResult{Nodes: len(c.Nodes), NodeIDs: c.NodeIDs()}
-	start := time.Now() //lint:allow wallclock(CLI progress display: human-facing elapsed time for one interactive run, not a replayed schedule)
-	if res.Defamation, err = c.ReplayDefamation(*delay); err != nil {
-		return fmt.Errorf("defamation replay: %w", err)
+	res, err := c.ReplayAll(*sybils, *delay)
+	if err != nil {
+		return err
 	}
-	if *sybils > 0 {
-		if res.Sybil, err = c.ReplaySybil(*sybils, *delay); err != nil {
-			return fmt.Errorf("sybil replay: %w", err)
-		}
-	}
-	res.Summaries = c.Store.Nodes()
-	fmt.Printf("\n%s\nreplays finished in %s\n", res.Render(), time.Since(start).Round(time.Millisecond)) //lint:allow wallclock(CLI progress display: human-facing elapsed time for one interactive run, not a replayed schedule)
+	fmt.Printf("\n%s\nreplays finished in %s\n", res.Render(), res.Elapsed.Round(time.Millisecond))
 
 	if *out != "" {
 		data, err := json.MarshalIndent(res, "", " ")

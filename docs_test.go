@@ -1,14 +1,19 @@
 package banscore_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"banscore/internal/experiments"
 	"banscore/internal/lint/banlint"
 )
 
@@ -29,6 +34,10 @@ var (
 	// analyzerItem is a list item naming one first.
 	analyzerRow  = regexp.MustCompile("^\\| `([a-z]+)` \\|")
 	analyzerItem = regexp.MustCompile("^- `([a-z]+)`")
+	// experimentsCall is where a cmd/experiments invocation starts; its
+	// flags follow. cliFlag is one -name or -name=value token.
+	experimentsCall = regexp.MustCompile(`(?:cmd/experiments|\bexperiments)\b[ \t]`)
+	cliFlag         = regexp.MustCompile(`^--?([a-z][a-z0-9-]*)(?:=(.*))?$`)
 )
 
 // TestDocReferences holds README.md, DESIGN.md, EXPERIMENTS.md and PERF.md
@@ -170,4 +179,98 @@ func TestDocAnalyzerLists(t *testing.T) {
 	if !slices.Equal(got, want) || (len(want) < len(words) && count != words[len(want)]) {
 		t.Errorf("README.md says %s analyzers run, lists %v; banlint runs %d: %v", count, got, len(want), want)
 	}
+}
+
+// TestExperimentsCommandLines holds every cmd/experiments invocation in the
+// docs, the Makefile, the CI workflows and the verify skill to the command
+// itself: each -flag is one cmd/experiments/main.go defines, and each -only
+// value names an experiment of the registry. `make docs-check` runs it.
+func TestExperimentsCommandLines(t *testing.T) {
+	flags := definedFlags(t, "cmd/experiments/main.go")
+	names := map[string]bool{}
+	for _, e := range experiments.Experiments() {
+		names[e.Name] = true
+	}
+	files := []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", "PERF.md", "Makefile", ".claude/skills/verify/SKILL.md"}
+	workflows, err := filepath.Glob(".github/workflows/*.yml")
+	if err != nil || len(workflows) == 0 {
+		t.Fatalf("no CI workflows (%v)", err)
+	}
+	calls := 0
+	for _, file := range append(files, workflows...) {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(data)
+		for _, loc := range experimentsCall.FindAllStringIndex(text, -1) {
+			start := strings.LastIndexByte(text[:loc[0]], '\n') + 1
+			end := strings.IndexByte(text[loc[0]:], '\n')
+			if end < 0 {
+				end = len(text) - loc[0]
+			}
+			line := strings.TrimSpace(text[start : loc[0]+end])
+			where := file + ":" + strconv.Itoa(strings.Count(text[:loc[0]], "\n")+1)
+			tokens := strings.Fields(text[loc[1]:])
+			for i := 0; i < len(tokens); i++ {
+				m := cliFlag.FindStringSubmatch(strings.TrimRight(tokens[i], "`"))
+				if m == nil {
+					break
+				}
+				calls++
+				if !flags[m[1]] {
+					t.Errorf("%s: -%s is not a cmd/experiments flag: %s", where, m[1], line)
+				}
+				value, closed := m[2], strings.HasSuffix(tokens[i], "`")
+				if !strings.Contains(tokens[i], "=") && !closed && i+1 < len(tokens) {
+					i++
+					value, closed = tokens[i], strings.Contains(tokens[i], "`")
+				}
+				value = strings.TrimRight(value, "`),.;:")
+				if m[1] == "only" && !names[value] {
+					t.Errorf("%s: -only %q is not a registry name: %s", where, value, line)
+				}
+				if closed {
+					break
+				}
+			}
+		}
+	}
+	if calls == 0 {
+		t.Error("found no cmd/experiments flags in the docs")
+	}
+}
+
+// definedFlags returns the names of the flags a command's source defines:
+// the string-literal first argument of every flag-set String, Int, Int64,
+// Float64, Duration or Bool call.
+func definedFlags(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		lit, isLit := call.Args[0].(*ast.BasicLit)
+		if !ok || !isLit || lit.Kind != token.STRING {
+			return true
+		}
+		switch sel.Sel.Name {
+		case "String", "Int", "Int64", "Float64", "Duration", "Bool":
+			if name, err := strconv.Unquote(lit.Value); err == nil {
+				flags[name] = true
+			}
+		}
+		return true
+	})
+	if len(flags) == 0 {
+		t.Fatalf("%s defines no flags", path)
+	}
+	return flags
 }

@@ -7,6 +7,7 @@ package attack
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"time"
 
@@ -69,8 +70,7 @@ func (s *Session) Handshake(timeout time.Duration) error {
 func (s *Session) versionMsg() *wire.MsgVersion {
 	me := wire.NewNetAddressIPPort(net.IPv4zero, 0, wire.SFNodeNetwork)
 	you := wire.NewNetAddressIPPort(net.IPv4zero, 0, 0)
-	nonce := uint64(time.Now().UnixNano()) //lint:allow wallclock(the VERSION nonce is an entropy source, not a schedule: it must differ across real runs and has no deterministic replay meaning)
-	return wire.NewMsgVersion(me, you, nonce, 0)
+	return wire.NewMsgVersion(me, you, rand.Uint64(), 0)
 }
 
 // Version exposes a fresh VERSION message (the Defamation attack resends

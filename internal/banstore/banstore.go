@@ -130,10 +130,6 @@ type Options struct {
 	// MaxBacklogBytes.
 	BacklogBudget int
 
-	// FsyncBudget is the fsync latency above which the store is degraded.
-	// Zero selects DefaultFsyncBudget.
-	FsyncBudget time.Duration
-
 	// SnapshotKeep is how many snapshot generations to retain. Zero
 	// selects DefaultSnapshotKeep.
 	SnapshotKeep int
@@ -151,9 +147,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.BacklogBudget == 0 {
 		o.BacklogBudget = o.MaxBacklogBytes / 2
-	}
-	if o.FsyncBudget == 0 {
-		o.FsyncBudget = DefaultFsyncBudget
 	}
 	if o.SnapshotKeep == 0 {
 		o.SnapshotKeep = DefaultSnapshotKeep
@@ -394,7 +387,7 @@ func (s *Store) Healthy() bool {
 	if len(s.pending) > s.opts.BacklogBudget {
 		return false
 	}
-	return s.lastFsyncDur <= s.opts.FsyncBudget
+	return s.lastFsyncDur <= DefaultFsyncBudget
 }
 
 // Status is the store's observable state (/debug/banstore).

@@ -265,7 +265,7 @@ func TestStatusAndHealth(t *testing.T) {
 
 	// Blown fsync budget flips health.
 	s.mu.Lock()
-	s.lastFsyncDur = s.opts.FsyncBudget + time.Second
+	s.lastFsyncDur = DefaultFsyncBudget + time.Second
 	s.mu.Unlock()
 	if s.Healthy() {
 		t.Fatal("store over fsync budget must report unhealthy")

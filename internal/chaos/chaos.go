@@ -35,10 +35,6 @@ type Config struct {
 	// node.DefaultMaxOutbound (8), filling every outbound slot.
 	HonestPeers int
 
-	// Window is the detection monitor's aggregation window; zero selects
-	// 250ms.
-	Window time.Duration
-
 	// HeartbeatEvery is the victim's keep-alive ping interval; zero
 	// selects 50ms. Heartbeats keep healthy links inside IdleTimeout and
 	// feed the monitor's message-rate feature.
@@ -48,9 +44,6 @@ type Config struct {
 func (c *Config) applyDefaults() {
 	if c.HonestPeers == 0 {
 		c.HonestPeers = node.DefaultMaxOutbound
-	}
-	if c.Window == 0 {
-		c.Window = 250 * time.Millisecond
 	}
 	if c.HeartbeatEvery == 0 {
 		c.HeartbeatEvery = 50 * time.Millisecond
@@ -82,6 +75,9 @@ func (c *Config) applyDefaults() {
 // VictimAddr is where the cluster's victim node listens.
 const VictimAddr = "10.0.0.1:8333"
 
+// monitorWindow is the detection monitor's aggregation window.
+const monitorWindow = 250 * time.Millisecond
+
 // Cluster is one victim (mining, telemetry-instrumented, monitored) plus a
 // set of honest peers, all on a shared fault-capable fabric.
 type Cluster struct {
@@ -107,7 +103,7 @@ type Cluster struct {
 func NewCluster(cfg Config) (*Cluster, error) {
 	cfg.applyDefaults()
 	c := &Cluster{
-		Monitor: detect.NewMonitor(cfg.Window),
+		Monitor: detect.NewMonitor(monitorWindow),
 		cfg:     cfg,
 		quit:    make(chan struct{}),
 	}

@@ -4,14 +4,14 @@
 // network-layer flooding), Fig. 8 (Defamation time-to-ban), Fig. 10
 // (detection features and thresholds), Fig. 11 (detection latency vs ML),
 // and the §VIII countermeasure validation. Each experiment returns a typed
-// result with a Render method printing rows/series shaped like the paper's.
+// result with a Render method printing rows/series shaped like the paper's;
+// the registry (registry.go) names them and fixes the suite's order.
 package experiments
 
 import (
 	"fmt"
 	"net"
 	"runtime"
-	"strings"
 	"time"
 
 	"banscore/internal/attack"
@@ -183,78 +183,4 @@ func (tb *Testbed) VictimPeer(from string) (*peer.Peer, error) {
 		clk.Sleep(time.Millisecond)
 	}
 	return nil, fmt.Errorf("victim never completed handshake with %s", from)
-}
-
-// Suite runs every experiment at the given scale and renders them in paper
-// order.
-func Suite(scale Scale) (string, error) {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Ban-score reproduction experiment suite (scale: %s)\n", scale.Name)
-	sb.WriteString(strings.Repeat("=", 72) + "\n\n")
-
-	sb.WriteString(Table1().Render())
-	sb.WriteString("\n")
-
-	t2, err := Table2(scale)
-	if err != nil {
-		return sb.String(), fmt.Errorf("table 2: %w", err)
-	}
-	sb.WriteString(t2.Render())
-	sb.WriteString("\n")
-
-	f6, err := Figure6(scale)
-	if err != nil {
-		return sb.String(), fmt.Errorf("figure 6: %w", err)
-	}
-	sb.WriteString(f6.Render())
-	sb.WriteString("\n")
-
-	t3, err := Table3(scale)
-	if err != nil {
-		return sb.String(), fmt.Errorf("table 3: %w", err)
-	}
-	sb.WriteString(t3.Render())
-	sb.WriteString("\n")
-
-	f7, err := Figure7(scale)
-	if err != nil {
-		return sb.String(), fmt.Errorf("figure 7: %w", err)
-	}
-	sb.WriteString(f7.Render())
-	sb.WriteString("\n")
-
-	f8, err := Figure8(scale)
-	if err != nil {
-		return sb.String(), fmt.Errorf("figure 8: %w", err)
-	}
-	sb.WriteString(f8.Render())
-	sb.WriteString("\n")
-
-	f10, err := Figure10(scale)
-	if err != nil {
-		return sb.String(), fmt.Errorf("figure 10: %w", err)
-	}
-	sb.WriteString(f10.Render())
-	sb.WriteString("\n")
-
-	f11, err := Figure11(scale)
-	if err != nil {
-		return sb.String(), fmt.Errorf("figure 11: %w", err)
-	}
-	sb.WriteString(f11.Render())
-	sb.WriteString("\n")
-
-	cm, err := Countermeasures(scale)
-	if err != nil {
-		return sb.String(), fmt.Errorf("countermeasures: %w", err)
-	}
-	sb.WriteString(cm.Render())
-	sb.WriteString("\n")
-
-	rep, err := ReputationComparison(scale)
-	if err != nil {
-		return sb.String(), fmt.Errorf("reputation: %w", err)
-	}
-	sb.WriteString(rep.Render())
-	return sb.String(), nil
 }

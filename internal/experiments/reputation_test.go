@@ -90,7 +90,7 @@ func TestReputationComparisonShapes(t *testing.T) {
 		}
 	}
 
-	// The -reputation-out artifact shape: rows round-trip through JSON.
+	// The -json artifact shape: rows round-trip through JSON.
 	data, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)

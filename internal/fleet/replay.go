@@ -142,6 +142,8 @@ type ExperimentResult struct {
 	Defamation ReplayResult           `json:"defamation"`
 	Sybil      ReplayResult           `json:"sybil"`
 	Summaries  []observer.NodeSummary `json:"node_summaries"`
+	// Elapsed is the time both replays took, on the package clock.
+	Elapsed time.Duration `json:"elapsed_ns"`
 }
 
 // RunExperiment launches a fleet, replays Defamation and the Sybil loop
@@ -151,22 +153,31 @@ func RunExperiment(cfg ExperimentConfig) (ExperimentResult, error) {
 	if cfg.SybilIdentities <= 0 {
 		cfg.SybilIdentities = 2
 	}
-	var res ExperimentResult
 	c, err := Launch(cfg.Cluster)
 	if err != nil {
-		return res, err
+		return ExperimentResult{}, err
 	}
 	defer c.Close()
-	res.Nodes = len(c.Nodes)
-	res.NodeIDs = c.NodeIDs()
+	return c.ReplayAll(cfg.SybilIdentities, cfg.Delay)
+}
 
-	if res.Defamation, err = c.ReplayDefamation(cfg.Delay); err != nil {
+// ReplayAll replays Defamation and then sybils serial Sybil identities (none
+// when sybils is 0) against the launched fleet, and collects the observer's
+// per-node totals.
+func (c *Cluster) ReplayAll(sybils int, delay time.Duration) (ExperimentResult, error) {
+	start := clk.Now()
+	res := ExperimentResult{Nodes: len(c.Nodes), NodeIDs: c.NodeIDs()}
+	var err error
+	if res.Defamation, err = c.ReplayDefamation(delay); err != nil {
 		return res, fmt.Errorf("defamation replay: %w", err)
 	}
-	if res.Sybil, err = c.ReplaySybil(cfg.SybilIdentities, cfg.Delay); err != nil {
-		return res, fmt.Errorf("sybil replay: %w", err)
+	if sybils > 0 {
+		if res.Sybil, err = c.ReplaySybil(sybils, delay); err != nil {
+			return res, fmt.Errorf("sybil replay: %w", err)
+		}
 	}
 	res.Summaries = c.Store.Nodes()
+	res.Elapsed = clk.Since(start)
 	return res, nil
 }
 

@@ -97,9 +97,9 @@ type Config struct {
 	// TrackerConfig for the ban-score mechanism.
 	TrackerConfig core.Config
 
-	// MaxInbound / MaxOutbound connection slots; zero selects defaults.
-	MaxInbound  int
-	MaxOutbound int
+	// MaxInbound connection slots; zero selects DefaultMaxInbound. Outbound
+	// slots are fixed at DefaultMaxOutbound.
+	MaxInbound int
 
 	// UserAgent announced in VERSION.
 	UserAgent string
@@ -294,9 +294,6 @@ func New(cfg Config) *Node {
 	}
 	if cfg.MaxInbound == 0 {
 		cfg.MaxInbound = DefaultMaxInbound
-	}
-	if cfg.MaxOutbound == 0 {
-		cfg.MaxOutbound = DefaultMaxOutbound
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -686,9 +683,9 @@ func (n *Node) Connect(addr string) error {
 		n.mu.Unlock()
 		return fmt.Errorf("%w: dial in flight to %s", ErrAlreadyConnected, remote)
 	}
-	if n.outbound >= n.cfg.MaxOutbound {
+	if n.outbound >= DefaultMaxOutbound {
 		n.mu.Unlock()
-		return fmt.Errorf("%w [%d]", ErrOutboundSlotsFull, n.cfg.MaxOutbound)
+		return fmt.Errorf("%w [%d]", ErrOutboundSlotsFull, DefaultMaxOutbound)
 	}
 	n.outbound++
 	n.dialing[remote] = struct{}{}

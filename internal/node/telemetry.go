@@ -104,7 +104,7 @@ func newNodeMetrics(n *Node, reg *telemetry.Registry, journal *telemetry.Journal
 	reg.Describe("node_slots", "Configured connection-slot capacity, by direction.")
 	reg.GaugeFunc("node_slots", func() float64 { return float64(n.cfg.MaxInbound) },
 		telemetry.L("direction", "inbound"))
-	reg.GaugeFunc("node_slots", func() float64 { return float64(n.cfg.MaxOutbound) },
+	reg.GaugeFunc("node_slots", func() float64 { return float64(DefaultMaxOutbound) },
 		telemetry.L("direction", "outbound"))
 
 	reg.Describe("node_banned_identifiers", "Identifiers currently in the ban list.")

@@ -64,7 +64,7 @@ func TestSlotKeeperHandlesWrappedSentinels(t *testing.T) {
 			defer n.Stop()
 			if tc.full {
 				n.mu.Lock()
-				n.outbound = n.cfg.MaxOutbound
+				n.outbound = DefaultMaxOutbound
 				n.mu.Unlock()
 			}
 			done := make(chan struct{})

@@ -148,10 +148,6 @@ type Config struct {
 	// DefaultGroupBudget.
 	GroupBudget float64
 
-	// ProbationFraction of GroupBudget at which a group enters probation.
-	// Zero selects DefaultProbationFraction.
-	ProbationFraction float64
-
 	// GroupBanDuration of a collective netgroup ban. Zero selects
 	// DefaultGroupBanDuration.
 	GroupBanDuration time.Duration
@@ -190,9 +186,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.GroupBudget == 0 {
 		c.GroupBudget = DefaultGroupBudget
-	}
-	if c.ProbationFraction == 0 {
-		c.ProbationFraction = DefaultProbationFraction
 	}
 	if c.GroupBanDuration == 0 {
 		c.GroupBanDuration = DefaultGroupBanDuration
@@ -523,7 +516,7 @@ func (e *Engine) groupStatusLocked(g *netgroup, now time.Time) GroupStatus {
 	switch {
 	case now.Before(g.bannedUntil):
 		return GroupBanned
-	case g.pressure >= e.cfg.ProbationFraction*e.cfg.GroupBudget:
+	case g.pressure >= DefaultProbationFraction*e.cfg.GroupBudget:
 		return GroupProbation
 	}
 	return GroupHealthy

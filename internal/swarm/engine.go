@@ -71,10 +71,6 @@ type Config struct {
 	// batching: misbehavior then applies inline, exactly as goroutine-loop
 	// peers.
 	NewBatch func() Batcher
-
-	// ReadBudget caps messages dispatched per connection per visit; zero
-	// selects DefaultReadBudget.
-	ReadBudget int
 }
 
 // slot is one arena entry: the per-peer state of a registered connection.
@@ -162,9 +158,6 @@ func NewEngine(cfg Config) *Engine {
 	pow := 1
 	for pow < n {
 		pow <<= 1
-	}
-	if cfg.ReadBudget <= 0 {
-		cfg.ReadBudget = DefaultReadBudget
 	}
 	e := &Engine{cfg: cfg, mask: uint32(pow - 1), shards: make([]*shard, pow)}
 	for i := range e.shards {
@@ -425,7 +418,7 @@ func (sh *shard) service(idx int32) {
 
 	var hdr [wire.MessageHeaderSize]byte
 	frames, eof, failed := 0, false, false
-	for frames < sh.e.cfg.ReadBudget && !failed {
+	for frames < DefaultReadBudget && !failed {
 		var ready bool
 		if ready, eof = frameReady(conn, &hdr); !ready || eof {
 			break
@@ -445,7 +438,7 @@ func (sh *shard) service(idx int32) {
 		sh.detach(idx, p, conn)
 		return
 	}
-	if frames == sh.e.cfg.ReadBudget {
+	if frames == DefaultReadBudget {
 		sh.work.BudgetExhausted++
 	}
 
