@@ -70,13 +70,14 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# The wire buffer-pool suite, and the peer read loop that releases every
-# payload after dispatch, again with poisoned releases: freed buffers are
-# overwritten with 0xdb, so any retained alias of a Released payload — a
-# decode target that kept a slice of it — fails loudly instead of reading
-# recycled bytes.
+# Every package whose tests acquire pooled wire buffers, again with poisoned
+# releases: freed buffers are overwritten with 0xdb, so any retained alias
+# of a Released payload — a decode target that kept a slice of it — fails
+# loudly instead of reading recycled bytes. The same build counts buffers
+# handed out against buffers Released or Detached, and each test binary
+# (leakcheck.Main; wire's own TestMain) fails if one is still out at exit.
 test-poolpoison:
-	$(GO) test -tags poolpoison -count=1 ./internal/wire/ ./internal/peer/
+	$(GO) test -tags poolpoison -count=1 ./internal/wire/ ./internal/peer/ ./internal/node/ ./internal/swarm/ ./internal/attack/
 
 # Every native fuzz target in the tree, ten seconds each on top of its
 # committed seed corpus (go test -fuzz takes one target and one package per

@@ -9,20 +9,10 @@ import (
 // clk is the attacker toolkit's single time source. Flood pacing,
 // time-to-ban measurement, and handshake deadlines read it instead of
 // package time so the banlint wallclock analyzer can prove the attack
-// drivers' only wall-clock dependence is this injectable seam; the
-// experiments fake it to replay attack schedules deterministically. The
-// two inherent wall-clock reads — the VERSION nonce and the socket read
-// deadline, both meaningless under a virtual clock — carry explicit
-// waivers in session.go.
+// drivers' only wall-clock dependence is this one seam. The one inherent
+// wall-clock read — the socket read deadline, meaningless under a virtual
+// clock — carries an explicit waiver in session.go.
 var clk = vclock.System()
-
-// SetClock replaces the package clock and returns the previous one.
-// Intended for tests; not safe to call while an attack is running.
-func SetClock(c vclock.Clock) vclock.Clock {
-	old := clk
-	clk = c
-	return old
-}
 
 // spawn runs f on a goroutine registered with wg — the supervised form
 // the gospawn analyzer requires in this package. Every attacker fan-out

@@ -177,7 +177,7 @@ type Store struct {
 	lastFsyncAt  time.Time
 	lastFsyncDur time.Duration
 
-	done chan struct{} // writer exited
+	wg sync.WaitGroup // the writer; Close and Crash join it
 
 	// Lifetime counters (atomics: read lock-free by Status/telemetry).
 	appends     atomic.Uint64
@@ -192,9 +192,16 @@ type Store struct {
 	onFsync atomic.Pointer[func(time.Duration)]
 }
 
-// spawn starts fn on its own goroutine. It exists so the gospawn analyzer
-// can pin every goroutine launch in this package to one audited site.
-func spawn(fn func()) { go fn() }
+// spawn runs fn on a goroutine registered with wg. It exists so the
+// gospawn analyzer can pin every goroutine launch in this package to one
+// audited site, and that site to a join.
+func spawn(wg *sync.WaitGroup, fn func()) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		fn()
+	}()
+}
 
 // LSN returns the last assigned log sequence number (0 before any append).
 // Callers snapshotting live state read it BEFORE capturing: replay applies
@@ -247,7 +254,6 @@ func (s *Store) writerLoop() {
 		}
 		if len(s.pending) == 0 {
 			s.mu.Unlock()
-			close(s.done)
 			return
 		}
 		buf, s.pending = s.pending, buf[:0]
@@ -334,7 +340,7 @@ func (s *Store) Close() error {
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	<-s.done // writer drained whatever was pending
+	s.wg.Wait() // writer drained whatever was pending
 	s.mu.Lock()
 	f := s.f
 	s.f = nil
@@ -371,7 +377,7 @@ func (s *Store) Crash() {
 	if f != nil {
 		_ = f.Close()
 	}
-	<-s.done
+	s.wg.Wait()
 }
 
 // Healthy reports whether durability is keeping up: false when the pending

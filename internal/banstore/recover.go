@@ -67,7 +67,6 @@ func Open(opts Options) (*Store, *Recovered, error) {
 	s := &Store{
 		opts:     opts,
 		clock:    opts.Clock,
-		done:     make(chan struct{}),
 		nextLSN:  rec.LastLSN + 1,
 		written:  rec.LastLSN,
 		segStart: rec.LastLSN + 1,
@@ -78,6 +77,6 @@ func Open(opts Options) (*Store, *Recovered, error) {
 	if s.f, err = wal.CreateSegment(opts.Dir, walMagic, s.nextLSN, s.fsync()); err != nil {
 		return nil, nil, err
 	}
-	spawn(s.writerLoop)
+	spawn(&s.wg, s.writerLoop)
 	return s, rec, nil
 }

@@ -145,7 +145,7 @@ func TestCrashLosesAtMostOneWindow(t *testing.T) {
 func TestBacklogShedsInsteadOfBlocking(t *testing.T) {
 	// A store whose writer never runs: appends beyond the cap must be
 	// dropped and counted, never block the caller.
-	s := &Store{opts: Options{MaxBacklogBytes: 64, BacklogBudget: 32}, done: make(chan struct{})}
+	s := &Store{opts: Options{MaxBacklogBytes: 64, BacklogBudget: 32}}
 	s.cond = sync.NewCond(&s.mu)
 	s.nextLSN = 1
 	f, err := os.CreateTemp(t.TempDir(), "seg")

@@ -5,13 +5,5 @@ import "banscore/internal/vclock"
 // clk is the experiment harness's single time source. The measurement
 // loops (flood pacing, per-query cost timing, convergence waits) read it
 // instead of package time so the banlint wallclock analyzer can prove the
-// experiments' only wall-clock dependence is this injectable seam.
+// experiments' only wall-clock dependence is this one seam.
 var clk = vclock.System()
-
-// SetClock replaces the package clock and returns the previous one.
-// Intended for tests; not safe to call while an experiment is running.
-func SetClock(c vclock.Clock) vclock.Clock {
-	old := clk
-	clk = c
-	return old
-}

@@ -5,14 +5,5 @@ import "banscore/internal/vclock"
 // clk is the fleet driver's single time source. Readiness deadlines, the
 // ban-propagation wait, and process-reap timeouts all read it instead of
 // package time, so the banlint wallclock analyzer can prove the harness's
-// only wall-clock dependence is this injectable seam — and tests can run
-// the wait loops against a virtual clock.
+// only wall-clock dependence is this one seam.
 var clk = vclock.System()
-
-// SetClock replaces the package clock and returns the previous one.
-// Intended for tests; not safe to call while a fleet is running.
-func SetClock(c vclock.Clock) vclock.Clock {
-	old := clk
-	clk = c
-	return old
-}

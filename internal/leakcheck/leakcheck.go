@@ -1,12 +1,13 @@
 // Package leakcheck asserts at the end of a test binary that no
 // application goroutines outlived the tests — a dependency-free take on
-// go.uber.org/goleak, sized for this repository's shutdown contracts.
+// go.uber.org/goleak, sized for this repository's shutdown contracts — and
+// that no pooled wire buffer was left unreleased.
 //
-// The packages that own goroutines (node, peer, chaos) promise that Stop /
-// Disconnect / WaitForShutdown collect everything they spawned; the banlint
-// gospawn analyzer enforces the spawn-side half of that contract statically,
-// and this package enforces the collect-side half dynamically. Wire it in
-// with one line:
+// The packages that own goroutines (node, peer, chaos, swarm, attack)
+// promise that Stop / Disconnect / WaitForShutdown collect everything they
+// spawned; the banlint gospawn analyzer enforces the spawn-side half of
+// that contract statically, and this package enforces the collect-side
+// half dynamically. Wire it in with one line:
 //
 //	func TestMain(m *testing.M) { leakcheck.Main(m) }
 //
@@ -15,6 +16,12 @@
 // window expires. The window absorbs honest raciness — a conn.Close that
 // has been issued but whose read-loop goroutine has not yet observed it —
 // while still catching the fire-and-forget goroutine that will never exit.
+//
+// After the goroutine check, Main also fails the binary if
+// wire.Outstanding is not zero: a *wire.Buf was handed out and never
+// Released or Detached, so the flood path it sits on allocates per
+// message. Only the poolpoison build counts buffers (make test-poolpoison);
+// in a normal build the count is always zero.
 package leakcheck
 
 import (
@@ -23,6 +30,8 @@ import (
 	"runtime"
 	"strings"
 	"time"
+
+	"banscore/internal/wire"
 )
 
 // testingM is the subset of *testing.M that Main needs; an interface so
@@ -33,14 +42,18 @@ type testingM interface {
 }
 
 // Main runs the package's tests, then fails the binary on leaked
-// goroutines. Leak checking is skipped when the tests already failed —
-// a failed test tearing down early leaks by design and the real failure
-// would be drowned out.
+// goroutines or unreleased wire buffers. Leak checking is skipped when the
+// tests already failed — a failed test tearing down early leaks by design
+// and the real failure would be drowned out.
 func Main(m testingM) {
 	code := m.Run()
 	if code == 0 {
 		if err := Check(5 * time.Second); err != nil {
 			fmt.Fprintf(os.Stderr, "leakcheck: %v\n", err)
+			code = 1
+		}
+		if n := wire.Outstanding(); n != 0 {
+			fmt.Fprintf(os.Stderr, "leakcheck: %d pooled wire buffer(s) outstanding after tests completed\n", n)
 			code = 1
 		}
 	}

@@ -38,10 +38,10 @@ import (
 // store's synthesized event stamps and poll pacing must be injectable for
 // the crash/restart chaos suite to replay deterministically. fleet and
 // attack are in scope because the multi-process harness and the attack
-// replayers time their pacing, ban waits, and session stamps off clocks
-// that the tests fake; an ambient read there makes the fleet artifacts
-// non-reproducible (wall-clock seeds and deadlines carry explicit
-// waivers). swarm is in scope because the event-loop engine schedules
+// replayers time their pacing, ban waits, and session stamps off their
+// package's one vclock seam; an ambient read there makes the fleet
+// artifacts non-reproducible (the attacker's socket deadline carries an
+// explicit waiver). swarm is in scope because the event-loop engine schedules
 // purely off readiness edges and condition variables: a stray timer or
 // ambient clock read there would reintroduce the host-scheduling
 // dependence the engine exists to remove. wal is in scope because recovery

@@ -8,7 +8,6 @@ package banlint
 import (
 	"banscore/internal/lint/analysis"
 	"banscore/internal/lint/analyzers/allocbudget"
-	"banscore/internal/lint/analyzers/bufrelease"
 	"banscore/internal/lint/analyzers/errsentinel"
 	"banscore/internal/lint/analyzers/gospawn"
 	"banscore/internal/lint/analyzers/lockhold"
@@ -20,7 +19,6 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		allocbudget.Analyzer,
-		bufrelease.Analyzer,
 		errsentinel.Analyzer,
 		gospawn.Analyzer,
 		lockhold.Analyzer,

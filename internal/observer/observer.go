@@ -46,7 +46,7 @@ type Observer struct {
 
 	mu      sync.Mutex
 	quit    chan struct{}
-	done    chan struct{}
+	wg      sync.WaitGroup // poll loops; Stop joins it
 	started bool
 
 	polls  map[string]*pollState
@@ -149,9 +149,15 @@ func (o *Observer) seedState(t NodeTarget) *pollState {
 	return st
 }
 
-// spawn starts fn on its own goroutine — the one audited launch site the
-// gospawn analyzer pins this package to.
-func spawn(fn func()) { go fn() }
+// spawn runs fn on a goroutine registered with wg — the one audited launch
+// site the gospawn analyzer pins this package to.
+func spawn(wg *sync.WaitGroup, fn func()) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		fn()
+	}()
+}
 
 // Start launches one poll loop per target. Stop shuts them down.
 func (o *Observer) Start() {
@@ -162,22 +168,11 @@ func (o *Observer) Start() {
 	}
 	o.started = true
 	o.quit = make(chan struct{})
-	o.done = make(chan struct{})
 	quit := o.quit
-	var wg sync.WaitGroup
-	wg.Add(len(o.targets))
 	for _, t := range o.targets {
 		st := o.polls[t.ID]
-		spawn(func() {
-			defer wg.Done()
-			o.pollLoop(st, quit)
-		})
+		spawn(&o.wg, func() { o.pollLoop(st, quit) })
 	}
-	done := o.done
-	spawn(func() {
-		wg.Wait()
-		close(done)
-	})
 }
 
 // Stop halts the poll loops and waits for them to exit. The store is left
@@ -189,10 +184,10 @@ func (o *Observer) Stop() {
 		return
 	}
 	o.started = false
-	quit, done := o.quit, o.done
+	quit := o.quit
 	o.mu.Unlock()
 	close(quit)
-	<-done
+	o.wg.Wait()
 }
 
 // pollLoop runs one target's poll pass every interval until Stop.

@@ -5,14 +5,5 @@ import "banscore/internal/vclock"
 // clk is the fabric's single time source. Every deadline, latency queue,
 // and blackhole delay in the package reads it instead of package time, so
 // the banlint wallclock analyzer can prove the substrate has exactly one
-// (injectable) wall-clock dependence. Tests that need virtual time swap
-// it via SetClock.
+// wall-clock dependence.
 var clk = vclock.System()
-
-// SetClock replaces the package clock and returns the previous one.
-// Intended for tests; not safe to call while connections are live.
-func SetClock(c vclock.Clock) vclock.Clock {
-	old := clk
-	clk = c
-	return old
-}

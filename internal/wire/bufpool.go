@@ -20,11 +20,13 @@ var bufPools [len(bufClasses)]sync.Pool
 //     Release reads recycled memory (build with -tags poolpoison to make
 //     such bugs loud: released buffers are overwritten with 0xdb).
 //
-// The banlint bufrelease analyzer enforces the Release obligation
-// statically at every acquisition site.
+// The poolpoison build counts every buffer GetBuf hands out against every
+// Release or Detach, and its test binaries fail when one is still out at
+// exit.
 type Buf struct {
 	b     []byte
 	class int8 // index into bufPools, or -1 when not pool-owned
+	live  bool // handed out and not yet returned (set by the poolpoison count)
 }
 
 // GetBuf returns a buffer of length n from the smallest fitting size
@@ -38,10 +40,13 @@ func GetBuf(n int) *Buf {
 				b = &Buf{b: make([]byte, 0, c), class: int8(i)}
 			}
 			b.b = b.b[:n]
+			handedOut(b)
 			return b
 		}
 	}
-	return &Buf{b: make([]byte, n), class: -1}
+	b := &Buf{b: make([]byte, n), class: -1}
+	handedOut(b)
+	return b
 }
 
 // Bytes returns the buffer's contents. The slice is owned by the pool:
@@ -117,7 +122,11 @@ func (b *Buf) grow(need int) {
 // safe on detached buffers (no-op). After Release the Buf and any slice
 // obtained from Bytes must not be used.
 func (b *Buf) Release() {
-	if b == nil || b.class < 0 {
+	if b == nil {
+		return
+	}
+	returned(b)
+	if b.class < 0 {
 		return
 	}
 	if cap(b.b) < bufClasses[b.class] {
@@ -137,6 +146,7 @@ func (b *Buf) Detach() []byte {
 	if b == nil {
 		return nil
 	}
+	returned(b)
 	p := b.b
 	b.class = -1
 	return p
