@@ -70,14 +70,16 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# Every package whose tests acquire pooled wire buffers, again with poisoned
-# releases: freed buffers are overwritten with 0xdb, so any retained alias
-# of a Released payload — a decode target that kept a slice of it — fails
-# loudly instead of reading recycled bytes. The same build counts buffers
-# handed out against buffers Released or Detached, and each test binary
-# (leakcheck.Main; wire's own TestMain) fails if one is still out at exit.
+# The checked build: poisoned buffers, buffer balance, lock ranks. Freed
+# wire buffers are overwritten with 0xdb, so any retained alias of a
+# Released payload — a decode target that kept a slice of it — fails loudly
+# instead of reading recycled bytes. Buffers handed out are counted against
+# buffers Released or Detached, and each test binary (leakcheck.Main; wire's
+# own TestMain) fails if one is still out at exit. Every lock in core,
+# reputation, banstore and observer is a lockrank class: acquiring one
+# while holding one of equal or higher rank panics naming both classes.
 test-poolpoison:
-	$(GO) test -tags poolpoison -count=1 ./internal/wire/ ./internal/peer/ ./internal/node/ ./internal/swarm/ ./internal/attack/
+	$(GO) test -tags poolpoison -count=1 ./internal/wire/ ./internal/peer/ ./internal/node/ ./internal/swarm/ ./internal/attack/ ./internal/core/ ./internal/reputation/ ./internal/banstore/ ./internal/observer/ ./internal/chaos/ ./internal/lockrank/
 
 # Every native fuzz target in the tree, ten seconds each on top of its
 # committed seed corpus (go test -fuzz takes one target and one package per
@@ -93,6 +95,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzLedger$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzVersionDecodeReuse$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzNetgroupKey$$' -fuzztime 10s ./internal/reputation/
 
 bench-telemetry:
 	$(GO) test -run xxx -bench BenchmarkTelemetry -benchtime 1x ./...

@@ -67,9 +67,6 @@ func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
 
 // lint loads the directory trees named by args (default "./...") and
 // reports their findings.
-// All loaded packages are analyzed as ONE tree: the repo-level analyzer
-// (lockorder) needs the whole unit set to resolve calls and lock classes
-// across package boundaries.
 func lint(args []string, analyzers []*analysis.Analyzer, cfg loader.Config, jsonOut bool, sarifOut string) int {
 	if len(args) == 0 {
 		args = []string{"./..."}

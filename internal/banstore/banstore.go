@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"banscore/internal/core"
+	"banscore/internal/lockrank"
 	"banscore/internal/reputation"
 	"banscore/internal/vclock"
 	"banscore/internal/wal"
@@ -161,7 +162,7 @@ type Store struct {
 	opts  Options
 	clock vclock.Clock
 
-	mu       sync.Mutex
+	mu       lockrank.Mutex[lockrank.BanStore]
 	cond     *sync.Cond // signals writer (pending work) and waiters (progress)
 	pending  []byte     // framed records not yet handed to the writer
 	nextLSN  uint64     // LSN the next appended record will get (first is 1)

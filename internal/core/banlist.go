@@ -3,8 +3,9 @@ package core
 import (
 	"net"
 	"sort"
-	"sync"
 	"time"
+
+	"banscore/internal/lockrank"
 )
 
 // PeerID is the connection identifier a ban applies to: the [IP:Port] pair,
@@ -61,7 +62,7 @@ type BanList struct {
 }
 
 type banShard struct {
-	mu     sync.RWMutex
+	mu     lockrank.RWMutex[lockrank.BanListShard]
 	banned map[PeerID]time.Time
 }
 

@@ -5,9 +5,9 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync"
 	"time"
 
+	"banscore/internal/lockrank"
 	"banscore/internal/ring"
 )
 
@@ -68,7 +68,7 @@ const (
 // no-op sink, so the tracker records unconditionally. Safe for concurrent
 // use.
 type Ledger struct {
-	mu      sync.Mutex
+	mu      lockrank.Mutex[lockrank.Ledger]
 	chains  map[PeerID]*chain
 	order   ring.Ring[PeerID] // peers by first-record time; the one a Push overwrites is evicted whole
 	total   uint64

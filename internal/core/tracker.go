@@ -2,8 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
+
+	"banscore/internal/lockrank"
 )
 
 // Mode selects how the misbehavior tracker reacts to rule violations,
@@ -162,7 +163,7 @@ type Tracker struct {
 }
 
 type trackerShard struct {
-	mu     sync.RWMutex
+	mu     lockrank.RWMutex[lockrank.TrackerShard]
 	scores map[PeerID]int
 	good   map[PeerID]int
 }

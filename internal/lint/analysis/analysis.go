@@ -34,9 +34,7 @@ import (
 	"sort"
 )
 
-// An Analyzer is one named static check. Exactly one of Run and RunRepo
-// is set: Run for per-package syntactic checks, RunRepo for whole-repo
-// dataflow checks that need every package at once (the banvet tier).
+// An Analyzer is one named static check.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //lint:allow directives. By convention it is a single
@@ -47,17 +45,8 @@ type Analyzer struct {
 	// a blank line, then detail.
 	Doc string
 
-	// Run applies the check to one package. Nil for repo-level
-	// analyzers.
+	// Run applies the check to one package.
 	Run func(*Pass) error
-
-	// RunRepo applies the check once across every loaded package. The
-	// driver presents the whole tree as a RepoPass; diagnostics are
-	// attributed back to the unit (package) they fall in, so the
-	// //lint:allow suppression pass applies to repo-level findings
-	// exactly as it does to per-package ones. Nil for per-package
-	// analyzers.
-	RunRepo func(*RepoPass) error
 }
 
 // A Pass presents one package to an Analyzer and collects its findings.
@@ -114,49 +103,6 @@ func PathHasSegment(path, segment string) bool {
 		path = path[i+1:]
 	}
 	return false
-}
-
-// A RepoUnit is one package as presented to a repo-level analyzer: the
-// same syntax surface a Pass carries, without the reporting half.
-type RepoUnit struct {
-	// Fset maps positions in Files. Each unit owns its FileSet; a
-	// repo-level diagnostic is resolvable only against the unit it was
-	// reported under.
-	Fset *token.FileSet
-
-	// Files are the package's parsed syntax trees, with comments.
-	Files []*ast.File
-
-	// PkgName is the package's declared name.
-	PkgName string
-
-	// PkgPath is the package's import path (see Pass.PkgPath).
-	PkgPath string
-}
-
-// HasPathSegment reports whether the unit's import path contains the
-// given "/"-separated segment.
-func (u *RepoUnit) HasPathSegment(segment string) bool {
-	return PathHasSegment(u.PkgPath, segment)
-}
-
-// A RepoPass presents the whole loaded tree to a repo-level Analyzer.
-type RepoPass struct {
-	// Analyzer is the check being run.
-	Analyzer *Analyzer
-
-	// Units are the loaded packages, sorted by import path.
-	Units []*RepoUnit
-
-	// Report delivers one finding, attributed to the unit whose FileSet
-	// resolves its position.
-	Report func(*RepoUnit, Diagnostic)
-}
-
-// Reportf reports a finding at pos (a position in unit's FileSet) with a
-// formatted message.
-func (p *RepoPass) Reportf(unit *RepoUnit, pos token.Pos, format string, args ...any) {
-	p.Report(unit, Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
 // ImportName returns the local name under which file imports the package

@@ -39,44 +39,14 @@ func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 	if pkg == nil {
 		t.Fatalf("fixture %s contains no Go files", dir)
 	}
-	check(t, []*loader.Package{pkg}, analyzers)
-}
-
-// RunTree loads every fixture package under root — a multi-package
-// fixture tree — and applies the analyzers through the whole-tree driver
-// pipeline, so repo-level analyzers see the packages together and
-// cross-package properties (the lock-order graph) are exercised exactly
-// as cmd/banlint would over the real tree. The // want expectations of
-// every file in the tree are checked.
-func RunTree(t *testing.T, root string, analyzers ...*analysis.Analyzer) {
-	t.Helper()
-	pkgs, err := loader.LoadTree(root, loader.Config{IncludeTests: true})
-	if err != nil {
-		t.Fatalf("load fixture tree %s: %v", root, err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatalf("fixture tree %s contains no Go packages", root)
-	}
-	check(t, pkgs, analyzers)
-}
-
-// check runs the driver pipeline over the fixture packages and claims
-// every finding against the fixtures' // want expectations.
-func check(t *testing.T, pkgs []*loader.Package, analyzers []*analysis.Analyzer) {
-	t.Helper()
-	per, err := runner.RunTree(pkgs, analyzers)
+	per, err := runner.RunTree([]*loader.Package{pkg}, analyzers)
 	if err != nil {
 		t.Fatalf("run analyzers: %v", err)
 	}
-	var findings []runner.Finding
-	var expects []expectation
-	for i, pkg := range pkgs {
-		findings = append(findings, runner.Resolve(pkg, per[i])...)
-		exp, err := parseExpectations(pkg)
-		if err != nil {
-			t.Fatalf("parse expectations in %s: %v", pkg.Dir, err)
-		}
-		expects = append(expects, exp...)
+	findings := runner.Resolve(pkg, per[0])
+	expects, err := parseExpectations(pkg)
+	if err != nil {
+		t.Fatalf("parse expectations in %s: %v", pkg.Dir, err)
 	}
 
 	// Claim findings with expectations, line by line.

@@ -11,7 +11,6 @@ import (
 	"banscore/internal/lint/analyzers/errsentinel"
 	"banscore/internal/lint/analyzers/gospawn"
 	"banscore/internal/lint/analyzers/lockhold"
-	"banscore/internal/lint/analyzers/lockorder"
 	"banscore/internal/lint/analyzers/wallclock"
 )
 
@@ -22,7 +21,6 @@ func Analyzers() []*analysis.Analyzer {
 		errsentinel.Analyzer,
 		gospawn.Analyzer,
 		lockhold.Analyzer,
-		lockorder.Analyzer,
 		wallclock.Analyzer,
 	}
 }

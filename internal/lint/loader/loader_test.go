@@ -100,21 +100,20 @@ func TestLoadTreeSkipsTestdata(t *testing.T) {
 
 // TestLoadTreeMultiPackage loads a synthetic module with nested packages
 // and checks each surfaces once with its module-qualified import path —
-// the property the repo-level analyzers' cross-package resolution relies
-// on.
+// the path scope-limited analyzers match on.
 func TestLoadTreeMultiPackage(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
-		"go.mod":           "module example.com/tm\n\ngo 1.22\n",
-		"top.go":           "package tm\n",
-		"a/a.go":           "package a\n",
-		"a/deep/deep.go":   "package deep\n",
-		"b/b.go":           "package b\n",
-		"b/b_test.go":      "package b\n\nimport \"testing\"\n\nfunc TestB(t *testing.T) {}\n",
-		"b/testdata/f.go":  "package fixture\n",
-		"vendor/v/v.go":    "package v\n",
-		"_attic/old.go":    "package old\n",
-		".hidden/h.go":     "package h\n",
+		"go.mod":          "module example.com/tm\n\ngo 1.22\n",
+		"top.go":          "package tm\n",
+		"a/a.go":          "package a\n",
+		"a/deep/deep.go":  "package deep\n",
+		"b/b.go":          "package b\n",
+		"b/b_test.go":     "package b\n\nimport \"testing\"\n\nfunc TestB(t *testing.T) {}\n",
+		"b/testdata/f.go": "package fixture\n",
+		"vendor/v/v.go":   "package v\n",
+		"_attic/old.go":   "package old\n",
+		".hidden/h.go":    "package h\n",
 	}
 	for rel, src := range files {
 		path := filepath.Join(root, filepath.FromSlash(rel))

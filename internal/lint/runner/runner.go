@@ -2,15 +2,6 @@
 // applies the //lint:allow suppression pass. It is the shared core of
 // cmd/banlint, TestRepoIsLintClean and the analysistest harness, so all
 // three agree exactly on what a finding is.
-//
-// Two granularities exist. Per-package analyzers (Analyzer.Run) see one
-// package at a time. Repo-level analyzers (Analyzer.RunRepo — the banvet
-// dataflow tier) see every loaded package at once, so a cross-package
-// property (the whole-repo lock-order graph) is provable. RunTree runs
-// both kinds over the same set of packages, which is why there is no
-// per-package entry point: a repo-level analyzer handed one package would
-// check a one-package repo, and a waiver audit against it would call
-// waivers for its cross-package findings stale.
 package runner
 
 import (
@@ -21,59 +12,27 @@ import (
 )
 
 // RunTree applies every analyzer to every package and returns the
-// surviving diagnostics per package, parallel to pkgs: per-package
-// analyzers run on each package, repo-level analyzers run once over the
-// whole set, then each package's //lint:allow suppression pass filters
-// its findings (repo-level ones included), audits its waivers for
-// staleness, and appends one diagnostic per malformed or stale
+// surviving diagnostics per package, parallel to pkgs: each package's
+// //lint:allow suppression pass filters its findings, audits its waivers
+// for staleness, and appends one diagnostic per malformed or stale
 // directive. Each package's slice is sorted by position.
 func RunTree(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([][]analysis.Diagnostic, error) {
 	diags := make([][]analysis.Diagnostic, len(pkgs))
-	units := make([]*analysis.RepoUnit, len(pkgs))
-	unitIndex := make(map[*analysis.RepoUnit]int, len(pkgs))
-	for i, pkg := range pkgs {
-		units[i] = &analysis.RepoUnit{
-			Fset:    pkg.Fset,
-			Files:   pkg.Files,
-			PkgName: pkg.Name,
-			PkgPath: pkg.Path,
-		}
-		unitIndex[units[i]] = i
-	}
-
 	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		ran[a.Name] = true
-		if a.Run != nil {
-			for i, pkg := range pkgs {
-				i := i
-				pass := &analysis.Pass{
-					Analyzer: a,
-					Fset:     pkg.Fset,
-					Files:    pkg.Files,
-					PkgName:  pkg.Name,
-					PkgPath:  pkg.Path,
-					Report:   func(d analysis.Diagnostic) { diags[i] = append(diags[i], d) },
-				}
-				if err := a.Run(pass); err != nil {
-					return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path, err)
-				}
-			}
-		}
-		if a.RunRepo != nil {
-			pass := &analysis.RepoPass{
+		for i, pkg := range pkgs {
+			i := i
+			pass := &analysis.Pass{
 				Analyzer: a,
-				Units:    units,
-				Report: func(u *analysis.RepoUnit, d analysis.Diagnostic) {
-					i, ok := unitIndex[u]
-					if !ok {
-						return
-					}
-					diags[i] = append(diags[i], d)
-				},
+				Fset:     pkg.Fset,
+				Files:    pkg.Files,
+				PkgName:  pkg.Name,
+				PkgPath:  pkg.Path,
+				Report:   func(d analysis.Diagnostic) { diags[i] = append(diags[i], d) },
 			}
-			if err := a.RunRepo(pass); err != nil {
-				return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path, err)
 			}
 		}
 	}

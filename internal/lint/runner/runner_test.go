@@ -115,83 +115,6 @@ func writeModule(t *testing.T, files map[string]string) []*loader.Package {
 	return pkgs
 }
 
-// crossCall is a repo-level analyzer that needs cross-package facts: it
-// flags selector calls resolving to a function DECLARED in another unit.
-// A per-package analyzer cannot see the remote declaration at all, so any
-// finding from this analyzer proves RunTree handed it the whole tree.
-var crossCall = &analysis.Analyzer{
-	Name: "crosscall",
-	Doc:  "flag cross-package calls (test analyzer)",
-	RunRepo: func(pass *analysis.RepoPass) error {
-		owner := map[string]*analysis.RepoUnit{}
-		for _, u := range pass.Units {
-			for _, f := range u.Files {
-				for _, d := range f.Decls {
-					if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
-						owner[fn.Name.Name] = u
-					}
-				}
-			}
-		}
-		for _, u := range pass.Units {
-			for _, f := range u.Files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-						if from, ok := owner[sel.Sel.Name]; ok && from != u {
-							pass.Reportf(u, call.Pos(), "cross-package call to %s declared in %s", sel.Sel.Name, from.PkgPath)
-						}
-					}
-					return true
-				})
-			}
-		}
-		return nil
-	},
-}
-
-// TestRunTreeCrossPackageFacts runs a repo-level analyzer over a
-// two-package module: the finding lands in the CALLING package (attributed
-// through the RepoUnit), and a //lint:allow directive there suppresses it.
-func TestRunTreeCrossPackageFacts(t *testing.T) {
-	pkgs := writeModule(t, map[string]string{
-		"a/a.go": "package a\n\nfunc Exported() {}\n",
-		"b/b.go": `package b
-
-import "tm/a"
-
-func use() {
-	a.Exported()
-	a.Exported() //lint:allow crosscall(sanctioned second call)
-}
-`,
-	})
-	if len(pkgs) != 2 {
-		t.Fatalf("loaded %d packages, want 2", len(pkgs))
-	}
-	perPkg, err := RunTree(pkgs, []*analysis.Analyzer{crossCall})
-	if err != nil {
-		t.Fatalf("RunTree: %v", err)
-	}
-	var all []Finding
-	for i, pkg := range pkgs {
-		all = append(all, Resolve(pkg, perPkg[i])...)
-	}
-	if len(all) != 1 {
-		t.Fatalf("findings = %v, want exactly the unwaived call in b", all)
-	}
-	f := all[0]
-	if filepath.Base(f.File) != "b.go" || f.Line != 6 || f.Analyzer != "crosscall" {
-		t.Errorf("finding = %v, want crosscall at b.go:6", f)
-	}
-	if !strings.Contains(f.Message, "tm/a") {
-		t.Errorf("message %q does not carry the remote unit's path", f.Message)
-	}
-}
-
 // TestRunTreeStaleWaiver checks the waiver audit: a directive naming an
 // analyzer that RAN but suppressed nothing on its line is itself reported.
 func TestRunTreeStaleWaiver(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"banscore/internal/lockrank"
 	"banscore/internal/telemetry"
 	"banscore/internal/vclock"
 )
@@ -44,13 +45,13 @@ type Observer struct {
 	clock    vclock.Clock
 	client   *http.Client
 
-	mu      sync.Mutex
+	mu      lockrank.Mutex[lockrank.Observer]
 	quit    chan struct{}
 	wg      sync.WaitGroup // poll loops; Stop joins it
 	started bool
 
 	polls  map[string]*pollState
-	errsMu sync.Mutex
+	errsMu lockrank.Mutex[lockrank.ObserverErrs]
 	errs   map[string]string // node -> last poll error ("" when healthy)
 }
 
@@ -87,7 +88,7 @@ type Config struct {
 // waitForBans, tests) is safe alongside the background poll loop that Start
 // runs for the same node.
 type pollState struct {
-	mu        sync.Mutex
+	mu        lockrank.Mutex[lockrank.ObserverPoll]
 	target    NodeTarget
 	cursor    Cursor
 	health    string            // last /healthz status ("" unknown)

@@ -2,8 +2,8 @@ package observer
 
 import (
 	"os"
-	"sync"
 
+	"banscore/internal/lockrank"
 	"banscore/internal/wal"
 )
 
@@ -20,7 +20,7 @@ import (
 type Store struct {
 	opts Options
 
-	mu      sync.Mutex
+	mu      lockrank.Mutex[lockrank.EventStore]
 	f       *os.File
 	pending []byte // framed records not yet written to f
 	nextLSN uint64 // LSN the next appended record will carry

@@ -1,6 +1,9 @@
 package reputation
 
 import (
+	"net"
+	"strconv"
+	"strings"
 	"testing"
 
 	"banscore/internal/core"
@@ -77,6 +80,46 @@ func TestNetgroupKeyMalformedNeverPanics(t *testing.T) {
 	if NetgroupKey(":8333") == NetgroupKey(":18333") {
 		t.Fatalf("distinct malformed identifiers collided into one group")
 	}
+}
+
+// FuzzNetgroupKey holds NetgroupKey to its contract over attacker-chosen
+// identifiers: every key is an ip4:, ip6: or id: key; the id: fallback is
+// taken exactly when the host does not parse; every port of an IPv4 host
+// shares one key (a framer who mints ports cannot spread, or dodge, the
+// group charge); and ::ffff:a.b.c.d joins a.b.c.d's group.
+func FuzzNetgroupKey(f *testing.F) {
+	for _, id := range []string{
+		"203.0.113.7:8333", "[2001:db8::1]:8333", "[::ffff:203.0.113.7]:8333",
+		"203.0.113.7", "2001:db8::1", "attacker-3:0", "", ":8333", "[::1",
+		"999.999.999.999:1", "1:2:3:4:5", "[fe80::1%eth0]:8333", "\x00\xff:1",
+	} {
+		f.Add(id, uint16(8333))
+	}
+	f.Fuzz(func(t *testing.T, id string, port uint16) {
+		key := NetgroupKey(core.PeerID(id))
+		if !strings.HasPrefix(key, prefixIPv4) && !strings.HasPrefix(key, prefixIPv6) && !strings.HasPrefix(key, prefixSelf) {
+			t.Fatalf("NetgroupKey(%q) = %q: no ip4:, ip6: or id: prefix", id, key)
+		}
+		host, _, err := net.SplitHostPort(id)
+		if err != nil {
+			host = id
+		}
+		ip := net.ParseIP(host)
+		if (key == prefixSelf+id) != (ip == nil) {
+			t.Fatalf("NetgroupKey(%q) = %q, host %q parses: %v", id, key, host, ip != nil)
+		}
+		v4 := ip.To4()
+		if v4 == nil {
+			return
+		}
+		p := strconv.Itoa(int(port))
+		dotted := v4.String()
+		for _, other := range []string{dotted, net.JoinHostPort(dotted, p), net.JoinHostPort("::ffff:"+dotted, p)} {
+			if got := NetgroupKey(core.PeerID(other)); got != key {
+				t.Fatalf("NetgroupKey(%q) = %q, but NetgroupKey(%q) = %q", other, got, id, key)
+			}
+		}
+	})
 }
 
 func BenchmarkNetgroupLookup(b *testing.B) {

@@ -27,11 +27,11 @@ package reputation
 import (
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"banscore/internal/core"
+	"banscore/internal/lockrank"
 	"banscore/internal/vclock"
 )
 
@@ -238,7 +238,7 @@ type peerState struct {
 
 // netgroup aggregates the budget of one IPv4 /16 or IPv6 /32 prefix.
 type netgroup struct {
-	mu sync.Mutex
+	mu lockrank.Mutex[lockrank.Netgroup]
 
 	key         string
 	pressure    float64   // decayed sum of capped per-identity charges
@@ -249,12 +249,12 @@ type netgroup struct {
 }
 
 type peerShard struct {
-	mu sync.RWMutex
+	mu lockrank.RWMutex[lockrank.PeerShard]
 	m  map[core.PeerID]*peerState
 }
 
 type groupShard struct {
-	mu sync.Mutex
+	mu lockrank.Mutex[lockrank.GroupShard]
 	m  map[string]*netgroup
 }
 

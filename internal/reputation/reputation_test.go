@@ -181,6 +181,19 @@ func TestProbationPrecedesBan(t *testing.T) {
 	}
 }
 
+// TestTrackedGroupsCountsByStatus runs TrackedGroups over held netgroups:
+// under make test-poolpoison it is the reputation suite's walk of group
+// shard → netgroup nesting.
+func TestTrackedGroupsCountsByStatus(t *testing.T) {
+	e := New(Config{Clock: newVirtualClock(), GroupBudget: 100, PeerContributionCap: 100})
+	e.Penalize("10.1.0.1:1", 10)  // healthy
+	e.Penalize("10.2.0.1:1", 50)  // probation at half the budget
+	e.Penalize("10.3.0.1:1", 100) // banned
+	if total, probation, banned := e.TrackedGroups(); total != 3 || probation != 1 || banned != 1 {
+		t.Fatalf("TrackedGroups = %d, %d, %d; want 3 groups, 1 in probation, 1 banned", total, probation, banned)
+	}
+}
+
 func TestSerialSybilChurnStillPaysGroupCost(t *testing.T) {
 	// Serial Sybil: identities misbehave one at a time and "disconnect".
 	// The engine has no Forget, so each burned identity's capped charge

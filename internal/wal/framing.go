@@ -6,9 +6,10 @@
 // crash suites exercise one set of corruption semantics: truncate at the
 // first bad frame, never refuse to open.
 //
-// The package holds no locks, starts no goroutines and reads no clock (the
-// banlint lockorder, gospawn and wallclock analyzers have it in scope); its
-// callers serialize access to a directory.
+// The package holds no locks (lockrank's TestOnlyRankedLocks fails on a
+// mutex here), starts no goroutines and reads no clock (the banlint gospawn
+// and wallclock analyzers have it in scope); its callers serialize access
+// to a directory.
 package wal
 
 import (
