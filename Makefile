@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: check docs-check vet lint lint-json lint-sarif loc alloc-gate alloc-baseline build benchmark-module test race bench bench-telemetry bench-trace bench-gate bench-baseline test-poolpoison fuzz-short chaos chaos-short chaos-crash fleet-short swarm-smoke swarm-full
+.PHONY: check docs-check vet lint lint-json lint-sarif loc build benchmark-module test race bench bench-telemetry bench-trace bench-gate bench-baseline test-poolpoison fuzz-short chaos chaos-short chaos-crash fleet-short swarm-smoke swarm-full
 
-check: vet lint docs-check alloc-gate build benchmark-module race test-poolpoison bench-telemetry bench-trace
+check: vet lint docs-check build benchmark-module race test-poolpoison bench-telemetry bench-trace
 
 vet:
 	$(GO) vet ./...
@@ -40,19 +40,6 @@ lint-json:
 
 lint-sarif:
 	$(GO) run ./cmd/banlint -sarif banlint.sarif ./...
-
-# Escape-analysis half of the hot-path allocation budget: compile every
-# package containing //banlint:hotpath annotations with -gcflags=-m and
-# diff the heap-escape diagnostics inside annotated functions against the
-# committed ALLOC_BUDGET.json. The syntactic half (no make/new/closures on
-# hot paths) is the allocbudget analyzer inside `make lint`.
-alloc-gate:
-	$(GO) run ./cmd/allocgate
-
-# Refresh the committed escape budget (after reviewing an intentional
-# change; commit the resulting ALLOC_BUDGET.json).
-alloc-baseline:
-	$(GO) run ./cmd/allocgate -update
 
 build:
 	$(GO) build ./...
@@ -96,6 +83,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzVersionDecodeReuse$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzNetgroupKey$$' -fuzztime 10s ./internal/reputation/
+	$(GO) test -run '^$$' -fuzz '^FuzzPeerPath$$' -fuzztime 10s ./internal/core/
 
 bench-telemetry:
 	$(GO) test -run xxx -bench BenchmarkTelemetry -benchtime 1x ./...

@@ -43,8 +43,6 @@ type stagedOp struct {
 func (t *Tracker) NewBatch() *Batch { return &Batch{t: t} }
 
 // Add stages one misbehavior application. Nothing is scored until Flush.
-//
-//banlint:hotpath per-hit staging path: one record written in place, growth out of line
 func (b *Batch) Add(id PeerID, inbound bool, rule RuleID, mctx MisbehaviorContext) {
 	n := len(b.staged)
 	if n == cap(b.staged) {

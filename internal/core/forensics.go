@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"net/http"
-	"net/url"
 	"strings"
 	"time"
 
@@ -322,6 +321,15 @@ type indexResponse struct {
 	Peers   []ledgerSummary `json:"peers"`
 }
 
+// PathPeer returns the peer a request for prefix/<id> names, "" for prefix
+// itself. A client escapes the identifier's ":" and "[]" as one path
+// segment (url.PathEscape); net/http has decoded r.URL.Path once already,
+// and a second decode would turn the zone "%12" of [fe80::1%12]:8333 into
+// a byte.
+func PathPeer(r *http.Request, prefix string) PeerID {
+	return PeerID(strings.Trim(strings.TrimPrefix(r.URL.Path, prefix), "/"))
+}
+
 // Handler serves the ledger over HTTP. Mounted at /debug/bans it answers
 //
 //	/debug/bans          — per-peer summaries (records, last rule, score)
@@ -333,22 +341,15 @@ type indexResponse struct {
 func (l *Ledger) Handler(isBanned func(PeerID) bool) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		rest := strings.TrimPrefix(r.URL.Path, "/debug/bans")
-		rest = strings.Trim(rest, "/")
-		if rest == "" {
+		id := PathPeer(r, "/debug/bans")
+		if id == "" {
 			l.serveIndex(w, isBanned)
 			return
 		}
-		// Peer identifiers contain ":" and, for IPv6, "[]" — clients that
-		// escape the path segment must still resolve the same peer.
-		if unescaped, err := url.PathUnescape(rest); err == nil {
-			rest = unescaped
-		}
-		id := PeerID(rest)
 		records := l.Records(id)
 		if records == nil {
 			w.WriteHeader(http.StatusNotFound)
-			_ = json.NewEncoder(w).Encode(map[string]string{"error": "no forensics records for peer " + rest})
+			_ = json.NewEncoder(w).Encode(map[string]string{"error": "no forensics records for peer " + string(id)})
 			return
 		}
 		resp := peerResponse{Peer: id, Records: records}

@@ -225,8 +225,6 @@ type MisbehaviorContext struct {
 // role-restricted rules (Table I "Object of Ban") apply correctly. When the
 // tracker has a Ledger, every scoring call appends a BanRecord carrying
 // mctx so the ban chain names the triggering command, trace and payload.
-//
-//banlint:hotpath per-hit score path under the shard lock: value structs only, no per-call allocation
 func (t *Tracker) MisbehavingCtx(id PeerID, inbound bool, rule RuleID, mctx MisbehaviorContext) Result {
 	score, name, ok := t.prepare(inbound, rule)
 	if !ok {
@@ -280,8 +278,6 @@ func (t *Tracker) prepare(inbound bool, rule RuleID) (score int, name string, ok
 // must be id's shard. Both the direct MisbehavingCtx path and Batch.Flush
 // run this exact body, which is what makes the batched path's Tracker
 // exports byte-identical to the unbatched path's.
-//
-//banlint:hotpath runs under the shard lock for every scoring hit
 func (t *Tracker) applyLocked(s *trackerShard, id PeerID, rule RuleID, ruleName string, score int, mctx MisbehaviorContext) (total int, banned bool) {
 	s.scores[id] += score
 	total = s.scores[id]

@@ -149,9 +149,8 @@ func (m *Monitor) traceWindow(w WindowStats) {
 	}
 }
 
-// OnMessage implements the node Tap: record one message arrival.
-//
-//banlint:hotpath per-message detection tap: map bump in the live window, rollover allocates in roll()
+// OnMessage implements the node Tap: record one message arrival. Inside
+// the live window it allocates nothing; rollover allocates in roll().
 func (m *Monitor) OnMessage(cmd string, at time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

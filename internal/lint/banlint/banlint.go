@@ -7,7 +7,6 @@ package banlint
 
 import (
 	"banscore/internal/lint/analysis"
-	"banscore/internal/lint/analyzers/allocbudget"
 	"banscore/internal/lint/analyzers/errsentinel"
 	"banscore/internal/lint/analyzers/gospawn"
 	"banscore/internal/lint/analyzers/lockhold"
@@ -17,7 +16,6 @@ import (
 // Analyzers returns the full banlint suite, sorted by name.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		allocbudget.Analyzer,
 		errsentinel.Analyzer,
 		gospawn.Analyzer,
 		lockhold.Analyzer,

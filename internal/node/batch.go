@@ -34,8 +34,6 @@ func (n *Node) NewMisbehaviorBatch() *MisbehaviorBatch {
 }
 
 // StageMisbehavior implements peer.MisbehaviorSink.
-//
-//banlint:hotpath per-hit staging path of an event-driven peer: two slot writes, growth out of line
 func (mb *MisbehaviorBatch) StageMisbehavior(p *peer.Peer, rule core.RuleID, mctx core.MisbehaviorContext) {
 	mb.b.Add(p.ID(), p.Inbound(), rule, mctx)
 	n := len(mb.staged)

@@ -3,7 +3,6 @@ package observer
 import (
 	"encoding/json"
 	"net/http"
-	"net/url"
 	"sort"
 	"strings"
 	"time"
@@ -211,9 +210,8 @@ func (s *Store) QueryHandler() http.Handler {
 		writeJSON(w, http.StatusOK, s.Status())
 	})
 	mux.HandleFunc("/fleet/peers/", func(w http.ResponseWriter, r *http.Request) {
-		raw := strings.TrimPrefix(r.URL.Path, "/fleet/peers/")
-		peer, err := url.PathUnescape(raw)
-		if err != nil || peer == "" {
+		peer := strings.TrimPrefix(r.URL.Path, "/fleet/peers/") // decoded once, by net/http
+		if peer == "" {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad peer identifier"})
 			return
 		}

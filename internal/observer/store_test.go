@@ -1,6 +1,7 @@
 package observer
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -74,6 +75,33 @@ func TestStoreAutoSeq(t *testing.T) {
 	s.Ingest(Event{Node: "n1", Stream: StreamHealth, Kind: KindHealth})
 	if got := s.LastSeq("n1", StreamHealth); got != 11 {
 		t.Fatalf("LastSeq after explicit = %d, want 11", got)
+	}
+}
+
+// TestStoreIngestAllocatesNothing: a fleet under a flood lands one event
+// per poll per node, so Ingest's steady state — a journal event with its
+// own sequence, a synthesized one numbered by the store, a duplicate —
+// must only append into tables and buffers it already has.
+func TestStoreIngestAllocatesNothing(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	defer s.Close()
+	peers := make([]string, 64)
+	for i := range peers {
+		peers[i] = fmt.Sprintf("10.0.0.%d:8333", i)
+	}
+	var seq uint64
+	ingest := func() {
+		seq++
+		ev := testEvent("n1", seq, "score", peers[seq%64])
+		if !s.Ingest(ev) || s.Ingest(ev) {
+			t.Fatal("journal event not stored exactly once")
+		}
+		if !s.Ingest(Event{Node: "n1", Stream: StreamHealth, Kind: KindHealth, Detail: "degraded"}) {
+			t.Fatal("synthesized event rejected")
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, ingest); allocs != 0 {
+		t.Errorf("Ingest allocates %v times per round, want 0", allocs)
 	}
 }
 

@@ -403,7 +403,7 @@ func (p *Peer) QueuePong(nonce uint64) error {
 // when the entry is the first one waiting: every later one is taken by the
 // pass that signal already owes.
 //
-//banlint:hotpath per-reply path: one lock, no channel hand-off, no allocation once the queue has grown
+// Once the queue has grown it allocates nothing.
 func (p *Peer) enqueue(q queued) error {
 	p.sendMu.Lock()
 	if p.closed {
@@ -699,8 +699,6 @@ func (p *Peer) ReadStep() bool {
 // asking canWrite (nil: always) before every write. It returns pending=true
 // when messages remain behind a transport with no room, and ok=false once
 // the connection is finished; the caller tears the peer down then.
-//
-//banlint:hotpath per-flush path: the taken batch and the queue swap slices, nothing is allocated
 func (p *Peer) drain(canWrite func() bool) (pending, ok bool) {
 	for {
 		if p.Disconnected() {
@@ -742,8 +740,6 @@ func (p *Peer) dropBatch() {
 // flush encodes the batch from p.next on into one pooled buffer, stopping at
 // flushSize bytes, and puts it on the wire with one deadline and one write.
 // It returns false when the connection is finished.
-//
-//banlint:hotpath per-flush path: one pooled buffer, one deadline, one write for every message in it
 func (p *Peer) flush() bool {
 	from := p.next
 	traced := false

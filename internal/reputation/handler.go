@@ -3,9 +3,7 @@ package reputation
 import (
 	"encoding/json"
 	"net/http"
-	"net/url"
 	"sort"
-	"strings"
 	"time"
 
 	"banscore/internal/core"
@@ -126,25 +124,18 @@ type peerDoc struct {
 func (e *Engine) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		rest := strings.TrimPrefix(r.URL.Path, "/debug/reputation")
-		rest = strings.Trim(rest, "/")
-		if rest == "" {
+		id := core.PathPeer(r, "/debug/reputation")
+		if id == "" {
 			_ = json.NewEncoder(w).Encode(e.Snapshot())
 			return
 		}
-		// Peer identifiers contain ":" and, for IPv6, "[]" — clients that
-		// escape the path segment must still resolve the same peer.
-		if unescaped, err := url.PathUnescape(rest); err == nil {
-			rest = unescaped
-		}
-		id := core.PeerID(rest)
 		s := e.peerShard(id)
 		s.mu.RLock()
 		p := s.m[id]
 		s.mu.RUnlock()
 		if p == nil {
 			w.WriteHeader(http.StatusNotFound)
-			_ = json.NewEncoder(w).Encode(map[string]string{"error": "no reputation state for peer " + rest})
+			_ = json.NewEncoder(w).Encode(map[string]string{"error": "no reputation state for peer " + string(id)})
 			return
 		}
 		now := e.cfg.Clock.Now()

@@ -21,8 +21,6 @@ func New[T any](limit int) Ring[T] { return Ring[T]{limit: limit} }
 
 // Push appends v. A full ring overwrites its oldest element, counts it as
 // dropped and returns it with evicted set.
-//
-//banlint:hotpath per-event store path: one slot write once full, growth out of line
 func (r *Ring[T]) Push(v T) (old T, evicted bool) {
 	r.total++
 	if len(r.buf) < r.limit {

@@ -184,8 +184,6 @@ func (h *pipeHalf) wait(dl time.Time) error {
 
 // write enqueues p, blocking while the buffer is at capacity. It fails
 // after close or when the write deadline expires while blocked.
-//
-//banlint:hotpath per-write substrate path: two-segment copy into the ring, growth out of line
 func (h *pipeHalf) write(p []byte) (int, error) {
 	h.mu.Lock()
 	for h.n >= pipeBufferCap && !h.closed {
@@ -231,8 +229,6 @@ func (h *pipeHalf) inject(seq uint64, p []byte) error {
 }
 
 // read dequeues into p, blocking until data, close, or deadline.
-//
-//banlint:hotpath per-read substrate path: two-segment copy out of the ring, no per-call allocation
 func (h *pipeHalf) read(p []byte) (int, error) {
 	h.mu.Lock()
 	for h.n == 0 {

@@ -209,8 +209,6 @@ func (c *Codec) parseHeader() messageHeader {
 // buffer so the caller can distinguish malformed-payload errors, which are
 // scored, from framing errors, which are not; the buffer must still be
 // released. All other failures return a nil buffer.
-//
-//banlint:hotpath per-message flood path: header scratch + pooled payload, no per-call allocation
 func (c *Codec) DecodeMessage(r io.Reader, pver uint32, bnet BitcoinNet, pick func(command string) Message) (Message, *Buf, error) {
 	if _, err := io.ReadFull(r, c.hdr[:]); err != nil {
 		return nil, nil, err
@@ -283,8 +281,6 @@ func ReadMessage(r io.Reader, pver uint32, net BitcoinNet) (Message, []byte, err
 // to buf — the one framing body: a send path that owes a peer several
 // messages appends them to one buffer and writes them out together. On error
 // buf is left as it was given.
-//
-//banlint:hotpath per-message send path: appended to the caller's pooled buffer, header written in place
 func AppendMessage(buf *Buf, msg Message, pver uint32, net BitcoinNet) error {
 	command := msg.Command()
 	if len(command) > CommandSize {
@@ -323,8 +319,6 @@ func AppendMessage(buf *Buf, msg Message, pver uint32, net BitcoinNet) error {
 // EncodeMessage serializes msg with a full header into a pooled buffer for
 // the given network. The caller owns the returned buffer and MUST Release
 // (or Detach) it exactly once after writing it out.
-//
-//banlint:hotpath per-message send path: one pooled buffer, framed by AppendMessage
 func EncodeMessage(msg Message, pver uint32, net BitcoinNet) (*Buf, error) {
 	buf := GetBuf(0)
 	if err := AppendMessage(buf, msg, pver, net); err != nil {

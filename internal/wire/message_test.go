@@ -134,6 +134,50 @@ func TestBogusBlockFloodReusesItsBuffer(t *testing.T) {
 	if perFrame > payload/64 {
 		t.Fatalf("a bogus-checksum BLOCK frame allocates %d B, want at most %d: its payload buffer is not reused", perFrame, payload/64)
 	}
+	if allocs := testing.AllocsPerRun(frames, decode); allocs != 2 {
+		t.Errorf("a bogus-checksum BLOCK frame costs %v allocations, want 2: its *MsgBlock target and its *ChecksumError", allocs)
+	}
+}
+
+// TestFrameRoundTripAllocatesNothing is the victim's send and receive
+// framing on the PING flood: a message framed into a pooled buffer, alone
+// (EncodeMessage) and appended behind another (AppendMessage), then decoded
+// into a target the caller reuses.
+func TestFrameRoundTripAllocatesNothing(t *testing.T) {
+	if lossy := testing.AllocsPerRun(100, func() {
+		for range 10 {
+			GetBuf(0).Release()
+		}
+	}); lossy > 0 {
+		t.Skipf("the buffer pool is dropping buffers (%v allocations per ten trips)", lossy)
+	}
+	ping := NewMsgPing(7)
+	var target MsgPing
+	pick := func(string) Message { return &target }
+	var c Codec
+	var r bytes.Reader
+	trip := func() {
+		buf, err := EncodeMessage(ping, ProtocolVersion, SimNet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := AppendMessage(buf, ping, ProtocolVersion, SimNet); err != nil {
+			t.Fatal(err)
+		}
+		r.Reset(buf.Bytes())
+		for range 2 {
+			target.Nonce = 0
+			msg, payload, err := c.DecodeMessage(&r, ProtocolVersion, SimNet, pick)
+			if err != nil || msg != Message(&target) || target.Nonce != 7 {
+				t.Fatalf("DecodeMessage = %v, %v; nonce %d", msg, err, target.Nonce)
+			}
+			payload.Release()
+		}
+		buf.Release()
+	}
+	if allocs := testing.AllocsPerRun(100, trip); allocs != 0 {
+		t.Errorf("a framed PING round trip costs %v allocations, want 0", allocs)
+	}
 }
 
 func TestReadMessageUnknownCommand(t *testing.T) {

@@ -70,8 +70,6 @@ func (msg *MsgVersion) HasService(service ServiceFlag) bool {
 // would. What such a target already owns is kept instead of re-allocated —
 // the two addresses' IP storage (overwritten in place, so a target must not
 // share it) and a UserAgent the wire bytes spell again.
-//
-//banlint:hotpath per-message on the duplicate-VERSION flood: a reused target decodes without allocating
 func (msg *MsgVersion) BtcDecode(payload []byte, _ uint32) error {
 	d := decoder{b: payload}
 	msg.ProtocolVersion = int32(d.uint32())

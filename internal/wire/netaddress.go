@@ -55,8 +55,6 @@ const maxNetAddressPayload = 4 + 8 + 16 + 2
 // storage na already owns, so a reused decode target costs no allocation;
 // they are always copied, never aliased, because the payload is a pooled
 // buffer its owner releases after dispatch.
-//
-//banlint:hotpath twice per VERSION on the duplicate-VERSION flood: a target that owns its address bytes is overwritten in place
 func readNetAddress(d *decoder, na *NetAddress, withTimestamp bool) {
 	if withTimestamp {
 		na.Timestamp = time.Unix(int64(d.uint32()), 0)
