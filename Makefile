@@ -10,8 +10,11 @@ GO ?= go
 
 check: vet lint docs-check build benchmark-module race test-poolpoison bench-telemetry bench-trace
 
+# The second line vets the code a non-amd64 build compiles in place of the
+# SHA-NI checksum kernel (internal/chainhash).
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/chainhash/
 
 # README.md and DESIGN.md against the tree: every backticked `make` target
 # and repository path they name must exist, their analyzer lists must
@@ -65,8 +68,11 @@ race:
 # own TestMain) fails if one is still out at exit. Every lock in core,
 # reputation, banstore and observer is a lockrank class: acquiring one
 # while holding one of equal or higher rank panics naming both classes.
+# The second line runs the wire checksum's crypto/sha256 fallback, the body
+# every CPU without SHA-NI and every purego build uses.
 test-poolpoison:
 	$(GO) test -tags poolpoison -count=1 ./internal/wire/ ./internal/peer/ ./internal/node/ ./internal/swarm/ ./internal/attack/ ./internal/core/ ./internal/reputation/ ./internal/banstore/ ./internal/observer/ ./internal/chaos/ ./internal/lockrank/
+	$(GO) test -tags purego -count=1 ./internal/chainhash/ ./internal/wire/
 
 # Every native fuzz target in the tree, ten seconds each on top of its
 # committed seed corpus (go test -fuzz takes one target and one package per
@@ -84,6 +90,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzNetgroupKey$$' -fuzztime 10s ./internal/reputation/
 	$(GO) test -run '^$$' -fuzz '^FuzzPeerPath$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzChecksum4$$' -fuzztime 10s ./internal/chainhash/
 
 bench-telemetry:
 	$(GO) test -run xxx -bench BenchmarkTelemetry -benchtime 1x ./...

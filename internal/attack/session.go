@@ -104,9 +104,7 @@ func (s *Session) SendBogusChecksum(command string, payload []byte) error {
 // bogusChecksumFor returns a checksum guaranteed wrong for the payload.
 func bogusChecksumFor(payload []byte) [4]byte {
 	checksum := [4]byte{0xde, 0xad, 0xbe, 0xef}
-	var correct [4]byte
-	copy(correct[:], chainhash.DoubleHashB(payload)[:4])
-	if checksum == correct {
+	if checksum == chainhash.Checksum4(payload) {
 		checksum[0] ^= 0xff
 	}
 	return checksum

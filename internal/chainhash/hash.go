@@ -1,5 +1,13 @@
 // Package chainhash provides the 32-byte hash type and the double-SHA256
 // primitives used throughout the Bitcoin wire protocol and chain validation.
+//
+// Checksum4, the wire checksum every frame pays, runs a SHA-256d kernel on
+// amd64 CPUs with the SHA extensions: the standard library's blockSHANI,
+// vendored under its BSD-3 license in sha256block_amd64.s. Every other CPU,
+// GOARCH or purego build runs two crypto/sha256 sums. DoubleHashH and
+// DoubleHashB stay on crypto/sha256: the block-header hash is the miner's
+// unit of work in the Fig. 6/7 and Table III experiments, and moving it
+// waits until those experiments count work instead of timing it.
 package chainhash
 
 import (
@@ -129,6 +137,14 @@ func DoubleHashH(b []byte) Hash {
 // message checksum — without a heap allocation, unlike slicing DoubleHashB.
 // The framing hot path verifies one of these per inbound message.
 func Checksum4(b []byte) [4]byte {
+	if useSHANI {
+		return checksum4SHANI(b)
+	}
+	return checksum4Std(b)
+}
+
+// checksum4Std is Checksum4 on crypto/sha256.
+func checksum4Std(b []byte) [4]byte {
 	first := sha256.Sum256(b)
 	second := sha256.Sum256(first[:])
 	var c [4]byte

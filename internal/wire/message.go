@@ -70,10 +70,12 @@ type Message interface {
 	MaxPayloadLength(pver uint32) uint32
 }
 
-// commandNames interns the NUL-padded command field of every known message
-// so the steady-state header parse resolves commands with a map probe
-// instead of allocating a fresh string per message.
-var commandNames = map[[CommandSize]byte]string{}
+// knownCommands maps the NUL-padded command field of every known message to
+// a zero-value prototype of it. The steady-state header parse resolves the
+// command with one map probe instead of allocating a fresh string per
+// message, and the frame gate reads the command's payload bound from the
+// prototype: no decode target is made before the checksum passes.
+var knownCommands = map[[CommandSize]byte]Message{}
 
 func init() {
 	for _, cmd := range []string{
@@ -86,7 +88,7 @@ func init() {
 	} {
 		var k [CommandSize]byte
 		copy(k[:], cmd)
-		commandNames[k] = cmd
+		knownCommands[k], _ = makeEmptyMessage(cmd)
 	}
 }
 
@@ -152,8 +154,11 @@ func makeEmptyMessage(command string) (Message, error) {
 
 // messageHeader is the decoded fixed header.
 type messageHeader struct {
-	magic    BitcoinNet
-	command  string
+	magic   BitcoinNet
+	command string
+	// proto is the command's knownCommands prototype, nil for an unknown
+	// command.
+	proto    Message
 	length   uint32
 	checksum [4]byte
 }
@@ -184,8 +189,8 @@ func (c *Codec) parseHeader() messageHeader {
 	hdr.magic = BitcoinNet(binary.LittleEndian.Uint32(c.hdr[0:4]))
 	var cmd [CommandSize]byte
 	copy(cmd[:], c.hdr[4:16])
-	if name, ok := commandNames[cmd]; ok {
-		hdr.command = name
+	if proto, ok := knownCommands[cmd]; ok {
+		hdr.command, hdr.proto = proto.Command(), proto
 	} else {
 		hdr.command = string(bytes.TrimRight(cmd[:], "\x00"))
 	}
@@ -198,7 +203,8 @@ func (c *Codec) parseHeader() messageHeader {
 // On success it returns the message and its raw payload as a pooled buffer
 // the caller MUST Release (or Detach) exactly once. The validation order
 // mirrors a real node: magic, command sanity, length, THEN checksum, THEN
-// payload decode — so checksum failures never reach message processing.
+// payload decode — so checksum failures never reach message processing,
+// and a frame dropped for its checksum costs no decode target.
 //
 // pick, when non-nil, is consulted before makeEmptyMessage and may return a
 // reusable decode target for the command (or nil to fall through). Only
@@ -226,23 +232,15 @@ func (c *Codec) DecodeMessage(r io.Reader, pver uint32, bnet BitcoinNet, pick fu
 			fmt.Sprintf("payload %d exceeds max %d", hdr.length, MaxMessagePayload))
 	}
 
-	var msg Message
-	if pick != nil {
-		msg = pick(hdr.command)
-	}
-	if msg == nil {
-		var err error
-		msg, err = makeEmptyMessage(hdr.command)
-		if err != nil {
-			// Unknown command: drain the payload so the stream stays in
-			// sync, then report. The caller ignores these without scoring.
-			if _, cErr := io.CopyN(io.Discard, r, int64(hdr.length)); cErr != nil {
-				return nil, nil, cErr
-			}
+	if hdr.proto == nil {
+		// Unknown command: drain the payload so the stream stays in sync,
+		// then report. The caller ignores these without scoring.
+		if _, err := io.CopyN(io.Discard, r, int64(hdr.length)); err != nil {
 			return nil, nil, err
 		}
+		return nil, nil, &ErrUnknownCommand{Command: hdr.command}
 	}
-	if maxLen := msg.MaxPayloadLength(pver); hdr.length > maxLen {
+	if maxLen := hdr.proto.MaxPayloadLength(pver); hdr.length > maxLen {
 		if _, cErr := io.CopyN(io.Discard, r, int64(hdr.length)); cErr != nil {
 			return nil, nil, cErr
 		}
@@ -261,6 +259,13 @@ func (c *Codec) DecodeMessage(r io.Reader, pver uint32, bnet BitcoinNet, pick fu
 		return nil, nil, &ChecksumError{Command: hdr.command, Got: hdr.checksum, Want: checksum}
 	}
 
+	var msg Message
+	if pick != nil {
+		msg = pick(hdr.command)
+	}
+	if msg == nil {
+		msg, _ = makeEmptyMessage(hdr.command) // a known command: hdr.proto is set
+	}
 	if err := msg.BtcDecode(buf.Bytes(), pver); err != nil {
 		return nil, buf, err
 	}
