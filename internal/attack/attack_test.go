@@ -191,9 +191,6 @@ func TestSerialSybilDefamationLoop(t *testing.T) {
 	if results[0].Identifier == results[1].Identifier {
 		t.Error("serial identifiers not distinct")
 	}
-	if mgr.IdentifiersUsed() != 3 {
-		t.Errorf("IdentifiersUsed = %d", mgr.IdentifiersUsed())
-	}
 	if got := banlist.BannedPortCountForIP(net.ParseIP("10.0.0.66")); got != 3 {
 		t.Errorf("banned ports for attacker IP = %d, want 3", got)
 	}

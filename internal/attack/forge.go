@@ -128,14 +128,6 @@ func (f *Forge) NonContinuousHeaders() *wire.MsgHeaders {
 	return m
 }
 
-// NonConnectingHeaders builds a single orphan-header HEADERS message; ten
-// deliveries trigger the +20 rule.
-func (f *Forge) NonConnectingHeaders() *wire.MsgHeaders {
-	m := wire.NewMsgHeaders()
-	m.AddBlockHeader(&wire.BlockHeader{PrevBlock: f.hash(), Timestamp: time.Unix(1700000000, 0)})
-	return m
-}
-
 // OversizeFilterLoad builds a FILTERLOAD above 36000 bytes (+100).
 func (f *Forge) OversizeFilterLoad() *wire.MsgFilterLoad {
 	return wire.NewMsgFilterLoad(make([]byte, wire.MaxFilterLoadFilterSize+1), 1, 0, wire.BloomUpdateNone)
@@ -144,26 +136,6 @@ func (f *Forge) OversizeFilterLoad() *wire.MsgFilterLoad {
 // OversizeFilterAdd builds a FILTERADD above 520 bytes (+100).
 func (f *Forge) OversizeFilterAdd() *wire.MsgFilterAdd {
 	return wire.NewMsgFilterAdd(make([]byte, wire.MaxFilterAddDataSize+1))
-}
-
-// InvalidCmpctBlock builds a CMPCTBLOCK with an unsolvable header (+100 at
-// meaningful difficulty).
-func (f *Forge) InvalidCmpctBlock() *wire.MsgCmpctBlock {
-	header := &wire.BlockHeader{
-		Version:   1,
-		PrevBlock: f.hash(),
-		Timestamp: time.Unix(1700000000, 0),
-		Bits:      0x01010000, // absurd target: no hash satisfies it
-	}
-	cb := wire.NewMsgCmpctBlock(header)
-	cb.ShortIDs = []uint64{1, 2, 3}
-	return cb
-}
-
-// OutOfBoundsGetBlockTxn builds a GETBLOCKTXN whose index exceeds any real
-// block (+100).
-func (f *Forge) OutOfBoundsGetBlockTxn(blockHash chainhash.Hash) *wire.MsgGetBlockTxn {
-	return wire.NewMsgGetBlockTxn(&blockHash, []uint32{1 << 20})
 }
 
 // Ping builds the score-free flooding message of BM-DoS vector 1.

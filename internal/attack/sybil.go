@@ -33,7 +33,6 @@ type SybilManager struct {
 
 	mu       sync.Mutex
 	nextPort int
-	used     int
 }
 
 // NewSybilManager returns a manager minting identifiers ip:49152..65535.
@@ -47,13 +46,6 @@ func NewSybilManager(ip, target string, magic wire.BitcoinNet, dial Dialer) *Syb
 	}
 }
 
-// IdentifiersUsed returns how many identifiers have been minted.
-func (m *SybilManager) IdentifiersUsed() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.used
-}
-
 // NextSession connects with a fresh [IP:Port] identifier and completes the
 // version handshake.
 func (m *SybilManager) NextSession(handshakeTimeout time.Duration) (*Session, error) {
@@ -64,7 +56,6 @@ func (m *SybilManager) NextSession(handshakeTimeout time.Duration) (*Session, er
 	}
 	from := fmt.Sprintf("%s:%d", m.ip, m.nextPort)
 	m.nextPort++
-	m.used++
 	m.mu.Unlock()
 
 	conn, err := m.dial(from, m.target)

@@ -96,8 +96,8 @@ const (
 	// reports itself degraded.
 	DefaultFsyncBudget = 250 * time.Millisecond
 
-	// DefaultSnapshotKeep is how many snapshot generations are retained.
-	DefaultSnapshotKeep = 2
+	// SnapshotKeep is how many snapshot generations are retained.
+	SnapshotKeep = 2
 )
 
 // File-format magics; the layout they head is internal/wal's.
@@ -123,17 +123,9 @@ type Options struct {
 	Clock vclock.Clock
 
 	// MaxBacklogBytes caps the pending buffer; appends beyond it are shed.
-	// Zero selects DefaultMaxBacklogBytes.
+	// Past half of it the store reports itself degraded, well before it
+	// sheds. Zero selects DefaultMaxBacklogBytes.
 	MaxBacklogBytes int
-
-	// BacklogBudget is the pending-bytes level above which the store is
-	// degraded (well before the shed cap). Zero selects half of
-	// MaxBacklogBytes.
-	BacklogBudget int
-
-	// SnapshotKeep is how many snapshot generations to retain. Zero
-	// selects DefaultSnapshotKeep.
-	SnapshotKeep int
 }
 
 func (o *Options) fillDefaults() {
@@ -145,12 +137,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.MaxBacklogBytes == 0 {
 		o.MaxBacklogBytes = DefaultMaxBacklogBytes
-	}
-	if o.BacklogBudget == 0 {
-		o.BacklogBudget = o.MaxBacklogBytes / 2
-	}
-	if o.SnapshotKeep == 0 {
-		o.SnapshotKeep = DefaultSnapshotKeep
 	}
 }
 
@@ -382,16 +368,16 @@ func (s *Store) Crash() {
 }
 
 // Healthy reports whether durability is keeping up: false when the pending
-// backlog exceeds its budget or the last fsync blew the latency budget. The
-// node surfaces this as a degraded-health reason — persistence is shed
-// before traffic.
+// backlog exceeds half of MaxBacklogBytes or the last fsync blew the
+// latency budget. The node surfaces this as a degraded-health reason —
+// persistence is shed before traffic.
 func (s *Store) Healthy() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return false
 	}
-	if len(s.pending) > s.opts.BacklogBudget {
+	if len(s.pending) > s.opts.MaxBacklogBytes/2 {
 		return false
 	}
 	return s.lastFsyncDur <= DefaultFsyncBudget
@@ -559,7 +545,7 @@ func (s *Store) Snapshot(st State, lsn uint64) error {
 	if err := s.rotateSegment(); err != nil {
 		return err
 	}
-	wal.Prune(s.opts.Dir, s.opts.SnapshotKeep, s.fsync())
+	wal.Prune(s.opts.Dir, SnapshotKeep, s.fsync())
 	s.snapshots.Add(1)
 	if lsn > s.snapLSN.Load() {
 		s.snapLSN.Store(lsn)

@@ -92,16 +92,6 @@ func (c *Chain) IsKnownInvalid(hash *chainhash.Hash) bool {
 	return ok
 }
 
-// BlockHeight returns the height of the given block, or -1 if unknown.
-func (c *Chain) BlockHeight(hash *chainhash.Hash) int32 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if node, ok := c.index[*hash]; ok {
-		return node.height
-	}
-	return -1
-}
-
 // CheckBlockSanity performs the context-free validation of a block: proof of
 // work, merkle commitment (mutation detection), coinbase structure, size,
 // and timestamp bounds. It is exported because the attacker-cost experiments
@@ -205,14 +195,6 @@ func (c *Chain) ProcessBlock(block *wire.MsgBlock) (int32, error) {
 	return node.height, nil
 }
 
-// MarkInvalid force-caches a block hash as invalid with the given code. The
-// defamation experiments use it to seed "cached as invalid" state.
-func (c *Chain) MarkInvalid(hash *chainhash.Hash, code ErrorCode) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.invalid[*hash] = code
-}
-
 // CheckHeadersContinuity verifies that a HEADERS sequence is internally
 // continuous (each entry's PrevBlock is the previous entry's hash). A break
 // is the "Non-continuous headers sequence" misbehavior (+20 per Table I).
@@ -248,30 +230,6 @@ func isCoinbase(tx *wire.MsgTx) bool {
 
 // IsCoinbase exposes the coinbase test for other packages.
 func IsCoinbase(tx *wire.MsgTx) bool { return isCoinbase(tx) }
-
-// BlockLocator returns a locator for the best chain: the tip hash, a few
-// recent ancestors, then exponentially spaced ancestors back to genesis.
-func (c *Chain) BlockLocator() []*chainhash.Hash {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var locator []*chainhash.Hash
-	step := int32(1)
-	node := c.tip
-	for node != nil {
-		hash := node.hash
-		locator = append(locator, &hash)
-		if node.height == 0 {
-			break
-		}
-		if len(locator) >= 10 {
-			step *= 2
-		}
-		for i := int32(0); i < step && node.parent != nil; i++ {
-			node = node.parent
-		}
-	}
-	return locator
-}
 
 // HeadersAfter returns up to max best-chain headers strictly after the first
 // locator hash found on the best chain (genesis when none matches). It backs

@@ -3,7 +3,6 @@ package chainhash
 import (
 	"bytes"
 	"encoding/hex"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -14,79 +13,11 @@ func TestHashString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewHash(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var h Hash
+	copy(h[:], wire)
 	want := "000000000019d6689c085ae165831e934ff763ae46a2a6c172b3f1b60a8ce26f"
 	if got := h.String(); got != want {
 		t.Errorf("String() = %q, want %q", got, want)
-	}
-}
-
-func TestNewHashFromStrRoundTrip(t *testing.T) {
-	const s = "000000000019d6689c085ae165831e934ff763ae46a2a6c172b3f1b60a8ce26f"
-	h, err := NewHashFromStr(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h.String(); got != s {
-		t.Errorf("round trip = %q, want %q", got, s)
-	}
-}
-
-func TestNewHashFromStrShortPadded(t *testing.T) {
-	h, err := NewHashFromStr("1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasSuffix(h.String(), "1") || strings.Trim(h.String()[:63], "0") != "" {
-		t.Errorf("short string not zero padded: %q", h.String())
-	}
-}
-
-func TestNewHashFromStrErrors(t *testing.T) {
-	tests := []struct {
-		name string
-		in   string
-	}{
-		{"too long", strings.Repeat("a", MaxHashStringSize+1)},
-		{"bad hex", "zz"},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := NewHashFromStr(tt.in); err == nil {
-				t.Errorf("NewHashFromStr(%q) = nil error, want error", tt.in)
-			}
-		})
-	}
-}
-
-func TestNewHashLength(t *testing.T) {
-	if _, err := NewHash(make([]byte, 31)); err == nil {
-		t.Error("NewHash(31 bytes) should fail")
-	}
-	if _, err := NewHash(make([]byte, 32)); err != nil {
-		t.Errorf("NewHash(32 bytes) = %v", err)
-	}
-}
-
-func TestIsEqual(t *testing.T) {
-	a := DoubleHashH([]byte("a"))
-	b := DoubleHashH([]byte("b"))
-	aCopy := a
-	if !a.IsEqual(&aCopy) {
-		t.Error("identical hashes reported unequal")
-	}
-	if a.IsEqual(&b) {
-		t.Error("different hashes reported equal")
-	}
-	var nilHash *Hash
-	if nilHash.IsEqual(&a) || a.IsEqual(nil) {
-		t.Error("nil / non-nil should be unequal")
-	}
-	if !nilHash.IsEqual(nil) {
-		t.Error("nil / nil should be equal")
 	}
 }
 
@@ -106,23 +37,26 @@ func TestDoubleHashKnownVector(t *testing.T) {
 	if hex.EncodeToString(got[:]) != want {
 		t.Errorf("DoubleHashH(hello) = %x, want %s", got[:], want)
 	}
-	if !bytes.Equal(DoubleHashB([]byte("hello")), got[:]) {
-		t.Error("DoubleHashB and DoubleHashH disagree")
+	if c := Checksum4([]byte("hello")); !bytes.Equal(c[:], got[:4]) {
+		t.Error("Checksum4 and DoubleHashH disagree")
 	}
 }
 
-func TestHashBMatchesHashH(t *testing.T) {
-	h := HashH([]byte("payload"))
-	if !bytes.Equal(HashB([]byte("payload")), h[:]) {
-		t.Error("HashB and HashH disagree")
-	}
-}
-
+// TestStringRoundTripProperty: String is the wire bytes reversed, in hex, so
+// hex-decoding it and reversing again gives back the hash.
 func TestStringRoundTripProperty(t *testing.T) {
 	f := func(b [HashSize]byte) bool {
 		h := Hash(b)
-		parsed, err := NewHashFromStr(h.String())
-		return err == nil && parsed.IsEqual(&h)
+		dec, err := hex.DecodeString(h.String())
+		if err != nil || len(dec) != HashSize {
+			return false
+		}
+		for i := range dec {
+			if dec[i] != h[HashSize-1-i] {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

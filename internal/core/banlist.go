@@ -2,7 +2,6 @@ package core
 
 import (
 	"net"
-	"sort"
 	"time"
 
 	"banscore/internal/lockrank"
@@ -12,11 +11,6 @@ import (
 // exactly as the paper defines it. The Defamation attack works because this
 // identifier is spoofable in the permissionless network.
 type PeerID string
-
-// NewPeerID builds a PeerID from an IP and port.
-func NewPeerID(ip net.IP, port uint16) PeerID {
-	return PeerID(net.JoinHostPort(ip.String(), itoa(port)))
-}
 
 // PeerIDFromAddr builds a PeerID from a "host:port" address string.
 func PeerIDFromAddr(addr string) PeerID { return PeerID(addr) }
@@ -28,20 +22,6 @@ func (id PeerID) IP() net.IP {
 		return nil
 	}
 	return net.ParseIP(host)
-}
-
-func itoa(v uint16) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [5]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // DefaultBanDuration is Bitcoin Core's default 24-hour ban.
@@ -72,7 +52,7 @@ func NewBanList(clock func() time.Time) *BanList {
 	if clock == nil {
 		clock = time.Now
 	}
-	n := pickShardCount()
+	n := PickShardCount(0)
 	b := &BanList{now: clock, mask: uint32(n - 1), shards: make([]banShard, n)}
 	for i := range b.shards {
 		b.shards[i].banned = make(map[PeerID]time.Time)
@@ -149,29 +129,6 @@ func (b *BanList) Count() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// BannedIDs returns the currently banned identifiers, sorted. The snapshot
-// is assembled shard by shard and merged, so it is consistent per shard but
-// not a single atomic cut across all shards — the same guarantee a single
-// mutex gave callers that ban concurrently with the scan.
-func (b *BanList) BannedIDs() []PeerID {
-	var out []PeerID
-	for i := range b.shards {
-		s := &b.shards[i]
-		s.mu.Lock()
-		now := b.now()
-		for id, until := range s.banned {
-			if now.After(until) {
-				delete(s.banned, id)
-				continue
-			}
-			out = append(out, id)
-		}
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // BannedPortCountForIP returns how many distinct ports of the given IP are

@@ -2,6 +2,7 @@ package core
 
 import (
 	"net"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -294,17 +295,10 @@ func TestForget(t *testing.T) {
 func TestBanListBasics(t *testing.T) {
 	clock := newMockClock()
 	b := NewBanList(clock.Now)
-	id := NewPeerID(net.ParseIP("10.0.0.2"), 50001)
-	if string(id) != "10.0.0.2:50001" {
-		t.Errorf("PeerID = %q", id)
-	}
+	id := PeerIDFromAddr("10.0.0.2:50001")
 	b.Ban(id, time.Hour)
 	if !b.IsBanned(id) || b.Count() != 1 {
 		t.Error("ban not recorded")
-	}
-	ids := b.BannedIDs()
-	if len(ids) != 1 || ids[0] != id {
-		t.Errorf("BannedIDs = %v", ids)
 	}
 	b.Unban(id)
 	if b.IsBanned(id) || b.Count() != 0 {
@@ -327,10 +321,10 @@ func TestBannedPortCountForIP(t *testing.T) {
 	clock := newMockClock()
 	b := NewBanList(clock.Now)
 	target := net.ParseIP("10.0.0.9")
-	for port := uint16(49152); port < 49252; port++ {
-		b.Ban(NewPeerID(target, port), time.Hour)
+	for port := 49152; port < 49252; port++ {
+		b.Ban(PeerIDFromAddr(net.JoinHostPort(target.String(), strconv.Itoa(port))), time.Hour)
 	}
-	b.Ban(NewPeerID(net.ParseIP("10.0.0.8"), 49152), time.Hour)
+	b.Ban(PeerIDFromAddr("10.0.0.8:49152"), time.Hour)
 	if got := b.BannedPortCountForIP(target); got != 100 {
 		t.Errorf("BannedPortCountForIP = %d, want 100", got)
 	}
@@ -393,9 +387,6 @@ func TestEnumStrings(t *testing.T) {
 	}
 	if BlockMutated.String() != "BlockMutated" || RuleID(999).String() == "" {
 		t.Error("RuleID strings")
-	}
-	if len(Versions()) != 3 {
-		t.Error("Versions() count")
 	}
 }
 

@@ -32,9 +32,6 @@ func (v CoreVersion) String() string {
 	return fmt.Sprintf("Unknown CoreVersion (%d)", int(v))
 }
 
-// Versions lists the studied versions in order.
-func Versions() []CoreVersion { return []CoreVersion{V0_20_0, V0_21_0, V0_22_0} }
-
 // MisbehaviorType classifies a rule per Table I's final column.
 type MisbehaviorType int
 

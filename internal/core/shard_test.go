@@ -8,7 +8,7 @@ import (
 )
 
 func TestPickShardCountPowerOfTwo(t *testing.T) {
-	n := pickShardCount()
+	n := PickShardCount(0)
 	if n < minShards || n > maxShards {
 		t.Fatalf("shard count %d outside [%d, %d]", n, minShards, maxShards)
 	}
@@ -17,10 +17,16 @@ func TestPickShardCountPowerOfTwo(t *testing.T) {
 	}
 	tr := NewTracker(Config{})
 	if tr.ShardCount() != n {
-		t.Fatalf("tracker shards %d, pickShardCount %d", tr.ShardCount(), n)
+		t.Fatalf("tracker shards %d, PickShardCount %d", tr.ShardCount(), n)
 	}
 	if bl := NewBanList(time.Now); bl.ShardCount() != n {
-		t.Fatalf("banlist shards %d, pickShardCount %d", bl.ShardCount(), n)
+		t.Fatalf("banlist shards %d, PickShardCount %d", bl.ShardCount(), n)
+	}
+	// A requested count is clamped and rounded up the same way.
+	for _, tc := range []struct{ requested, want int }{{1, minShards}, {9, 16}, {64, 64}, {1000, maxShards}} {
+		if got := PickShardCount(tc.requested); got != tc.want {
+			t.Errorf("PickShardCount(%d) = %d, want %d", tc.requested, got, tc.want)
+		}
 	}
 }
 

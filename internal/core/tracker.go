@@ -171,7 +171,7 @@ type trackerShard struct {
 // NewTracker returns a Tracker for the given configuration.
 func NewTracker(cfg Config) *Tracker {
 	cfg.fillDefaults()
-	n := pickShardCount()
+	n := PickShardCount(0)
 	t := &Tracker{
 		cfg:     cfg,
 		rules:   RuleSet(cfg.Version),

@@ -78,9 +78,6 @@ func TestMonitorReset(t *testing.T) {
 	if got := m.Flush(); len(got) != 0 {
 		t.Errorf("windows after reset = %d", len(got))
 	}
-	if m.Window() != time.Minute {
-		t.Error("window accessor")
-	}
 }
 
 func TestTrainRequiresData(t *testing.T) {

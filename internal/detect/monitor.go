@@ -90,9 +90,6 @@ func NewMonitor(window time.Duration) *Monitor {
 	return &Monitor{window: window}
 }
 
-// Window returns the configured window length.
-func (m *Monitor) Window() time.Duration { return m.window }
-
 // OnWindowComplete registers fn to be invoked for every window the Monitor
 // closes (including the empty gap windows of quiet periods). fn runs with
 // the Monitor's lock held and must not call back into the Monitor; keep it

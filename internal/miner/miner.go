@@ -9,7 +9,6 @@ import (
 
 	"banscore/internal/blockchain"
 	"banscore/internal/chainhash"
-	"banscore/internal/stats"
 	"banscore/internal/wire"
 )
 
@@ -48,17 +47,6 @@ func HashRateSample(hashes uint64) float64 {
 		return 0
 	}
 	return float64(hashes) / elapsed.Seconds()
-}
-
-// MeasureHashRate runs the paper's sampling protocol: `samples` independent
-// mining samples of `hashesPerSample` hashes each (the paper used 100 × 10^7)
-// and returns their summary (mean with 95% CI).
-func MeasureHashRate(samples int, hashesPerSample uint64) stats.Summary {
-	rates := make([]float64, 0, samples)
-	for i := 0; i < samples; i++ {
-		rates = append(rates, HashRateSample(hashesPerSample))
-	}
-	return stats.Summarize(rates)
 }
 
 // Miner is a continuously running CPU miner against a live chain. It mines

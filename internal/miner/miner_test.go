@@ -18,16 +18,6 @@ func TestHashRateSamplePositive(t *testing.T) {
 	}
 }
 
-func TestMeasureHashRateSummary(t *testing.T) {
-	s := MeasureHashRate(5, 5000)
-	if s.N != 5 {
-		t.Errorf("N = %d", s.N)
-	}
-	if s.Mean <= 0 || s.Min <= 0 || s.Max < s.Min {
-		t.Errorf("summary = %+v", s)
-	}
-}
-
 func TestMinerMinesOnSimnet(t *testing.T) {
 	chain := blockchain.New(blockchain.SimNetParams())
 	m := New(chain)

@@ -36,13 +36,6 @@ func (a *AddrManager) Add(addr string) bool {
 	return true
 }
 
-// AddMany inserts a batch of addresses.
-func (a *AddrManager) AddMany(addrs []string) {
-	for _, addr := range addrs {
-		a.Add(addr)
-	}
-}
-
 // Count returns the number of known addresses.
 func (a *AddrManager) Count() int {
 	a.mu.Lock()

@@ -15,9 +15,16 @@ func TestAddrManagerAddDeduplicates(t *testing.T) {
 	}
 }
 
+// addAll inserts each address in turn.
+func addAll(a *AddrManager, addrs ...string) {
+	for _, addr := range addrs {
+		a.Add(addr)
+	}
+}
+
 func TestAddrManagerAddMany(t *testing.T) {
 	a := NewAddrManager(1)
-	a.AddMany([]string{"a:1", "b:2", "a:1", "c:3"})
+	addAll(a, "a:1", "b:2", "a:1", "c:3")
 	if a.Count() != 3 {
 		t.Errorf("Count = %d, want 3", a.Count())
 	}
@@ -37,7 +44,7 @@ func TestAddrManagerPick(t *testing.T) {
 	if got := a.Pick(nil); got != "" {
 		t.Errorf("Pick on empty = %q", got)
 	}
-	a.AddMany([]string{"a:1", "b:2", "c:3"})
+	addAll(a, "a:1", "b:2", "c:3")
 
 	// Unfiltered pick returns something known.
 	picked := a.Pick(nil)
@@ -65,7 +72,7 @@ func TestAddrManagerPick(t *testing.T) {
 
 func TestAddrManagerPickCoversAll(t *testing.T) {
 	a := NewAddrManager(7)
-	a.AddMany([]string{"a:1", "b:2", "c:3", "d:4"})
+	addAll(a, "a:1", "b:2", "c:3", "d:4")
 	seen := make(map[string]bool)
 	for i := 0; i < 200; i++ {
 		seen[a.Pick(nil)] = true

@@ -1,10 +1,10 @@
 package node
 
-// DefaultBanTableSoftLimit is the banned-identifier count past which the
-// node reports itself degraded. The ban table grows one entry per banned
+// BanTableSoftLimit is the banned-identifier count past which the node
+// reports itself degraded. The ban table grows one entry per banned
 // [IP:Port] and a Defamation-style attacker can inflate it deliberately;
 // saturation is an operational signal, not a hard cap.
-const DefaultBanTableSoftLimit = 10000
+const BanTableSoftLimit = 10000
 
 // Health reports whether the node considers itself healthy, plus the
 // fields behind the verdict. It degrades when any outbound slot is lost
@@ -16,18 +16,13 @@ func (n *Node) Health() (bool, map[string]any) {
 	banned := n.tracker.BanList().Count()
 	inbound, outbound := n.PeerCount()
 
-	limit := n.cfg.BanTableSoftLimit
-	if limit <= 0 {
-		limit = DefaultBanTableSoftLimit
-	}
-
 	healthy := true
 	reasons := make([]string, 0, 2)
 	if deficit > 0 {
 		healthy = false
 		reasons = append(reasons, "outbound-deficit")
 	}
-	if banned > limit {
+	if banned > BanTableSoftLimit {
 		healthy = false
 		reasons = append(reasons, "ban-table-saturated")
 	}

@@ -140,10 +140,6 @@ type Config struct {
 	ReconnectBackoff    time.Duration
 	ReconnectMaxBackoff time.Duration
 
-	// BanTableSoftLimit is the banned-identifier count past which Health
-	// reports the node degraded; zero selects DefaultBanTableSoftLimit.
-	BanTableSoftLimit int
-
 	// DisableReconnect turns off automatic outbound reconnection
 	// (useful in benchmarks isolating other behavior).
 	DisableReconnect bool
@@ -757,8 +753,8 @@ func (n *Node) startPeer(conn net.Conn, inbound bool) *peer.Peer {
 		Runner:         n.cfg.PeerRunner,
 		SendQueueDepth: n.cfg.PeerSendQueue,
 		OnMessage:      n.handleMessage,
-		// No OnMalformed: a message the wire layer rejects never reaches
-		// misbehavior processing — the peer is dropped without scoring.
+		// A message the wire layer rejects never reaches misbehavior
+		// processing: the peer drops the connection without scoring.
 		OnDisconnect: n.peerDisconnected,
 		OnWriteTimeout: func(p *peer.Peer) {
 			n.writeTimeouts.Add(1)

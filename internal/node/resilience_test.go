@@ -227,14 +227,17 @@ func TestHealthDegradedOnOutboundDeficit(t *testing.T) {
 }
 
 // TestHealthDegradedOnBanTableSaturation: a Defamation-style flood of bans
-// past the soft limit flips health.
+// past the soft limit flips health; a table at the limit does not.
 func TestHealthDegradedOnBanTableSaturation(t *testing.T) {
-	env := newEnv(t, func(cfg *Config) {
-		cfg.BanTableSoftLimit = 2
-	})
-	for _, id := range []string{"10.9.0.1:1", "10.9.0.2:1", "10.9.0.3:1"} {
-		env.node.Tracker().BanList().Ban(core.PeerIDFromAddr(id), time.Hour)
+	env := newEnv(t, nil)
+	bans := env.node.Tracker().BanList()
+	for port := 1; port <= BanTableSoftLimit; port++ {
+		bans.Ban(core.PeerIDFromAddr(fmt.Sprintf("10.9.0.1:%d", port)), time.Hour)
 	}
+	if healthy, fields := env.node.Health(); !healthy {
+		t.Fatalf("node degraded with the ban table at the limit: %v", fields)
+	}
+	bans.Ban(core.PeerIDFromAddr("10.9.0.2:1"), time.Hour)
 	healthy, fields := env.node.Health()
 	if healthy {
 		t.Fatalf("node healthy with saturated ban table: %v", fields)

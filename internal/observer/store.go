@@ -46,6 +46,9 @@ type streamKey struct {
 	stream string
 }
 
+// snapshotKeep is how many snapshot generations a store retains.
+const snapshotKeep = 2
+
 // Options parameterizes OpenStore.
 type Options struct {
 	// Dir is the store directory; created if absent.
@@ -60,9 +63,6 @@ type Options struct {
 	// the active segment (no fsync). Default 256 KiB.
 	FlushBytes int
 
-	// SnapshotKeep is how many snapshot generations to retain. Default 2.
-	SnapshotKeep int
-
 	// SnapshotEvery auto-snapshots after this many appended records.
 	// Default 8192; 0 disables auto-snapshotting.
 	SnapshotEvery int
@@ -71,9 +71,6 @@ type Options struct {
 func (o *Options) fillDefaults() {
 	if o.FlushBytes <= 0 {
 		o.FlushBytes = 256 << 10
-	}
-	if o.SnapshotKeep <= 0 {
-		o.SnapshotKeep = 2
 	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 8192
@@ -314,7 +311,7 @@ func (s *Store) Sync() error {
 
 // Snapshot writes the full table state to a new snapshot file, rotates the
 // active segment, and prunes segments and snapshot generations the newest
-// SnapshotKeep snapshots no longer need.
+// snapshotKeep snapshots no longer need.
 func (s *Store) Snapshot() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -339,7 +336,7 @@ func (s *Store) snapshotLocked() error {
 	if err != nil {
 		return err
 	}
-	wal.Prune(s.opts.Dir, s.opts.SnapshotKeep, s.opts.Fsync)
+	wal.Prune(s.opts.Dir, snapshotKeep, s.opts.Fsync)
 	return nil
 }
 

@@ -219,11 +219,11 @@ func TestStoreCursorGenerations(t *testing.T) {
 	}
 }
 
-// TestStoreSnapshotPrunes: generations beyond SnapshotKeep and covered WAL
+// TestStoreSnapshotPrunes: generations beyond snapshotKeep and covered WAL
 // segments are deleted.
 func TestStoreSnapshotPrunes(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(Options{Dir: dir, SnapshotKeep: 2})
+	s, err := OpenStore(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,10 +81,6 @@ type Config struct {
 	// Net is the wire magic to speak.
 	Net wire.BitcoinNet
 
-	// ProtocolVersion to use when encoding/decoding. Zero selects
-	// wire.ProtocolVersion.
-	ProtocolVersion uint32
-
 	// IdleTimeout before an idle connection is dropped. Zero selects
 	// DefaultIdleTimeout.
 	IdleTimeout time.Duration
@@ -105,11 +101,6 @@ type Config struct {
 	// checksum mismatch BEFORE any application processing — the
 	// score-free path of BM-DoS vector 2. The connection continues.
 	OnChecksumError func(p *Peer, err error)
-
-	// OnMalformed is invoked for a protocol-malformed message (framing
-	// or decode failure other than checksum/unknown-command). The peer
-	// is disconnected afterward.
-	OnMalformed func(p *Peer, err error)
 
 	// OnDisconnect is invoked exactly once when the connection dies.
 	OnDisconnect func(p *Peer)
@@ -169,8 +160,7 @@ type Peer struct {
 	remoteVersion *wire.MsgVersion
 
 	// Inbound traffic statistics (bytesSent is with the writer's fields).
-	bytesReceived    atomic.Uint64
-	messagesReceived atomic.Uint64
+	bytesReceived atomic.Uint64
 
 	// traceCtx is the lifecycle trace of the inbound message currently
 	// being dispatched, if it was sampled. An atomic pointer because
@@ -193,6 +183,10 @@ type Peer struct {
 	pick      func(cmd string) wire.Message
 	reusePing wire.MsgPing
 	reusePong wire.MsgPong
+
+	// The read side's fields end 16 bytes short of a line; this starts
+	// quit on the next one.
+	_ [16]byte
 
 	quit     chan struct{}
 	quitOnce sync.Once
@@ -259,9 +253,6 @@ func (q *queued) command() string {
 // connection (the role several Table I rules key on). Call Start to begin
 // the message loops.
 func New(conn net.Conn, inbound bool, cfg Config) *Peer {
-	if cfg.ProtocolVersion == 0 {
-		cfg.ProtocolVersion = wire.ProtocolVersion
-	}
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = DefaultIdleTimeout
 	}
@@ -529,9 +520,6 @@ func (p *Peer) BytesReceived() uint64 { return p.bytesReceived.Load() }
 // read bytes this count does not show yet.
 func (p *Peer) BytesSent() uint64 { return p.bytesSent.Load() }
 
-// MessagesReceived returns the count of decoded messages.
-func (p *Peer) MessagesReceived() uint64 { return p.messagesReceived.Load() }
-
 // QueueDepth returns how many messages are waiting for the writer — the
 // back-pressure signal the telemetry layer aggregates across peers.
 func (p *Peer) QueueDepth() int { return int(p.depth.Load()) }
@@ -594,14 +582,11 @@ func (p *Peer) readOne(tr *trace.Tracer) readStatus {
 	if tr.Armed() {
 		decodeStart = time.Now()
 	}
-	msg, pbuf, err := p.codec.DecodeMessage(p.conn, p.cfg.ProtocolVersion, p.cfg.Net, p.pick)
+	msg, pbuf, err := p.codec.DecodeMessage(p.conn, wire.ProtocolVersion, p.cfg.Net, p.pick)
 	if err != nil {
 		// A non-nil buffer with an error marks a payload-decode
-		// failure (the payload was fully read but did not parse):
-		// a protocol violation, or a payload that ended before its
-		// message did — io.ErrUnexpectedEOF wherever it ended, one
-		// class with one outcome. Release it before classifying.
-		decodeFailed := pbuf != nil
+		// failure (the payload was fully read but did not parse).
+		// Release it before classifying.
 		pbuf.Release()
 		switch {
 		case errors.Is(err, wire.ErrChecksumMismatch):
@@ -616,19 +601,16 @@ func (p *Peer) readOne(tr *trace.Tracer) readStatus {
 			// Unknown commands are ignored, also score-free.
 			p.bytesReceived.Add(uint64(wire.MessageHeaderSize))
 			return readSkip
-		case isMessageError(err) || decodeFailed:
-			if p.cfg.OnMalformed != nil {
-				p.cfg.OnMalformed(p, err)
-			}
-			return readClosed
 		default:
-			// io error, deadline, or remote close.
+			// A malformed frame or payload — a protocol violation, or
+			// a payload that ended before its message did — an io
+			// error, a deadline, or a remote close: the peer is
+			// dropped.
 			return readClosed
 		}
 	}
 	rawLen := pbuf.Len()
 	p.bytesReceived.Add(uint64(wire.MessageHeaderSize + rawLen))
-	p.messagesReceived.Add(1)
 	// Snapshot the verified wire checksum as misbehavior evidence for
 	// the dispatch below: if a handler scores this message, the
 	// forensics record names the exact bytes. Published before and
@@ -755,7 +737,7 @@ func (p *Peer) flush() bool {
 			traced = true
 			p.traceDequeued(q)
 		}
-		if err := wire.AppendMessage(buf, msg, p.cfg.ProtocolVersion, p.cfg.Net); err != nil {
+		if err := wire.AppendMessage(buf, msg, wire.ProtocolVersion, p.cfg.Net); err != nil {
 			buf.Release()
 			return false
 		}
@@ -854,9 +836,4 @@ func isTimeout(err error) bool {
 func isUnknownCommand(err error) bool {
 	var unknown *wire.ErrUnknownCommand
 	return errors.As(err, &unknown)
-}
-
-func isMessageError(err error) bool {
-	var mErr *wire.MessageError
-	return errors.As(err, &mErr)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -56,8 +57,9 @@ func pair(t *testing.T, serverCfg, clientCfg Config) (server, client *Peer, clea
 
 func TestPeerExchangesMessages(t *testing.T) {
 	got := make(chan wire.Message, 1)
+	var calls atomic.Int32
 	server, client, cleanup := pair(t,
-		Config{OnMessage: func(p *Peer, msg wire.Message, _ int) { got <- msg }},
+		Config{OnMessage: func(p *Peer, msg wire.Message, _ int) { calls.Add(1); got <- msg }},
 		Config{})
 	defer cleanup()
 
@@ -73,8 +75,8 @@ func TestPeerExchangesMessages(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("message not delivered")
 	}
-	if server.MessagesReceived() != 1 {
-		t.Errorf("MessagesReceived = %d", server.MessagesReceived())
+	if n := calls.Load(); n != 1 {
+		t.Errorf("OnMessage calls = %d, want 1", n)
 	}
 	if server.BytesReceived() == 0 || client.BytesSent() == 0 {
 		t.Error("byte counters not updated")
@@ -101,6 +103,7 @@ func TestPeerIdentity(t *testing.T) {
 func TestChecksumMismatchDropsWithoutDisconnect(t *testing.T) {
 	var checksumErrs sync.Map
 	got := make(chan wire.Message, 1)
+	var calls atomic.Int32
 	n := simnet.NewNetwork()
 	defer n.Close()
 	l, err := n.Listen("10.0.0.1:8333")
@@ -119,7 +122,7 @@ func TestChecksumMismatchDropsWithoutDisconnect(t *testing.T) {
 	serverConn := <-accepted
 	server := New(serverConn, true, Config{
 		Net:       wire.SimNet,
-		OnMessage: func(p *Peer, msg wire.Message, _ int) { got <- msg },
+		OnMessage: func(p *Peer, msg wire.Message, _ int) { calls.Add(1); got <- msg },
 		OnChecksumError: func(p *Peer, err error) {
 			checksumErrs.Store("seen", err)
 		},
@@ -149,9 +152,9 @@ func TestChecksumMismatchDropsWithoutDisconnect(t *testing.T) {
 	if _, ok := checksumErrs.Load("seen"); !ok {
 		t.Error("OnChecksumError not invoked")
 	}
-	// Only the valid message counts.
-	if server.MessagesReceived() != 1 {
-		t.Errorf("MessagesReceived = %d, want 1", server.MessagesReceived())
+	// Only the valid message is dispatched.
+	if n := calls.Load(); n != 1 {
+		t.Errorf("OnMessage calls = %d, want 1", n)
 	}
 }
 
@@ -276,12 +279,10 @@ func TestMalformedMessageDisconnects(t *testing.T) {
 				t.Fatal(err)
 			}
 			serverConn := <-accepted
-			malformed := make(chan error, 1)
 			disconnected := make(chan struct{})
 			server := New(serverConn, true, Config{
 				Net:          wire.SimNet,
 				OnMessage:    versionHandler(func(*wire.MsgVersion) {}),
-				OnMalformed:  func(p *Peer, err error) { malformed <- err },
 				OnDisconnect: func(p *Peer) { close(disconnected) },
 			})
 			server.Start()
@@ -294,11 +295,6 @@ func TestMalformedMessageDisconnects(t *testing.T) {
 			}
 			if _, err := wire.WriteRawMessage(raw, tc.command, tc.payload, wire.SimNet); err != nil {
 				t.Fatal(err)
-			}
-			select {
-			case <-malformed:
-			case <-time.After(2 * time.Second):
-				t.Fatal("OnMalformed not invoked")
 			}
 			select {
 			case <-disconnected:
@@ -344,8 +340,9 @@ func TestSendQueueBackpressure(t *testing.T) {
 
 func TestPeerByteAndMessageCounters(t *testing.T) {
 	got := make(chan wire.Message, 4)
+	var calls atomic.Int32
 	server, client, cleanup := pair(t,
-		Config{OnMessage: func(p *Peer, msg wire.Message, _ int) { got <- msg }},
+		Config{OnMessage: func(p *Peer, msg wire.Message, _ int) { calls.Add(1); got <- msg }},
 		Config{})
 	defer cleanup()
 
@@ -361,8 +358,8 @@ func TestPeerByteAndMessageCounters(t *testing.T) {
 			t.Fatal("message not delivered")
 		}
 	}
-	if server.MessagesReceived() != 3 {
-		t.Errorf("MessagesReceived = %d", server.MessagesReceived())
+	if n := calls.Load(); n != 3 {
+		t.Errorf("OnMessage calls = %d, want 3", n)
 	}
 	// A framed ping is 24 header + 8 payload bytes.
 	if want := uint64(3 * (24 + 8)); server.BytesReceived() != want {

@@ -64,11 +64,11 @@ func TestExportImportRoundTripAcrossShardCounts(t *testing.T) {
 
 func TestImportPreservesGroupPointerIdentity(t *testing.T) {
 	clock := newVirtualClock()
-	src := New(Config{Clock: clock, GroupBudget: 40, GroupBanDuration: time.Hour})
+	src := New(Config{Clock: clock, GroupBudget: 40})
 	id := core.PeerID("203.0.113.7:8333")
 	src.Penalize(id, 50) // over budget → group banned
 
-	dst := New(Config{Clock: clock, GroupBudget: 40, GroupBanDuration: time.Hour})
+	dst := New(Config{Clock: clock, GroupBudget: 40})
 	dst.ImportState(src.ExportState())
 
 	// The restored peer's cached group pointer must be the same record

@@ -26,7 +26,6 @@ package reputation
 
 import (
 	"math"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -44,9 +43,9 @@ const (
 	// DefaultHalfLife is the misbehavior decay half-life.
 	DefaultHalfLife = 10 * time.Minute
 
-	// DefaultTrustCap bounds accumulated trust so long-lived peers cannot
-	// bank unlimited immunity.
-	DefaultTrustCap = 100
+	// TrustCap bounds accumulated trust so long-lived peers cannot bank
+	// unlimited immunity.
+	TrustCap = 100
 
 	// DefaultPeerContributionCap is the most misbehavior one identity can
 	// charge its netgroup at any instant.
@@ -60,8 +59,8 @@ const (
 	// probation.
 	DefaultProbationFraction = 0.5
 
-	// DefaultGroupBanDuration bounds a collective netgroup ban.
-	DefaultGroupBanDuration = time.Hour
+	// GroupBanDuration bounds a collective netgroup ban.
+	GroupBanDuration = time.Hour
 )
 
 // Trust credit weights for the useful-work classes the node reports.
@@ -137,9 +136,6 @@ type Config struct {
 	// HalfLife of misbehavior decay. Zero selects DefaultHalfLife.
 	HalfLife time.Duration
 
-	// TrustCap bounds per-peer trust. Zero selects DefaultTrustCap.
-	TrustCap float64
-
 	// PeerContributionCap bounds one identity's instantaneous charge
 	// against its netgroup. Zero selects DefaultPeerContributionCap.
 	PeerContributionCap float64
@@ -148,19 +144,11 @@ type Config struct {
 	// DefaultGroupBudget.
 	GroupBudget float64
 
-	// GroupBanDuration of a collective netgroup ban. Zero selects
-	// DefaultGroupBanDuration.
-	GroupBanDuration time.Duration
-
 	// ShardCount overrides the lock-shard count (rounded up to a power of
 	// two). Zero selects a GOMAXPROCS-scaled default. Scores are
 	// shard-count independent; this exists for determinism tests and
 	// benchmarks.
 	ShardCount int
-
-	// OnGroupBan, if set, is invoked — outside all engine locks — when a
-	// penalty pushes a netgroup over its budget.
-	OnGroupBan func(group string, pressure float64)
 
 	// Recorder, if set, receives the engine's durable event stream: one
 	// PenaltyRecord per Penalize (emitted under the group mutex, after
@@ -178,17 +166,11 @@ func (c *Config) fillDefaults() {
 	if c.HalfLife == 0 {
 		c.HalfLife = DefaultHalfLife
 	}
-	if c.TrustCap == 0 {
-		c.TrustCap = DefaultTrustCap
-	}
 	if c.PeerContributionCap == 0 {
 		c.PeerContributionCap = DefaultPeerContributionCap
 	}
 	if c.GroupBudget == 0 {
 		c.GroupBudget = DefaultGroupBudget
-	}
-	if c.GroupBanDuration == 0 {
-		c.GroupBanDuration = DefaultGroupBanDuration
 	}
 }
 
@@ -280,7 +262,7 @@ type Engine struct {
 // New builds an Engine.
 func New(cfg Config) *Engine {
 	cfg.fillDefaults()
-	n := shardCount(cfg.ShardCount)
+	n := core.PickShardCount(cfg.ShardCount)
 	e := &Engine{
 		cfg:         cfg,
 		invHalfLife: 1 / cfg.HalfLife.Seconds(),
@@ -323,21 +305,12 @@ func (e *Engine) decay(v float64, from, to time.Time) float64 {
 	return v * math.Exp2(-dt*e.invHalfLife)
 }
 
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
 func (e *Engine) peerShard(id core.PeerID) *peerShard {
-	return &e.peers[fnv32(string(id))&e.pmask]
+	return &e.peers[core.ShardHash(id)&e.pmask]
 }
 
 func (e *Engine) groupShard(key string) *groupShard {
-	return &e.groups[fnv32(key)&e.gmask]
+	return &e.groups[core.ShardHash(core.PeerID(key))&e.gmask]
 }
 
 // peer returns the identity's state, creating it (and its netgroup) on
@@ -423,7 +396,7 @@ func (e *Engine) Penalize(id core.PeerID, weight int) PenaltyResult {
 		g.identities++
 	}
 	if g.pressure >= e.cfg.GroupBudget && now.After(g.bannedUntil) {
-		g.bannedUntil = now.Add(e.cfg.GroupBanDuration)
+		g.bannedUntil = now.Add(GroupBanDuration)
 		g.bans++
 		justBanned = true
 	}
@@ -452,9 +425,6 @@ func (e *Engine) Penalize(id core.PeerID, weight int) PenaltyResult {
 	e.penalties.Add(1)
 	if justBanned {
 		e.groupBans.Add(1)
-		if e.cfg.OnGroupBan != nil {
-			e.cfg.OnGroupBan(g.key, res.GroupPressure)
-		}
 	}
 	return res
 }
@@ -467,8 +437,8 @@ func (e *Engine) Credit(id core.PeerID, weight int) float64 {
 	s := e.peerShard(id)
 	s.mu.Lock()
 	p.trust += float64(weight)
-	if p.trust > e.cfg.TrustCap {
-		p.trust = e.cfg.TrustCap
+	if p.trust > TrustCap {
+		p.trust = TrustCap
 	}
 	p.credits++
 	t := p.trust
@@ -660,25 +630,4 @@ func (e *Engine) TrackedGroups() (total, probation, banned int) {
 		s.mu.Unlock()
 	}
 	return total, probation, banned
-}
-
-// shardCount resolves the configured shard count: the requested value
-// rounded up to a power of two, or a GOMAXPROCS-scaled default clamped to
-// [8, 256] (the same envelope as the core tracker's shards).
-func shardCount(requested int) int {
-	n := requested
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0) * 4
-	}
-	if n < 8 {
-		n = 8
-	}
-	if n > 256 {
-		n = 256
-	}
-	c := 1
-	for c < n {
-		c <<= 1
-	}
-	return c
 }

@@ -1,8 +1,7 @@
 // Package stats provides the small statistical toolkit the paper's
 // measurements and detection engine rely on: mean/stddev/95% confidence
-// intervals for attack measurements, Pearson correlation for the
-// message-count-distribution feature Λ, and rolling rate windows for the
-// message-rate feature n and reconnection-rate feature c.
+// intervals for attack measurements and Pearson correlation for the
+// message-count-distribution feature Λ.
 package stats
 
 import (

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -149,49 +148,5 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Error("empty summary string")
-	}
-}
-
-func TestRateWindow(t *testing.T) {
-	w := NewRateWindow(10 * time.Minute)
-	base := time.Unix(1700000000, 0)
-	for i := 0; i < 30; i++ {
-		w.Add(base.Add(time.Duration(i) * time.Second))
-	}
-	now := base.Add(30 * time.Second)
-	if got := w.Count(now); got != 30 {
-		t.Errorf("Count = %d, want 30", got)
-	}
-	if got := w.PerMinute(now); !almostEqual(got, 3, 1e-12) {
-		t.Errorf("PerMinute = %v, want 3", got)
-	}
-	// Advance past the window: everything expires.
-	later := base.Add(11 * time.Minute)
-	if got := w.Count(later); got != 0 {
-		t.Errorf("Count after expiry = %d, want 0", got)
-	}
-}
-
-func TestRateWindowPartialExpiry(t *testing.T) {
-	w := NewRateWindow(time.Minute)
-	base := time.Unix(1700000000, 0)
-	w.Add(base)
-	w.Add(base.Add(30 * time.Second))
-	w.Add(base.Add(90 * time.Second))
-	if got := w.Count(base.Add(90 * time.Second)); got != 2 {
-		t.Errorf("Count = %d, want 2 (first event expired)", got)
-	}
-}
-
-func TestRateWindowReset(t *testing.T) {
-	w := NewRateWindow(time.Minute)
-	now := time.Unix(1700000000, 0)
-	w.Add(now)
-	w.Reset()
-	if w.Count(now) != 0 {
-		t.Error("Reset did not clear events")
-	}
-	if w.Span() != time.Minute {
-		t.Errorf("Span = %v", w.Span())
 	}
 }

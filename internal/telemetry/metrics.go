@@ -69,14 +69,6 @@ var bucketBounds = func() [HistogramBuckets]float64 {
 	return b
 }()
 
-// BucketBounds returns the histogram's finite upper bounds, ascending. The
-// final +Inf bucket is implicit.
-func BucketBounds() []float64 {
-	out := make([]float64, HistogramBuckets)
-	copy(out, bucketBounds[:])
-	return out
-}
-
 // bucketIndex returns the finite bucket for v, or -1 when v exceeds every
 // finite bound (counted only by the implicit +Inf bucket).
 func bucketIndex(v float64) int {
@@ -132,7 +124,7 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()
 // HistogramSnapshot is a point-in-time copy of a histogram.
 type HistogramSnapshot struct {
 	// Buckets holds per-bucket (non-cumulative) observation counts,
-	// parallel to BucketBounds. Observations above the last finite bound
+	// parallel to bucketBounds. Observations above the last finite bound
 	// appear only in Count.
 	Buckets [HistogramBuckets]uint64
 	Count   uint64

@@ -79,7 +79,7 @@ func TestBucketIndex(t *testing.T) {
 		}
 	}
 	// Every finite bound must land in its own bucket.
-	for i, bound := range BucketBounds() {
+	for i, bound := range bucketBounds {
 		if got := bucketIndex(bound); got != i {
 			t.Errorf("bucketIndex(bound %v) = %d, want %d", bound, got, i)
 		}

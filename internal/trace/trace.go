@@ -154,13 +154,6 @@ func (t *Tracer) Enable() {
 	}
 }
 
-// Disable disarms the tracer; retained spans stay queryable.
-func (t *Tracer) Disable() {
-	if t != nil {
-		t.enabled.Store(false)
-	}
-}
-
 // Armed reports whether the tracer exists and is enabled — the single
 // atomic load the hot path pays when tracing is off.
 func (t *Tracer) Armed() bool { return t != nil && t.enabled.Load() }

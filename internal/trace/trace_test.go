@@ -18,7 +18,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 		t.Error("nil tracer armed")
 	}
 	tr.Enable()
-	tr.Disable()
 	tr.Reset()
 	tr.Instrument(telemetry.NewRegistry())
 	if ctx := tr.Sample(); ctx != nil {

@@ -57,65 +57,36 @@ func DefaultProfile() Profile {
 // band τ_n = [252, 390].
 const DefaultRatePerMinute = 320.0
 
-// Generator produces deterministic synthetic traffic.
+// Generator produces deterministic synthetic traffic: DefaultProfile's mix
+// at DefaultRatePerMinute.
 type Generator struct {
-	rng     *rand.Rand
-	profile Profile
-	rate    float64 // messages per minute
+	rng *rand.Rand
 
 	// cumulative distribution over commands.
 	cmds []string
 	cdf  []float64
 }
 
-// Option configures a Generator.
-type Option func(*Generator)
-
-// WithProfile overrides the message mix.
-func WithProfile(p Profile) Option {
-	return func(g *Generator) { g.profile = p }
-}
-
-// WithRate overrides the mean arrival rate (messages per minute).
-func WithRate(perMinute float64) Option {
-	return func(g *Generator) { g.rate = perMinute }
-}
-
 // NewGenerator returns a deterministic generator for the given seed.
-func NewGenerator(seed int64, opts ...Option) *Generator {
-	g := &Generator{
-		rng:     rand.New(rand.NewSource(seed)),
-		profile: DefaultProfile(),
-		rate:    DefaultRatePerMinute,
+func NewGenerator(seed int64) *Generator {
+	profile := DefaultProfile()
+	g := &Generator{rng: rand.New(rand.NewSource(seed))}
+	for cmd := range profile {
+		g.cmds = append(g.cmds, cmd)
 	}
-	for _, opt := range opts {
-		opt(g)
-	}
-	g.buildCDF()
-	return g
-}
-
-func (g *Generator) buildCDF() {
-	cmds := make([]string, 0, len(g.profile))
-	for cmd := range g.profile {
-		cmds = append(cmds, cmd)
-	}
-	sort.Strings(cmds)
+	sort.Strings(g.cmds)
 	total := 0.0
-	for _, cmd := range cmds {
-		total += g.profile[cmd]
+	for _, cmd := range g.cmds {
+		total += profile[cmd]
 	}
-	g.cmds = cmds
-	g.cdf = make([]float64, len(cmds))
+	g.cdf = make([]float64, len(g.cmds))
 	acc := 0.0
-	for i, cmd := range cmds {
-		acc += g.profile[cmd] / total
+	for i, cmd := range g.cmds {
+		acc += profile[cmd] / total
 		g.cdf[i] = acc
 	}
+	return g
 }
-
-// Rate returns the configured mean rate in messages per minute.
-func (g *Generator) Rate() float64 { return g.rate }
 
 // sampleCmd draws a command from the profile.
 func (g *Generator) sampleCmd() string {
@@ -129,7 +100,7 @@ func (g *Generator) sampleCmd() string {
 
 // Events generates a Poisson arrival stream covering [start, start+d).
 func (g *Generator) Events(start time.Time, d time.Duration) []Event {
-	perSecond := g.rate / 60.0
+	perSecond := DefaultRatePerMinute / 60.0
 	var events []Event
 	at := start
 	end := start.Add(d)

@@ -394,8 +394,7 @@ func TestWriteRawMessageChecksumIsCorrectByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	var want [4]byte
-	copy(want[:], chainhash.DoubleHashB(payload)[:4])
+	want := chainhash.Checksum4(payload)
 	var got [4]byte
 	copy(got[:], raw[20:24])
 	if got != want {

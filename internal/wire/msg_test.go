@@ -295,21 +295,14 @@ func TestTxWitnessRoundTrip(t *testing.T) {
 	if !out.HasWitness() || len(out.TxIn[0].Witness) != 2 {
 		t.Fatalf("witness lost in round trip: %+v", out.TxIn[0].Witness)
 	}
-	if out.TxHash() != in.TxHash() {
+	if out.TxHash() != in.TxHash() || in.TxHash() != testTx(3).TxHash() {
 		t.Error("txid must exclude witness data")
-	}
-	if out.WitnessHash() == out.TxHash() {
-		t.Error("wtxid should differ from txid when witness present")
-	}
-	noWit := testTx(3)
-	if noWit.WitnessHash() != noWit.TxHash() {
-		t.Error("wtxid should equal txid without witness")
 	}
 }
 
-// TestHashesAllocateNothing holds the three hashers to their pooled
-// scratch buffer: each serializes into a GetBuf and must Release it, or
-// every txid, wtxid and block hash the node computes costs an allocation.
+// TestHashesAllocateNothing holds the two hashers to their pooled scratch
+// buffer: each serializes into a GetBuf and must Release it, or every txid
+// and block hash the node computes costs an allocation.
 // A dropped Release is invisible to the analyzer here (the buffer is
 // handed to encode first) and to every functional test.
 func TestHashesAllocateNothing(t *testing.T) {
@@ -321,9 +314,8 @@ func TestHashesAllocateNothing(t *testing.T) {
 	tx.TxIn[0].Witness = TxWitness{[]byte{1, 2, 3}}
 	hdr := testHeader(1)
 	for name, hash := range map[string]func(){
-		"TxHash":      func() { tx.TxHash() },
-		"WitnessHash": func() { tx.WitnessHash() },
-		"BlockHash":   func() { hdr.BlockHash() },
+		"TxHash":    func() { tx.TxHash() },
+		"BlockHash": func() { hdr.BlockHash() },
 	} {
 		if allocs := testing.AllocsPerRun(100, hash); allocs != 0 {
 			t.Errorf("%s allocates %v times per call, want 0", name, allocs)
@@ -556,16 +548,8 @@ func TestNetAddressServices(t *testing.T) {
 	if !na.HasService(SFNodeNetwork) {
 		t.Error("expected SFNodeNetwork")
 	}
-	na.AddService(SFNodeBloom)
-	if !na.HasService(SFNodeBloom) {
-		t.Error("AddService failed")
-	}
-}
-
-func TestNewNetAddressFromTCPAddr(t *testing.T) {
-	na := NewNetAddress(&net.TCPAddr{IP: net.IPv4(9, 8, 7, 6), Port: 1234}, SFNodeNetwork)
-	if !na.IP.Equal(net.IPv4(9, 8, 7, 6)) || na.Port != 1234 {
-		t.Errorf("NewNetAddress = %v:%d", na.IP, na.Port)
+	if na.HasService(SFNodeBloom) || na.HasService(SFNodeNetwork|SFNodeBloom) {
+		t.Error("SFNodeBloom reported but not advertised")
 	}
 }
 

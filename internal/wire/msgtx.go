@@ -159,15 +159,9 @@ func (msg *MsgTx) HasWitness() bool {
 
 // TxHash computes the transaction id: the double-SHA256 of the transaction
 // serialized without witness data.
-func (msg *MsgTx) TxHash() chainhash.Hash { return msg.hash(false) }
-
-// WitnessHash computes wtxid: the double-SHA256 including witness data. For
-// transactions without witnesses this equals TxHash.
-func (msg *MsgTx) WitnessHash() chainhash.Hash { return msg.hash(true) }
-
-func (msg *MsgTx) hash(withWitness bool) chainhash.Hash {
+func (msg *MsgTx) TxHash() chainhash.Hash {
 	buf := GetBuf(0)
-	msg.encode(buf, withWitness)
+	msg.encode(buf, false)
 	h := chainhash.DoubleHashH(buf.Bytes())
 	buf.Release()
 	return h

@@ -28,11 +28,6 @@ func (na *NetAddress) HasService(service ServiceFlag) bool {
 	return na.Services&service == service
 }
 
-// AddService adds a service to the advertised set.
-func (na *NetAddress) AddService(service ServiceFlag) {
-	na.Services |= service
-}
-
 // NewNetAddressIPPort returns a NetAddress with the current fields set and a
 // zero timestamp (callers stamping ADDR entries set Timestamp themselves).
 func NewNetAddressIPPort(ip net.IP, port uint16, services ServiceFlag) *NetAddress {
@@ -41,11 +36,6 @@ func NewNetAddressIPPort(ip net.IP, port uint16, services ServiceFlag) *NetAddre
 		IP:       ip,
 		Port:     port,
 	}
-}
-
-// NewNetAddress converts a net.TCPAddr into a NetAddress.
-func NewNetAddress(addr *net.TCPAddr, services ServiceFlag) *NetAddress {
-	return NewNetAddressIPPort(addr.IP, uint16(addr.Port), services)
 }
 
 // maxNetAddressPayload is the wire size of a NetAddress with timestamp.
