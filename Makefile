@@ -1,12 +1,12 @@
-# Developer entry points. `make check` is the merge gate: vet, banlint, the
-# docs reference check, build, the full test suite under the race
+# Developer entry points. `make check` is the merge gate: vet, the static
+# checks, the docs reference check, build, the full test suite under the race
 # detector, and the telemetry hot-path benchmarks (one iteration — enough
 # to catch a broken or regressing instrumentation path without
 # benchmarking noise in CI).
 
 GO ?= go
 
-.PHONY: check docs-check vet lint lint-json lint-sarif loc build benchmark-module test race bench bench-telemetry bench-trace bench-gate bench-baseline test-poolpoison fuzz-short chaos chaos-short chaos-crash fleet-short swarm-smoke swarm-full
+.PHONY: check docs-check vet lint loc build benchmark-module test race bench bench-telemetry bench-trace bench-gate bench-baseline test-poolpoison fuzz-short chaos chaos-short chaos-crash fleet-short swarm-smoke swarm-full
 
 check: vet lint docs-check build benchmark-module race test-poolpoison bench-telemetry bench-trace
 
@@ -18,31 +18,26 @@ vet:
 
 # README.md and DESIGN.md against the tree: every backticked `make` target
 # and repository path they name must exist, their analyzer lists must
-# name exactly the analyzers banlint runs, and every cmd/experiments command
+# name exactly the checks internal/lint runs, and every cmd/experiments command
 # line in the docs, this Makefile, CI and the verify skill must use only
 # flags and experiment names the command has (docs_test.go).
 docs-check:
 	$(GO) test -count=1 -run '^Test(Doc(References|AnalyzerLists)|ExperimentsCommandLines)$$' .
 
-# banlint: the repository's own analyzer suite (internal/lint). Zero
-# findings is a merge requirement; waivers need //lint:allow with a reason.
+# The repository's static checks (internal/lint) over every package, the
+# benchmark module included: one test. Zero findings is a merge
+# requirement; waivers need //lint:allow with a reason.
 lint:
-	$(GO) run ./cmd/banlint ./...
+	$(GO) test -count=1 -run '^TestRepoIsLintClean$$' ./internal/lint/
 
 # The two numbers the simplification round is judged on: non-test lines of
 # Go under internal/, cmd/ and the facade, and the //lint:allow waivers in
-# force (the linter's own sources only mention the directive).
+# force (internal/lint, which parses the directive, only mentions it).
 LOC_FILES = git ls-files 'internal/*.go' 'cmd/*.go' banscore.go | grep -v -e '_test\.go$$' -e '/testdata/'
 
 loc:
 	@printf 'non-test lines: '; $(LOC_FILES) | xargs cat | wc -l
 	@printf '//lint:allow waivers: '; $(LOC_FILES) | grep -v '^internal/lint/' | xargs cat | grep -c '//lint:allow [a-z]*('
-
-lint-json:
-	$(GO) run ./cmd/banlint -json ./...
-
-lint-sarif:
-	$(GO) run ./cmd/banlint -sarif banlint.sarif ./...
 
 build:
 	$(GO) build ./...

@@ -14,7 +14,7 @@ import (
 	"testing"
 
 	"banscore/internal/experiments"
-	"banscore/internal/lint/banlint"
+	"banscore/internal/lint"
 )
 
 var (
@@ -113,17 +113,14 @@ func TestDocReferences(t *testing.T) {
 	}
 }
 
-// TestDocAnalyzerLists holds the two places that list banlint's analyzers
-// to the suite itself, so a deleted analyzer cannot linger in the docs and
-// a new one cannot go unlisted: each table in DESIGN.md §8 names exactly
-// banlint.Analyzers() (a row whose last cell starts with "**deleted**" is
+// TestDocAnalyzerLists holds the two places that list the static checks
+// to the suite itself, so a deleted check cannot linger in the docs and a
+// new one cannot go unlisted: each table in DESIGN.md §8 names exactly
+// lint.Checks() (a row whose last cell starts with "**deleted**" is
 // history, not a claim), and README.md's "N analyzers run:" list names
 // them all, N spelled out. `make docs-check` runs it.
 func TestDocAnalyzerLists(t *testing.T) {
-	var want []string
-	for _, a := range banlint.Analyzers() {
-		want = append(want, a.Name)
-	}
+	want := lint.Checks()
 	slices.Sort(want)
 
 	design, err := os.ReadFile("DESIGN.md")
@@ -151,7 +148,7 @@ func TestDocAnalyzerLists(t *testing.T) {
 		tables++
 		slices.Sort(got)
 		if !slices.Equal(got, want) {
-			t.Errorf("DESIGN.md §8 table lists analyzers %v, banlint runs %v", got, want)
+			t.Errorf("DESIGN.md §8 table lists analyzers %v, internal/lint runs %v", got, want)
 		}
 	}
 	if tables == 0 {
@@ -177,7 +174,7 @@ func TestDocAnalyzerLists(t *testing.T) {
 	slices.Sort(got)
 	words := []string{"zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten", "eleven", "twelve"}
 	if !slices.Equal(got, want) || (len(want) < len(words) && count != words[len(want)]) {
-		t.Errorf("README.md says %s analyzers run, lists %v; banlint runs %d: %v", count, got, len(want), want)
+		t.Errorf("README.md says %s analyzers run, lists %v; internal/lint runs %d: %v", count, got, len(want), want)
 	}
 }
 

@@ -31,13 +31,6 @@ func (h Hash) String() string {
 	return hex.EncodeToString(h[:])
 }
 
-// CloneBytes returns a copy of the hash bytes in wire (little-endian) order.
-func (h *Hash) CloneBytes() []byte {
-	out := make([]byte, HashSize)
-	copy(out, h[:])
-	return out
-}
-
 // DoubleHashH returns SHA-256(SHA-256(b)) as a Hash.
 func DoubleHashH(b []byte) Hash {
 	first := sha256.Sum256(b)

@@ -21,15 +21,6 @@ func TestHashString(t *testing.T) {
 	}
 }
 
-func TestCloneBytesIndependent(t *testing.T) {
-	h := DoubleHashH([]byte("x"))
-	c := h.CloneBytes()
-	c[0] ^= 0xff
-	if bytes.Equal(c, h[:]) {
-		t.Error("CloneBytes aliases the hash storage")
-	}
-}
-
 func TestDoubleHashKnownVector(t *testing.T) {
 	// SHA256d("hello") is a well-known vector.
 	got := DoubleHashH([]byte("hello"))

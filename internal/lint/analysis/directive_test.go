@@ -1,196 +1,139 @@
+// Package analysis holds the tests of the //lint:allow waiver rules of
+// package lint, and of the path-segment scopes of its checks.
 package analysis
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
+	"cmp"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"banscore/internal/lint"
 )
 
-func parseSrc(t *testing.T, src string) (*token.FileSet, *ast.File) {
-	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "fixture.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatalf("parse fixture: %v", err)
-	}
-	return fset, f
-}
-
-// lineOf finds the 1-based line of the first occurrence of needle.
-func lineOf(t *testing.T, src, needle string) int {
-	t.Helper()
-	idx := strings.Index(src, needle)
-	if idx < 0 {
-		t.Fatalf("needle %q not in fixture", needle)
-	}
-	return 1 + strings.Count(src[:idx], "\n")
-}
+const now = "_ = time.Now()"
 
 func TestTrailingDirectiveTargetsOwnLine(t *testing.T) {
-	src := `package p
-
-func f() {
-	work() //lint:allow wallclock(reasoned waiver)
-}
-`
-	fset, f := parseSrc(t, src)
-	sup, diags := ParseDirectives(fset, []*ast.File{f})
-	if len(diags) != 0 {
-		t.Fatalf("unexpected directive diagnostics: %v", diags)
-	}
-	line := lineOf(t, src, "work()")
-	if !sup.index[suppressionKey{file: "fixture.go", line: line, analyzer: "wallclock"}] {
-		t.Errorf("trailing directive should waive wallclock on its own line %d", line)
-	}
+	expectTree(t, map[string]string{"simnet/a.go": inFunc(
+		now+" //lint:allow wallclock(reasoned waiver)",
+		now)},
+		"simnet/a.go:7 wallclock: time.Now reads the ambient clock")
 }
 
+// TestStandaloneDirectiveTargetsNextLine puts the waiver on a comment-only
+// line inside a function, which the function's node spans: it must still
+// target the next line, not its own.
 func TestStandaloneDirectiveTargetsNextLine(t *testing.T) {
-	// The directive sits on a comment-only line INSIDE a multi-line
-	// function — the case where marking whole node spans as code lines
-	// would wrongly make it a trailing directive.
-	src := `package p
-
-func f() {
-	prep()
-	//lint:allow gospawn(reasoned waiver)
-	work()
-}
-`
-	fset, f := parseSrc(t, src)
-	sup, diags := ParseDirectives(fset, []*ast.File{f})
-	if len(diags) != 0 {
-		t.Fatalf("unexpected directive diagnostics: %v", diags)
-	}
-	line := lineOf(t, src, "work()")
-	key := suppressionKey{file: "fixture.go", line: line, analyzer: "gospawn"}
-	if !sup.index[key] {
-		t.Errorf("stand-alone directive should waive gospawn on the next line %d", line)
-	}
-	own := suppressionKey{file: "fixture.go", line: line - 1, analyzer: "gospawn"}
-	if sup.index[own] {
-		t.Errorf("stand-alone directive must not waive its own comment line %d", line-1)
-	}
+	expectTree(t, map[string]string{"simnet/a.go": inFunc(
+		now,
+		"//lint:allow wallclock(reasoned waiver)",
+		now,
+		now)},
+		"simnet/a.go:6 wallclock", "simnet/a.go:9 wallclock")
 }
 
+// TestMalformedDirectives: a waiver with no check name, no reason, an
+// unclosed reason or a name of two words is a finding and excuses nothing.
 func TestMalformedDirectives(t *testing.T) {
-	cases := []string{
-		"//lint:allow",
-		"//lint:allow wallclock",
-		"//lint:allow wallclock()",
-		"//lint:allow wallclock(  )",
-		"//lint:allow (no name)",
-		"//lint:allow two words(reason)",
-		"//lint:allow wallclock(unclosed",
+	var want []string
+	for line := 6; line <= 12; line++ {
+		want = append(want,
+			fmt.Sprintf("simnet/a.go:%d lintdirective: malformed lint:allow directive", line),
+			fmt.Sprintf("simnet/a.go:%d wallclock", line))
 	}
-	for _, comment := range cases {
-		src := "package p\n\nfunc f() {\n\twork() " + comment + "\n}\n"
-		fset, f := parseSrc(t, src)
-		sup, diags := ParseDirectives(fset, []*ast.File{f})
-		if len(diags) != 1 {
-			t.Errorf("%q: want 1 malformed-directive diagnostic, got %d", comment, len(diags))
-			continue
-		}
-		if diags[0].Analyzer != DirectiveAnalyzerName {
-			t.Errorf("%q: diagnostic analyzer = %q, want %q", comment, diags[0].Analyzer, DirectiveAnalyzerName)
-		}
-		if len(sup.index) != 0 {
-			t.Errorf("%q: malformed directive must waive nothing, got %v", comment, sup.index)
-		}
-	}
+	expectTree(t, map[string]string{"simnet/a.go": inFunc(
+		now+" //lint:allow",
+		now+" //lint:allow wallclock",
+		now+" //lint:allow wallclock()",
+		now+" //lint:allow wallclock(  )",
+		now+" //lint:allow (no name)",
+		now+" //lint:allow two words(reason)",
+		now+" //lint:allow wallclock(unclosed")},
+		want...)
 }
 
 func TestUnrelatedCommentsIgnored(t *testing.T) {
-	src := `package p
-
-// lint:allow spaced(out) is not a directive.
-//lint:allowother(x) runs the prefix into another word.
-func f() {}
-`
-	fset, f := parseSrc(t, src)
-	sup, diags := ParseDirectives(fset, []*ast.File{f})
-	if len(diags) != 0 || len(sup.index) != 0 {
-		t.Errorf("non-directive comments produced diags=%v index=%v", diags, sup.index)
-	}
+	expectTree(t, map[string]string{"simnet/a.go": inFunc(
+		now+" //lint:allowwallclock(prefix runs into another word)",
+		now+" // lint:allow wallclock(spaced out)")},
+		"simnet/a.go:6 wallclock", "simnet/a.go:7 wallclock")
 }
 
+// TestSuppressedMatchesAnalyzerAndLine: a waiver excuses only the check it
+// names, on its target line, and no waiver can name the audit itself.
 func TestSuppressedMatchesAnalyzerAndLine(t *testing.T) {
-	src := `package p
-
-func f() {
-	work() //lint:allow wallclock(reasoned waiver)
-}
-`
-	fset, f := parseSrc(t, src)
-	sup, diags := ParseDirectives(fset, []*ast.File{f})
-	if len(diags) != 0 {
-		t.Fatalf("unexpected directive diagnostics: %v", diags)
-	}
-	pos := posOnLine(t, fset, f, lineOf(t, src, "work()"))
-	if !sup.Suppressed(fset, Diagnostic{Pos: pos, Analyzer: "wallclock"}) {
-		t.Error("named analyzer on the target line should be suppressed")
-	}
-	if sup.Suppressed(fset, Diagnostic{Pos: pos, Analyzer: "gospawn"}) {
-		t.Error("a different analyzer must not be suppressed")
-	}
-	if sup.Suppressed(fset, Diagnostic{Pos: pos, Analyzer: DirectiveAnalyzerName}) {
-		t.Error("lintdirective diagnostics must never be suppressible")
-	}
+	expectTree(t, map[string]string{"simnet/a.go": inFunc(
+		"//lint:allow gospawn(names the wrong check)",
+		now,
+		now+" //lint:allow wallclock(waives this line only)",
+		"//lint:allow lintdirective(the audit's own findings)",
+		now+" //lint:allow")},
+		"simnet/a.go:6 lintdirective: stale lint:allow directive: gospawn reports no diagnostic on its target line",
+		"simnet/a.go:7 wallclock: time.Now reads the ambient clock",
+		`simnet/a.go:9 lintdirective: unknown check "lintdirective"`,
+		"simnet/a.go:10 lintdirective: malformed",
+		"simnet/a.go:10 wallclock")
 }
 
-// posOnLine returns some token position on the given line of the file.
-func posOnLine(t *testing.T, fset *token.FileSet, f *ast.File, line int) token.Pos {
-	t.Helper()
-	var found token.Pos
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil || found != token.NoPos {
-			return false
-		}
-		if fset.Position(n.Pos()).Line == line {
-			found = n.Pos()
-			return false
-		}
-		return true
-	})
-	if found == token.NoPos {
-		t.Fatalf("no node on line %d", line)
-	}
-	return found
+// TestUnknownCheckDirectives: a waiver that names no check is a finding,
+// and a misspelt one excuses nothing.
+func TestUnknownCheckDirectives(t *testing.T) {
+	expectTree(t, map[string]string{"simnet/a.go": inFunc(
+		"x := 1 //lint:allow nosuchcheck(waives nothing)",
+		"_ = x",
+		now+" //lint:allow wallclok(typo)")},
+		`simnet/a.go:6 lintdirective: unknown check "nosuchcheck" in lint:allow directive`,
+		`simnet/a.go:8 lintdirective: unknown check "wallclok" in lint:allow directive`,
+		"simnet/a.go:8 wallclock")
 }
 
+// TestHasPathSegment: a scoped check matches its scope against whole
+// segments of the package's path below the linted root.
 func TestHasPathSegment(t *testing.T) {
-	p := &Pass{PkgPath: "banscore/internal/simnet"}
-	for _, seg := range []string{"banscore", "internal", "simnet"} {
-		if !p.HasPathSegment(seg) {
-			t.Errorf("HasPathSegment(%q) = false, want true", seg)
-		}
+	files := map[string]string{}
+	for _, dir := range []string{"simnet", "internal/simnet", "wallclock/simnet/x", "simnet2", "sim/net", "internal/simnets"} {
+		files[dir+"/a.go"] = inFunc(now)
 	}
-	for _, seg := range []string{"sim", "net", "simnet2", "banscore/internal"} {
-		if p.HasPathSegment(seg) {
-			t.Errorf("HasPathSegment(%q) = true, want false", seg)
-		}
-	}
+	expectTree(t, files, "internal/simnet/a.go:6 wallclock", "simnet/a.go:6 wallclock", "wallclock/simnet/x/a.go:6 wallclock")
 }
 
-func TestImportName(t *testing.T) {
-	src := `package p
+// inFunc is a file whose function body holds lines, the first on line 6.
+func inFunc(lines ...string) string {
+	return "package p\n\nimport \"time\"\n\nfunc f() {\n\t" + strings.Join(lines, "\n\t") + "\n}\n"
+}
 
-import (
-	"time"
-	mrand "math/rand"
-	. "strings"
-)
-`
-	_, f := parseSrc(t, src)
-	for path, want := range map[string]string{
-		"time":      "time",
-		"math/rand": "mrand",
-		"strings":   ".",
-		"fmt":       "",
-	} {
-		if got := ImportName(f, path); got != want {
-			t.Errorf("ImportName(%q) = %q, want %q", path, got, want)
+// expectTree writes files under a fresh root and lints it. Written as
+// "file:line check: message", file relative to the root, in file, line and
+// check order, the findings must be as many as want, each starting with its
+// want.
+func expectTree(t *testing.T, files map[string]string, want ...string) {
+	t.Helper()
+	root := t.TempDir()
+	for name, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
 		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	found, err := lint.Lint(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.SortStableFunc(found, func(a, b lint.Finding) int {
+		return cmp.Or(cmp.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line), cmp.Compare(a.Check, b.Check))
+	})
+	ok, got := len(found) == len(want), make([]string, len(found))
+	for i, f := range found {
+		got[i] = fmt.Sprintf("%s:%d %s: %s", filepath.ToSlash(f.Pos.Filename[len(root)+1:]), f.Pos.Line, f.Check, f.Message)
+		ok = ok && strings.HasPrefix(got[i], want[i])
+	}
+	if !ok {
+		t.Errorf("findings:\n\t%s\nwant, as prefixes:\n\t%s", strings.Join(got, "\n\t"), strings.Join(want, "\n\t"))
 	}
 }

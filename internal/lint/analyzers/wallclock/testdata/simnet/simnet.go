@@ -67,12 +67,6 @@ func standalone() {
 	_ = time.Now() // want `time\.Now reads the ambient clock`
 }
 
-// wrongAnalyzer proves a waiver only silences the analyzer it names.
-func wrongAnalyzer() {
-	//lint:allow gospawn(fixture: names the wrong analyzer)
-	_ = time.Now() // want `time\.Now reads the ambient clock`
-}
-
 // malformed directives are themselves diagnostics and waive nothing.
 func malformed() {
 	_ = time.Now() //lint:allow // want `time\.Now reads the ambient clock` `malformed lint:allow directive: want //lint:allow <analyzer>\(<reason>\) with a non-empty reason`

@@ -1,44 +1,10 @@
-// Package errsentinel defines the banlint analyzer that forbids direct
-// comparison against sentinel error values.
-//
-// The repository's error taxonomy is built on wrapped sentinels:
-// peer.ErrSendQueueFull, node.ErrOutboundSlotsFull, simnet's injected
-// fault errors — all are classified by callers (the slot keeper's retry
-// policy, the chaos suite's assertions) and almost always arrive wrapped
-// by fmt.Errorf("%w", ...). A direct == or != against the sentinel
-// silently stops matching the moment any layer adds context, which is
-// exactly how the connection manager once misclassified a wrapped
-// ErrAlreadyConnected as a transient failure and kept redialing a filled
-// slot. errors.Is is the only comparison that survives wrapping, so this
-// analyzer reports:
-//
-//   - x == pkg.ErrFoo / x != ErrFoo, when the other operand looks like an
-//     error value (its name contains "err") and the sentinel is not a
-//     package-local constant (constant Err* values are error *codes* —
-//     e.g. blockchain.ErrorCode — and compare fine with ==),
-//   - err.Error() == "...", err.Error() != "...", and
-//     strings.Contains/HasPrefix/HasSuffix(err.Error(), ...): string
-//     matching on error text, which breaks on any message edit.
-//
-// Comparisons with nil are untouched (err == nil is the idiom).
-package errsentinel
+package lint
 
 import (
 	"go/ast"
 	"go/token"
 	"strings"
-
-	"banscore/internal/lint/analysis"
 )
-
-// Analyzer is the errsentinel check.
-var Analyzer = &analysis.Analyzer{
-	Name: "errsentinel",
-	Doc: "forbid ==/!= against sentinel errors and string matching on error text\n\n" +
-		"Sentinel errors in this repository arrive wrapped; only errors.Is " +
-		"matches them reliably. Error-text comparison is reported in all forms.",
-	Run: run,
-}
 
 // stringMatchFuncs are the strings-package predicates that, applied to
 // err.Error(), amount to error-text matching.
@@ -49,37 +15,64 @@ var stringMatchFuncs = map[string]bool{
 	"EqualFold": true,
 }
 
-func run(pass *analysis.Pass) error {
-	consts := packageConsts(pass.Files)
-	for _, file := range pass.Files {
-		stringsName := analysis.ImportName(file, "strings")
+// errsentinel forbids direct comparison against sentinel error values.
+//
+// The repository's error taxonomy is built on wrapped sentinels:
+// peer.ErrSendQueueFull, node.ErrOutboundSlotsFull, simnet's injected
+// fault errors — all are classified by callers (the slot keeper's retry
+// policy, the chaos suite's assertions) and almost always arrive wrapped
+// by fmt.Errorf("%w", ...). A direct == or != against the sentinel
+// silently stops matching the moment any layer adds context, which is
+// exactly how the connection manager once misclassified a wrapped
+// ErrAlreadyConnected as a transient failure and kept redialing a filled
+// slot. errors.Is is the only comparison that survives wrapping, so this
+// check reports:
+//
+//   - x == pkg.ErrFoo / x != ErrFoo, when the other operand looks like an
+//     error value (its name contains "err") and the sentinel is not a
+//     package-local constant (constant Err* values are error *codes* —
+//     e.g. blockchain.ErrorCode — and compare fine with ==),
+//   - err.Error() == "...", err.Error() != "...", and
+//     strings.Contains/HasPrefix/HasSuffix/EqualFold(err.Error(), ...):
+//     string matching on error text, which breaks on any message edit.
+//
+// Comparisons with nil are untouched (err == nil is the idiom).
+func errsentinel(fset *token.FileSet, files []*ast.File, _ string) []Finding {
+	consts := packageConsts(files)
+	var out []Finding
+	for _, file := range files {
+		stringsName := ImportName(file, "strings")
 		ast.Inspect(file, func(n ast.Node) bool {
+			var msg string
 			switch e := n.(type) {
 			case *ast.BinaryExpr:
-				checkComparison(pass, consts, e)
+				msg = checkComparison(consts, e)
 			case *ast.CallExpr:
-				checkStringsCall(pass, stringsName, e)
+				msg = checkStringsCall(stringsName, e)
+			}
+			if msg != "" {
+				out = append(out, at(fset, n.Pos(), "%s", msg))
 			}
 			return true
 		})
 	}
-	return nil
+	return out
 }
 
-// checkComparison reports sentinel and error-text comparisons.
-func checkComparison(pass *analysis.Pass, consts map[string]bool, e *ast.BinaryExpr) {
+// checkComparison describes a sentinel or error-text comparison, or
+// returns "".
+func checkComparison(consts map[string]bool, e *ast.BinaryExpr) string {
 	if e.Op != token.EQL && e.Op != token.NEQ {
-		return
+		return ""
 	}
 	if isNil(e.X) || isNil(e.Y) {
-		return
+		return ""
 	}
 
 	// err.Error() == "..." in either orientation.
 	for _, pair := range [2][2]ast.Expr{{e.X, e.Y}, {e.Y, e.X}} {
 		if isErrorTextCall(pair[0]) && isStringLit(pair[1]) {
-			pass.Reportf(e.Pos(), "comparing err.Error() text breaks on any message edit; match the sentinel with errors.Is")
-			return
+			return "comparing err.Error() text breaks on any message edit; match the sentinel with errors.Is"
 		}
 	}
 
@@ -97,34 +90,32 @@ func checkComparison(pass *analysis.Pass, consts map[string]bool, e *ast.BinaryE
 		if !looksLikeErrorValue(pair[1]) {
 			continue
 		}
-		op := "=="
-		if e.Op == token.NEQ {
-			op = "!="
-		}
-		pass.Reportf(e.Pos(), "%s %s against sentinel %s misses wrapped errors; use errors.Is", op, describe(pair[1]), name)
-		return
+		return e.Op.String() + " " + describe(pair[1]) + " against sentinel " + name + " misses wrapped errors; use errors.Is"
 	}
+	return ""
 }
 
-// checkStringsCall reports strings.Contains(err.Error(), ...) and friends.
-func checkStringsCall(pass *analysis.Pass, stringsName string, call *ast.CallExpr) {
+// checkStringsCall describes strings.Contains(err.Error(), ...) and
+// friends, or returns "".
+func checkStringsCall(stringsName string, call *ast.CallExpr) string {
 	if stringsName == "" {
-		return
+		return ""
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !stringMatchFuncs[sel.Sel.Name] {
-		return
+		return ""
 	}
 	base, ok := sel.X.(*ast.Ident)
 	if !ok || base.Name != stringsName {
-		return
+		return ""
 	}
 	for _, arg := range call.Args {
 		if isErrorTextCall(arg) {
-			pass.Reportf(call.Pos(), "matching err.Error() text with strings.%s breaks on any message edit; use errors.Is (or errors.As for typed errors)", sel.Sel.Name)
-			return
+			return "matching err.Error() text with strings." + sel.Sel.Name +
+				" breaks on any message edit; use errors.Is (or errors.As for typed errors)"
 		}
 	}
+	return ""
 }
 
 // sentinelName recognizes an Err-prefixed identifier or selector and
@@ -146,17 +137,12 @@ func sentinelName(e ast.Expr) (name string, local bool) {
 }
 
 // isErrName reports whether name follows the Err sentinel convention:
-// "Err" or "err" followed by an upper-case letter ("ErrFoo", "errTimeout"),
-// excluding the method name "Error".
+// "Err" or "err" followed by an upper-case letter ("ErrFoo", "errTimeout").
 func isErrName(name string) bool {
-	if len(name) < 4 {
+	if len(name) < 4 || (name[:3] != "Err" && name[:3] != "err") {
 		return false
 	}
-	if name[:3] != "Err" && name[:3] != "err" {
-		return false
-	}
-	c := name[3]
-	return c >= 'A' && c <= 'Z' && name != "Error"
+	return name[3] >= 'A' && name[3] <= 'Z'
 }
 
 // looksLikeErrorValue reports whether e plausibly holds an error: an
@@ -171,7 +157,8 @@ func looksLikeErrorValue(e ast.Expr) bool {
 	return false
 }
 
-// isErrorTextCall matches x.Error() where x looks like an error value.
+// isErrorTextCall matches x.Error() where x looks like an error value or
+// is itself a call.
 func isErrorTextCall(e ast.Expr) bool {
 	call, ok := e.(*ast.CallExpr)
 	if !ok || len(call.Args) != 0 {
@@ -181,12 +168,8 @@ func isErrorTextCall(e ast.Expr) bool {
 	if !ok || sel.Sel.Name != "Error" {
 		return false
 	}
-	return looksLikeErrorValue(sel.X) || isCall(sel.X)
-}
-
-func isCall(e ast.Expr) bool {
-	_, ok := e.(*ast.CallExpr)
-	return ok
+	_, isCall := sel.X.(*ast.CallExpr)
+	return looksLikeErrorValue(sel.X) || isCall
 }
 
 func isNil(e ast.Expr) bool {

@@ -1,122 +1,105 @@
+// Package loader holds the tests of how package lint finds and parses the
+// packages under a root.
 package loader
 
 import (
+	"cmp"
+	"fmt"
+	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"banscore/internal/lint"
 )
 
-func TestLoadDirSelf(t *testing.T) {
-	pkg, err := LoadDir(".", Config{})
-	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
-	}
-	if pkg == nil {
-		t.Fatal("LoadDir returned nil package for a directory with Go files")
-	}
-	if pkg.Name != "loader" {
-		t.Errorf("Name = %q, want %q", pkg.Name, "loader")
-	}
-	if pkg.Path != "banscore/internal/lint/loader" {
-		t.Errorf("Path = %q, want module-qualified import path", pkg.Path)
-	}
-	for _, f := range pkg.Files {
-		name := filepath.Base(pkg.Fset.Position(f.Pos()).Filename)
-		if strings.HasSuffix(name, "_test.go") {
-			t.Errorf("Config{IncludeTests: false} loaded test file %s", name)
-		}
-	}
-}
-
-func TestLoadDirIncludeTests(t *testing.T) {
-	pkg, err := LoadDir(".", Config{IncludeTests: true})
-	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
-	}
-	found := false
-	for _, f := range pkg.Files {
-		if strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("IncludeTests did not load this _test.go file")
-	}
-}
+const now = "_ = time.Now()"
 
 func TestLoadDirEmpty(t *testing.T) {
-	dir := t.TempDir()
-	pkg, err := LoadDir(dir, Config{})
-	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
-	}
-	if pkg != nil {
-		t.Errorf("empty directory should load as nil, got %+v", pkg)
+	expectTree(t, nil)
+	files, err := lint.ParseDir(token.NewFileSet(), t.TempDir())
+	if err != nil || len(files) != 0 {
+		t.Errorf("ParseDir of an empty directory = %d files, %v; want none", len(files), err)
 	}
 }
 
+// TestLoadDirSelf: ParseDir reads a package's non-test files only, so this
+// directory, which holds only tests, parses to no file, and the go tool's
+// ignored files are skipped too.
+func TestLoadDirSelf(t *testing.T) {
+	files, err := lint.ParseDir(token.NewFileSet(), ".")
+	if err != nil || len(files) != 0 {
+		t.Errorf("ParseDir(.) = %d files, %v; want none", len(files), err)
+	}
+	expectTree(t, map[string]string{
+		"simnet/a.go":      inFunc(now),
+		"simnet/a_test.go": inFunc(now),
+		"simnet/.b.go":     inFunc(now),
+		"simnet/_c.go":     inFunc(now),
+		"simnet/d.txt":     inFunc(now),
+	}, "simnet/a.go:6 wallclock")
+}
+
+// TestLoadDirWithoutGoMod: a package's path is its directory below the
+// linted root, with no go.mod to qualify it.
 func TestLoadDirWithoutGoMod(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "simnet")
-	if err := os.Mkdir(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	src := "package simnet\n"
-	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := LoadDir(dir, Config{})
-	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
-	}
-	if pkg.Path != "simnet" {
-		t.Errorf("Path = %q, want base-name fallback %q", pkg.Path, "simnet")
-	}
+	expectTree(t, map[string]string{"internal/simnet/a.go": inFunc(now)}, "internal/simnet/a.go:6 wallclock")
 }
 
-func TestLoadTreeSkipsTestdata(t *testing.T) {
-	// Two levels up is internal/lint: the analyzers' fixture packages under
-	// testdata/ must not surface as packages of the tree.
-	pkgs, err := LoadTree(filepath.Join("..", ".."), Config{})
-	if err != nil {
-		t.Fatalf("LoadTree: %v", err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("LoadTree found no packages under internal/lint")
-	}
-	seenSelf := false
-	for _, pkg := range pkgs {
-		if strings.Contains(pkg.Path, "/testdata/") || strings.HasSuffix(pkg.Path, "/testdata") {
-			t.Errorf("LoadTree surfaced fixture package %s", pkg.Path)
-		}
-		if pkg.Path == "banscore/internal/lint/loader" {
-			seenSelf = true
-		}
-	}
-	if !seenSelf {
-		t.Error("LoadTree missed banscore/internal/lint/loader")
-	}
-}
-
-// TestLoadTreeMultiPackage loads a synthetic module with nested packages
-// and checks each surfaces once with its module-qualified import path —
-// the path scope-limited analyzers match on.
+// TestLoadTreeMultiPackage lints every package of a tree once, a package of
+// two files and a nested module among them.
 func TestLoadTreeMultiPackage(t *testing.T) {
-	root := t.TempDir()
-	files := map[string]string{
-		"go.mod":          "module example.com/tm\n\ngo 1.22\n",
-		"top.go":          "package tm\n",
-		"a/a.go":          "package a\n",
-		"a/deep/deep.go":  "package deep\n",
-		"b/b.go":          "package b\n",
-		"b/b_test.go":     "package b\n\nimport \"testing\"\n\nfunc TestB(t *testing.T) {}\n",
-		"b/testdata/f.go": "package fixture\n",
-		"vendor/v/v.go":   "package v\n",
-		"_attic/old.go":   "package old\n",
-		".hidden/h.go":    "package h\n",
+	expectTree(t, map[string]string{
+		"simnet/a.go":              inFunc(now),
+		"simnet/b.go":              "package p\n\nimport \"time\"\n\nvar start = time.Now()\n",
+		"node/a.go":                inFunc("go f()"),
+		"experiments/x/a.go":       inFunc(now),
+		"mod/go.mod":               "module mod\n",
+		"mod/internal/simnet/a.go": inFunc(now),
+	},
+		"experiments/x/a.go:6 wallclock",
+		"mod/internal/simnet/a.go:6 wallclock",
+		"node/a.go:6 gospawn: bare go statement in f",
+		"simnet/a.go:6 wallclock",
+		"simnet/b.go:5 wallclock")
+}
+
+// TestLoadTreeSkipsTestdata: below the root the walk skips testdata, vendor,
+// hidden and underscored directories. In this repository the checks'
+// fixtures, which break every invariant, sit in testdata.
+func TestLoadTreeSkipsTestdata(t *testing.T) {
+	expectTree(t, map[string]string{
+		"simnet/a.go":          inFunc(now),
+		"simnet/testdata/a.go": inFunc(now),
+		"simnet/vendor/a.go":   inFunc(now),
+		"simnet/.hidden/a.go":  inFunc(now),
+		"simnet/_skip/a.go":    inFunc(now),
+	}, "simnet/a.go:6 wallclock")
+	found, err := lint.Lint("..")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for rel, src := range files {
-		path := filepath.Join(root, filepath.FromSlash(rel))
+	for _, f := range found {
+		t.Errorf("fixture linted: %s", f)
+	}
+}
+
+// inFunc is a file whose function body holds lines, the first on line 6.
+func inFunc(lines ...string) string {
+	return "package p\n\nimport \"time\"\n\nfunc f() {\n\t" + strings.Join(lines, "\n\t") + "\n}\n"
+}
+
+// expectTree writes files under a fresh root and lints it. Written as
+// "file:line check: message", file relative to the root, in file, line and
+// check order, the findings must be as many as want, each starting with its
+// want.
+func expectTree(t *testing.T, files map[string]string, want ...string) {
+	t.Helper()
+	root := t.TempDir()
+	for name, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -124,49 +107,19 @@ func TestLoadTreeMultiPackage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	pkgs, err := LoadTree(root, Config{})
+	found, err := lint.Lint(root)
 	if err != nil {
-		t.Fatalf("LoadTree: %v", err)
+		t.Fatal(err)
 	}
-	got := map[string]int{}
-	for _, pkg := range pkgs {
-		got[pkg.Path]++
-		for _, f := range pkg.Files {
-			name := pkg.Fset.Position(f.Pos()).Filename
-			if strings.HasSuffix(name, "_test.go") {
-				t.Errorf("package %s includes test file %s without IncludeTests", pkg.Path, name)
-			}
-		}
+	slices.SortStableFunc(found, func(a, b lint.Finding) int {
+		return cmp.Or(cmp.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line), cmp.Compare(a.Check, b.Check))
+	})
+	ok, got := len(found) == len(want), make([]string, len(found))
+	for i, f := range found {
+		got[i] = fmt.Sprintf("%s:%d %s: %s", filepath.ToSlash(f.Pos.Filename[len(root)+1:]), f.Pos.Line, f.Check, f.Message)
+		ok = ok && strings.HasPrefix(got[i], want[i])
 	}
-	want := []string{
-		"example.com/tm",
-		"example.com/tm/a",
-		"example.com/tm/a/deep",
-		"example.com/tm/b",
-	}
-	for _, path := range want {
-		if got[path] != 1 {
-			t.Errorf("package %s loaded %d times, want 1 (all: %v)", path, got[path], got)
-		}
-	}
-	if len(got) != len(want) {
-		t.Errorf("loaded %v; testdata/vendor/underscore/hidden dirs must not surface", got)
-	}
-
-	withTests, err := LoadTree(root, Config{IncludeTests: true})
-	if err != nil {
-		t.Fatalf("LoadTree with tests: %v", err)
-	}
-	sawTest := false
-	for _, pkg := range withTests {
-		for _, f := range pkg.Files {
-			if strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
-				sawTest = true
-			}
-		}
-	}
-	if !sawTest {
-		t.Error("IncludeTests did not surface b/b_test.go")
+	if !ok {
+		t.Errorf("findings:\n\t%s\nwant, as prefixes:\n\t%s", strings.Join(got, "\n\t"), strings.Join(want, "\n\t"))
 	}
 }

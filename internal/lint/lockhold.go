@@ -1,5 +1,13 @@
-// Package lockhold defines the banlint analyzer that forbids blocking
-// operations while a sync.Mutex or RWMutex is held.
+package lint
+
+import (
+	"go/ast"
+	"go/token"
+	"strings"
+)
+
+// lockhold forbids blocking operations while a sync.Mutex or RWMutex is
+// held.
 //
 // This is the deadlock shape the chaos suite hunts dynamically: a
 // goroutine takes a lock, then parks on something whose progress needs
@@ -7,11 +15,11 @@
 // mutex, a WaitGroup whose workers are queued on it, a net.Conn write
 // back-pressured by a peer whose read loop is blocked on our state. The
 // race detector never sees it (nothing races) and tests only catch it
-// when the scheduler cooperates. The analyzer makes the rule static:
+// when the scheduler cooperates. The check makes the rule static:
 // between x.Lock()/x.RLock() and the matching x.Unlock()/x.RUnlock() —
 // or to the end of the function when the unlock is deferred, and from entry
 // when the function's first lock operation on x is an unlock (it was called
-// with x held) — these are diagnostics:
+// with x held) — these are findings:
 //
 //   - channel sends and receives,
 //   - select statements with no default clause,
@@ -23,43 +31,21 @@
 //
 // The tracking is syntactic and per-branch: a lock taken inside a branch
 // is held for the rest of that branch, and a branch-local unlock does not
-// leak out — conservative in the direction of silence, so a diagnostic
-// from this analyzer is worth believing.
-package lockhold
-
-import (
-	"go/ast"
-	"go/token"
-	"strings"
-
-	"banscore/internal/lint/analysis"
-)
-
-// Analyzer is the lockhold check.
-var Analyzer = &analysis.Analyzer{
-	Name: "lockhold",
-	Doc: "forbid blocking operations while holding a mutex\n\n" +
-		"Channel operations, default-less selects, time.Sleep or a clock's " +
-		"Sleep, and " +
-		"WaitGroup-style waits between Lock/Unlock pairs (or under a deferred " +
-		"unlock) are reported: they are the static shape of the lock-ordering " +
-		"deadlocks the chaos suite chases dynamically.",
-	Run: run,
-}
-
-func run(pass *analysis.Pass) error {
-	for _, file := range pass.Files {
-		timeName := analysis.ImportName(file, "time")
+// leak out — conservative in the direction of silence, so a finding
+// from this check is worth believing.
+func lockhold(fset *token.FileSet, files []*ast.File, _ string) []Finding {
+	w := &walker{fset: fset}
+	for _, file := range files {
+		w.timeName = ImportName(file, "time")
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
 			}
-			w := &walker{pass: pass, timeName: timeName}
 			w.walkBody(fn.Body, heldAtEntry(fn.Body))
 		}
 	}
-	return nil
+	return w.out
 }
 
 // held is the set of lock receiver expressions currently held, rendered
@@ -99,8 +85,9 @@ func heldAtEntry(body *ast.BlockStmt) held {
 // walker scans one function body, tracking lock state statement by
 // statement.
 type walker struct {
-	pass     *analysis.Pass
+	fset     *token.FileSet
 	timeName string
+	out      []Finding
 }
 
 // walkBody processes a statement list with the given entry lock state and
@@ -258,11 +245,11 @@ func (w *walker) checkExpr(expr ast.Expr, h held) {
 	})
 }
 
-// reportBlocked emits one diagnostic per held lock for a blocking
+// reportBlocked makes one finding per held lock for a blocking
 // operation.
 func (w *walker) reportBlocked(pos token.Pos, what string, h held) {
 	for lock := range h {
-		w.pass.Reportf(pos, "%s while holding %s; blocking under a mutex is the chaos suite's deadlock shape — move the operation outside the critical section", what, lock)
+		w.out = append(w.out, at(w.fset, pos, "%s while holding %s; blocking under a mutex is the chaos suite's deadlock shape — move the operation outside the critical section", what, lock))
 	}
 }
 

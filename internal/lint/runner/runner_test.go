@@ -1,106 +1,59 @@
+// Package runner holds the tests of package lint's Lint: every check, then
+// the waiver audit, over each package.
 package runner
 
 import (
-	"go/ast"
+	"cmp"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
-	"banscore/internal/lint/analysis"
-	"banscore/internal/lint/loader"
+	"banscore/internal/lint"
 )
 
-// writeFixture materializes a one-file package and loads it.
-func writeFixture(t *testing.T, src string) *loader.Package {
-	t.Helper()
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadDir(dir, loader.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pkg
-}
+const now = "_ = time.Now()"
 
-// callFlagger reports every call expression — a minimal analyzer that
-// gives the pipeline something to suppress.
-var callFlagger = &analysis.Analyzer{
-	Name: "callflag",
-	Doc:  "flag every call (test analyzer)",
-	Run: func(pass *analysis.Pass) error {
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if c, ok := n.(*ast.CallExpr); ok {
-					pass.Reportf(c.Pos(), "call site")
-				}
-				return true
-			})
-		}
-		return nil
-	},
-}
-
+// TestRunTreePipeline: of three findings, a waiver excuses the first; the
+// second survives; the third's waiver is malformed, so it excuses nothing
+// and is a finding too. Findings of two checks in one package both count.
 func TestRunTreePipeline(t *testing.T) {
-	src := `package p
-
-func f() {
-	g() //lint:allow callflag(first call is sanctioned here)
-	g()
-	g() //lint:allow callflag
-}
-`
-	pkg := writeFixture(t, src)
-	per, err := RunTree([]*loader.Package{pkg}, []*analysis.Analyzer{callFlagger})
-	if err != nil {
-		t.Fatalf("RunTree: %v", err)
-	}
-	findings := Resolve(pkg, per[0])
-	// Line 4 is waived; line 5 survives; line 6's malformed directive
-	// waives nothing, so both the finding and the directive report.
-	var got []string
-	for _, f := range findings {
-		got = append(got, f.Analyzer)
-	}
-	want := map[int][]string{5: {"callflag"}, 6: {"callflag", "lintdirective"}}
-	byLine := make(map[int][]string)
-	for _, f := range findings {
-		byLine[f.Line] = append(byLine[f.Line], f.Analyzer)
-	}
-	if len(byLine) != len(want) {
-		t.Fatalf("findings on lines %v, want lines 5 and 6; all: %v", byLine, got)
-	}
-	for line, analyzers := range want {
-		if len(byLine[line]) != len(analyzers) {
-			t.Errorf("line %d: got %v, want %v", line, byLine[line], analyzers)
-			continue
-		}
-		for i, a := range analyzers {
-			if byLine[line][i] != a {
-				t.Errorf("line %d[%d]: got %q, want %q", line, i, byLine[line][i], a)
-			}
-		}
-	}
+	expectTree(t, map[string]string{"node/simnet/a.go": inFunc(
+		now+" //lint:allow wallclock(first call is sanctioned here)",
+		now,
+		now+" //lint:allow wallclock",
+		"go f() //lint:allow gospawn(reasoned waiver)",
+		"go f()")},
+		"node/simnet/a.go:7 wallclock",
+		"node/simnet/a.go:8 lintdirective: malformed",
+		"node/simnet/a.go:8 wallclock",
+		"node/simnet/a.go:10 gospawn")
 }
 
-func TestFindingString(t *testing.T) {
-	f := Finding{File: "a.go", Line: 3, Column: 7, Analyzer: "wallclock", Message: "m"}
-	if got, want := f.String(), "a.go:3:7: wallclock: m"; got != want {
-		t.Errorf("String() = %q, want %q", got, want)
-	}
+// TestRunTreeStaleWaiver: a waiver that excuses nothing on its target line
+// is itself reported, on its own line.
+func TestRunTreeStaleWaiver(t *testing.T) {
+	expectTree(t, map[string]string{"simnet/a.go": inFunc(
+		"_ = 1 //lint:allow wallclock(nothing to waive here)")},
+		"simnet/a.go:6 lintdirective: stale lint:allow directive: wallclock reports no diagnostic on its target line")
 }
 
-// writeModule materializes a multi-package module and loads its tree.
-func writeModule(t *testing.T, files map[string]string) []*loader.Package {
+// inFunc is a file whose function body holds lines, the first on line 6.
+func inFunc(lines ...string) string {
+	return "package p\n\nimport \"time\"\n\nfunc f() {\n\t" + strings.Join(lines, "\n\t") + "\n}\n"
+}
+
+// expectTree writes files under a fresh root and lints it. Written as
+// "file:line check: message", file relative to the root, in file, line and
+// check order, the findings must be as many as want, each starting with its
+// want.
+func expectTree(t *testing.T, files map[string]string, want ...string) {
 	t.Helper()
 	root := t.TempDir()
-	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module tm\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for rel, src := range files {
-		path := filepath.Join(root, filepath.FromSlash(rel))
+	for name, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -108,40 +61,19 @@ func writeModule(t *testing.T, files map[string]string) []*loader.Package {
 			t.Fatal(err)
 		}
 	}
-	pkgs, err := loader.LoadTree(root, loader.Config{})
+	found, err := lint.Lint(root)
 	if err != nil {
-		t.Fatalf("LoadTree: %v", err)
+		t.Fatal(err)
 	}
-	return pkgs
-}
-
-// TestRunTreeStaleWaiver checks the waiver audit: a directive naming an
-// analyzer that RAN but suppressed nothing on its line is itself reported.
-func TestRunTreeStaleWaiver(t *testing.T) {
-	pkgs := writeModule(t, map[string]string{
-		"p/p.go": `package p
-
-func f() int {
-	return 1 //lint:allow callflag(nothing to waive here)
-}
-`,
+	slices.SortStableFunc(found, func(a, b lint.Finding) int {
+		return cmp.Or(cmp.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line), cmp.Compare(a.Check, b.Check))
 	})
-	perPkg, err := RunTree(pkgs, []*analysis.Analyzer{callFlagger})
-	if err != nil {
-		t.Fatalf("RunTree: %v", err)
+	ok, got := len(found) == len(want), make([]string, len(found))
+	for i, f := range found {
+		got[i] = fmt.Sprintf("%s:%d %s: %s", filepath.ToSlash(f.Pos.Filename[len(root)+1:]), f.Pos.Line, f.Check, f.Message)
+		ok = ok && strings.HasPrefix(got[i], want[i])
 	}
-	var all []Finding
-	for i, pkg := range pkgs {
-		all = append(all, Resolve(pkg, perPkg[i])...)
-	}
-	if len(all) != 1 {
-		t.Fatalf("findings = %v, want exactly one stale-waiver report", all)
-	}
-	f := all[0]
-	if f.Analyzer != analysis.DirectiveAnalyzerName || !strings.Contains(f.Message, "stale") {
-		t.Errorf("finding = %v, want a stale lintdirective report", f)
-	}
-	if f.Line != 4 {
-		t.Errorf("stale report at line %d, want 4 (the waiver's line)", f.Line)
+	if !ok {
+		t.Errorf("findings:\n\t%s\nwant, as prefixes:\n\t%s", strings.Join(got, "\n\t"), strings.Join(want, "\n\t"))
 	}
 }

@@ -1,32 +1,11 @@
-// Package wallclock defines the banlint analyzer that keeps wall-clock
-// time and unseeded randomness out of the determinism-critical packages.
-//
-// The reproduction's headline guarantees — seeded fault plans that replay
-// identically, chaos scenarios whose assertions do not depend on host
-// scheduling, experiment tables that are functions of their inputs — hold
-// only if the simulation substrate never consults an ambient clock or the
-// global math/rand state. A single stray time.Now in a fault schedule is
-// invisible to go vet and to the race detector, and only bites when a slow
-// CI machine happens to stretch the window it gates. This analyzer makes
-// the property structural: inside the scoped packages every use of the
-// time package's clock-reading or scheduling functions (Now, Sleep, Since,
-// Until, After, AfterFunc, NewTimer, NewTicker, Tick) and every call into
-// the global math/rand generator (rand.Intn, rand.Float64, ... — anything
-// not routed through an explicitly seeded rand.New) is a diagnostic.
-//
-// The sanctioned gateway is internal/vclock: code in scope takes its time
-// from an injected vclock.Clock, and vclock's own System implementation —
-// the one place wall clock is allowed to enter — carries
-// //lint:allow wallclock(...) waivers that keep the boundary auditable.
-package wallclock
+package lint
 
 import (
 	"go/ast"
-
-	"banscore/internal/lint/analysis"
+	"go/token"
 )
 
-// DefaultScope lists the import-path segments of the determinism-critical
+// wallclockScope lists the path segments of the determinism-critical
 // packages. vclock is deliberately in scope: its wall-clock calls exist,
 // but each must carry an explicit waiver. reputation is in scope because
 // the engine's decay arithmetic must be a function of its injected clock —
@@ -46,7 +25,7 @@ import (
 // ambient clock read there would reintroduce the host-scheduling
 // dependence the engine exists to remove. wal is in scope because recovery
 // must be a function of the directory's bytes alone; ring stamps nothing.
-var DefaultScope = []string{"simnet", "experiments", "vclock", "reputation", "banstore", "observer", "wal", "ring", "fleet", "attack", "swarm"}
+var wallclockScope = []string{"simnet", "experiments", "vclock", "reputation", "banstore", "observer", "wal", "ring", "fleet", "attack", "swarm"}
 
 // bannedTime is the set of time-package functions that read or schedule
 // against the ambient clock. Constructors of values (time.Date, time.Unix,
@@ -82,32 +61,33 @@ var allowedRand = map[string]bool{
 	"ChaCha8":  true,
 }
 
-// Analyzer is the wallclock check.
-var Analyzer = &analysis.Analyzer{
-	Name: "wallclock",
-	Doc: "forbid ambient time and global math/rand in determinism-critical packages\n\n" +
-		"Packages whose import path contains a scoped segment (default: simnet, " +
-		"experiments, vclock, reputation, banstore) must take time from an injected vclock.Clock and " +
-		"randomness from an explicitly seeded rand.New; ambient clock reads and " +
-		"global-generator calls are reported.",
-	Run: run,
-}
-
-func run(pass *analysis.Pass) error {
-	inScope := false
-	for _, seg := range DefaultScope {
-		if pass.HasPathSegment(seg) {
-			inScope = true
-			break
-		}
-	}
-	if !inScope {
+// wallclock keeps wall-clock time and unseeded randomness out of the
+// determinism-critical packages.
+//
+// The reproduction's headline guarantees — seeded fault plans that replay
+// identically, chaos scenarios whose assertions do not depend on host
+// scheduling, experiment tables that are functions of their inputs — hold
+// only if the simulation substrate never consults an ambient clock or the
+// global math/rand state. A single stray time.Now in a fault schedule is
+// invisible to go vet and to the race detector, and only bites when a slow
+// CI machine happens to stretch the window it gates. Inside the scoped
+// packages every use of the time package's clock-reading or scheduling
+// functions and every call into the global math/rand generator (anything
+// not routed through an explicitly seeded rand.New) is a finding.
+//
+// The sanctioned gateway is internal/vclock: code in scope takes its time
+// from an injected vclock.Clock, and vclock's own System implementation —
+// the one place wall clock is allowed to enter — carries
+// //lint:allow wallclock(...) waivers that keep the boundary auditable.
+func wallclock(fset *token.FileSet, files []*ast.File, path string) []Finding {
+	if !inScope(path, wallclockScope) {
 		return nil
 	}
-	for _, file := range pass.Files {
-		timeName := analysis.ImportName(file, "time")
-		randName := analysis.ImportName(file, "math/rand")
-		randV2Name := analysis.ImportName(file, "math/rand/v2")
+	var out []Finding
+	for _, file := range files {
+		timeName := ImportName(file, "time")
+		randName := ImportName(file, "math/rand")
+		randV2Name := ImportName(file, "math/rand/v2")
 		if timeName == "" && randName == "" && randV2Name == "" {
 			continue
 		}
@@ -123,19 +103,19 @@ func run(pass *analysis.Pass) error {
 			switch {
 			case timeName != "" && base.Name == timeName:
 				if bannedTime[sel.Sel.Name] {
-					pass.Reportf(sel.Pos(),
+					out = append(out, at(fset, sel.Pos(),
 						"%s.%s reads the ambient clock in a determinism-critical package; take time from an injected vclock.Clock",
-						base.Name, sel.Sel.Name)
+						base.Name, sel.Sel.Name))
 				}
 			case (randName != "" && base.Name == randName) || (randV2Name != "" && base.Name == randV2Name):
 				if !allowedRand[sel.Sel.Name] {
-					pass.Reportf(sel.Pos(),
+					out = append(out, at(fset, sel.Pos(),
 						"%s.%s draws from the global math/rand generator in a determinism-critical package; use an explicitly seeded rand.New",
-						base.Name, sel.Sel.Name)
+						base.Name, sel.Sel.Name))
 				}
 			}
 			return true
 		})
 	}
-	return nil
+	return out
 }

@@ -2,12 +2,12 @@ package lockrank
 
 import (
 	"go/ast"
+	"go/token"
 	"path/filepath"
 	"sync"
 	"testing"
 
-	"banscore/internal/lint/analysis"
-	"banscore/internal/lint/loader"
+	"banscore/internal/lint"
 )
 
 // TestInRankNestingAndCond runs in both builds: nesting in rank order is
@@ -66,13 +66,14 @@ func TestOnlyRankedLocks(t *testing.T) {
 // the import path imp in the non-test Go files of dir.
 func mutexUses(t *testing.T, dir, imp string) []string {
 	t.Helper()
-	pkg, err := loader.LoadDir(dir, loader.Config{})
-	if err != nil || pkg == nil {
+	fset := token.NewFileSet()
+	files, err := lint.ParseDir(fset, dir)
+	if err != nil || len(files) == 0 {
 		t.Fatalf("no Go package in %s: %v", dir, err)
 	}
 	var out []string
-	for _, f := range pkg.Files {
-		local := analysis.ImportName(f, imp)
+	for _, f := range files {
+		local := lint.ImportName(f, imp)
 		if local == "" {
 			continue
 		}
@@ -82,7 +83,7 @@ func mutexUses(t *testing.T, dir, imp string) []string {
 				return true
 			}
 			if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
-				out = append(out, pkg.Fset.Position(sel.Pos()).String())
+				out = append(out, fset.Position(sel.Pos()).String())
 			}
 			return true
 		})

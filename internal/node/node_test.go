@@ -892,7 +892,7 @@ func TestFilterAddExtendsInstalledFilter(t *testing.T) {
 	// Empty filter, then FILTERADD the coinbase txid.
 	send(t, conn, wire.NewMsgFilterLoad(make([]byte, 64), 5, 0, wire.BloomUpdateNone))
 	coinbase := block.Transactions[0].TxHash()
-	send(t, conn, wire.NewMsgFilterAdd(coinbase.CloneBytes()))
+	send(t, conn, wire.NewMsgFilterAdd(coinbase[:]))
 
 	hash := block.BlockHash()
 	req := wire.NewMsgGetData()
